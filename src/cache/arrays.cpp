@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <span>
 
-#include "noc/snapshot.h"
+#include "common/snapshot.h"
 
 namespace disco::cache {
 
@@ -186,86 +186,24 @@ std::uint64_t SegmentedArray::used_segments() const {
   return n;
 }
 
-// ---------------------------------------------------------------------------
-// Checkpoint/restore
-
-void L1Array::save_state(snap::Writer& w) const {
-  w.u32(sets_);
-  w.u32(ways_);
-  for (const L1Line& line : lines_) {
-    w.b(line.valid());
-    if (!line.valid()) continue;
-    w.u64(line.addr);
-    w.u8(static_cast<std::uint8_t>(line.state));
-    w.raw(std::span<const std::uint8_t>(line.data));
-    w.u64(line.lru);
-  }
-}
-
-void L1Array::restore_state(snap::Reader& r) {
-  if (r.u32() != sets_ || r.u32() != ways_)
-    throw snap::SnapshotError("snapshot: L1 array geometry mismatch");
-  for (L1Line& line : lines_) {
-    line = L1Line{};
-    if (!r.b()) continue;
-    line.addr = r.u64();
-    line.state = static_cast<L1State>(r.u8());
-    r.raw(std::span<std::uint8_t>(line.data));
-    line.lru = r.u64();
-  }
-}
-
-void SegmentedArray::save_state(snap::Writer& w) const {
-  w.u32(sets_);
-  w.u32(ways_);
-  w.u32(tag_factor_);
-  for (const auto& set : sets_storage_) {
-    for (const L2Line& line : set) {
-      w.b(line.valid);
-      if (!line.valid) continue;
-      w.u64(line.addr);
-      w.b(line.dirty);
-      w.b(line.busy);
-      w.u32(line.segments);
-      w.u64(line.lru);
-      w.raw(std::span<const std::uint8_t>(line.data));
-      noc::save_opt_encoded(w, line.stored);
-      w.u8(static_cast<std::uint8_t>(line.dir.kind));
-      w.u64(line.dir.sharers);
-      w.u16(line.dir.owner);
-    }
-  }
-  for (const std::uint32_t u : used_segments_) w.u32(u);
-}
-
-void SegmentedArray::restore_state(snap::Reader& r) {
-  if (r.u32() != sets_ || r.u32() != ways_ || r.u32() != tag_factor_)
-    throw snap::SnapshotError("snapshot: L2 array geometry mismatch");
-  for (auto& set : sets_storage_) {
-    for (L2Line& line : set) {
-      line = L2Line{};
-      if (!r.b()) continue;
-      line.valid = true;
-      line.addr = r.u64();
-      line.dirty = r.b();
-      line.busy = r.b();
-      line.segments = r.u32();
-      line.lru = r.u64();
-      r.raw(std::span<std::uint8_t>(line.data));
-      line.stored = noc::load_opt_encoded(r);
-      line.dir.kind = static_cast<DirInfo::Kind>(r.u8());
-      line.dir.sharers = r.u64();
-      line.dir.owner = r.u16();
-    }
-  }
-  for (std::uint32_t& u : used_segments_) u = r.u32();
-  // Rebuild the compact tag store from the restored lines.
-  for (std::size_t set = 0; set < sets_; ++set) {
-    for (std::size_t i = 0; i < slots_per_set_; ++i) {
-      const L2Line& line = sets_storage_[set][i];
-      tags_[set * slots_per_set_ + i] = line.valid ? line.addr : kNoTag;
+template <class Ar>
+void SegmentedArray::visit(Ar& ar) {
+  ar.expect(sets_, "L2 array geometry");
+  ar.expect(ways_, "L2 array geometry");
+  ar.expect(tag_factor_, "L2 array geometry");
+  for (auto& set : sets_storage_) ar.each(set);
+  ar.each(used_segments_);
+  if constexpr (Ar::kLoading) {
+    // Rebuild the compact tag store from the restored lines.
+    for (std::size_t set = 0; set < sets_; ++set) {
+      for (std::size_t i = 0; i < slots_per_set_; ++i) {
+        const L2Line& line = sets_storage_[set][i];
+        tags_[set * slots_per_set_ + i] = line.valid ? line.addr : kNoTag;
+      }
     }
   }
 }
+template void SegmentedArray::visit(snap::Writer&);
+template void SegmentedArray::visit(snap::Reader&);
 
 }  // namespace disco::cache

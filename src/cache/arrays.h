@@ -16,7 +16,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/snapshot.h"
 #include "common/types.h"
 #include "compress/algorithm.h"
 
@@ -34,6 +33,19 @@ struct L1Line {
   Cycle lru = 0;
 
   bool valid() const { return state != L1State::I; }
+
+  /// Only a valid line carries content; an invalid slot restores to the
+  /// default line.
+  template <class Ar>
+  void visit(Ar& ar) {
+    bool present = valid();
+    ar(present);
+    if (!present) {
+      if constexpr (Ar::kLoading) *this = L1Line{};
+      return;
+    }
+    ar(addr, state, data, lru);
+  }
 };
 
 class L1Array {
@@ -51,10 +63,13 @@ class L1Array {
   std::uint32_t ways() const { return ways_; }
   std::size_t set_of(Addr addr) const { return (addr / kBlockBytes) % sets_; }
 
-  /// Checkpoint/restore: geometry-checked; only valid lines carry content
-  /// (invalid slots restore to the default line).
-  void save_state(snap::Writer& w) const;
-  void restore_state(snap::Reader& r);
+  /// Snapshot: geometry-checked, then every line.
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar.expect(sets_, "L1 array geometry");
+    ar.expect(ways_, "L1 array geometry");
+    ar.each(lines_);
+  }
 
  private:
   std::uint32_t sets_;
@@ -76,6 +91,9 @@ struct DirInfo {
   void remove_sharer(NodeId n) { sharers &= ~(1ULL << n); }
   bool is_sharer(NodeId n) const { return (sharers >> n) & 1ULL; }
   std::uint32_t sharer_count() const { return static_cast<std::uint32_t>(__builtin_popcountll(sharers)); }
+
+  template <class Ar>
+  void visit(Ar& ar) { ar(kind, sharers, owner); }
 };
 
 struct L2Line {
@@ -89,6 +107,18 @@ struct L2Line {
   /// Compressed image when the bank stores compressed (absent => raw).
   std::optional<compress::Encoded> stored;
   DirInfo dir;
+
+  /// Only a valid line carries content; an invalid slot restores to the
+  /// default line.
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(valid);
+    if (!valid) {
+      if constexpr (Ar::kLoading) *this = L2Line{};
+      return;
+    }
+    ar(addr, dirty, busy, segments, lru, data, stored, dir);
+  }
 };
 
 class SegmentedArray {
@@ -144,10 +174,10 @@ class SegmentedArray {
     return static_cast<std::uint32_t>((bytes + kFlitBytes - 1) / kFlitBytes);
   }
 
-  /// Checkpoint/restore: geometry-checked; tag-slot positions are preserved
-  /// (install picks the first free way, so slot order is architectural).
-  void save_state(snap::Writer& w) const;
-  void restore_state(snap::Reader& r);
+  /// Snapshot: geometry-checked; tag-slot positions are preserved (install
+  /// picks the first free way, so slot order is architectural).
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   std::vector<L2Line>& set_lines(std::size_t set) { return sets_storage_[set]; }

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "noc/ni.h"
-#include "noc/snapshot.h"
 
 namespace disco::cache {
 
@@ -50,34 +49,19 @@ class DelayedInjector {
     }
   }
 
-  void save_state(snap::Writer& w, noc::PacketTable& t) const {
-    std::vector<const Entry*> sorted;
-    sorted.reserve(queue_.size());
-    for (const Entry& e : queue_) sorted.push_back(&e);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Entry* a, const Entry* b) { return Entry::later(*b, *a); });
-    w.u64(sorted.size());
-    for (const Entry* e : sorted) {
-      w.u64(e->when);
-      w.u64(e->seq);
-      t.save_ref(w, e->pkt);
+  template <class Ar>
+  void visit(Ar& ar) {
+    std::vector<Entry> sorted;
+    if constexpr (!Ar::kLoading) {
+      sorted = queue_;
+      std::sort(sorted.begin(), sorted.end(),
+                [](const Entry& a, const Entry& b) { return Entry::later(b, a); });
     }
-    w.u64(seq_);
-  }
-
-  void restore_state(snap::Reader& r, const noc::PacketTable& t) {
-    queue_.clear();
-    const std::uint64_t n = r.u64();
-    queue_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Entry e;
-      e.when = r.u64();
-      e.seq = r.u64();
-      e.pkt = t.load_ref(r);
-      queue_.push_back(std::move(e));
+    ar(sorted, seq_);
+    if constexpr (Ar::kLoading) {
+      queue_ = std::move(sorted);
+      std::make_heap(queue_.begin(), queue_.end(), Entry::later);
     }
-    std::make_heap(queue_.begin(), queue_.end(), Entry::later);
-    seq_ = r.u64();
   }
 
  private:
@@ -92,6 +76,9 @@ class DelayedInjector {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
+
+    template <class Ar>
+    void visit(Ar& ar) { ar(when, seq, pkt); }
   };
   noc::NetworkInterface& ni_;
   std::vector<Entry> queue_;

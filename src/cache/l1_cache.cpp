@@ -322,78 +322,11 @@ std::optional<BlockBytes> L1Cache::warm_invalidate(Addr blk) {
 // ---------------------------------------------------------------------------
 // Checkpoint/restore
 
-void L1Cache::save_state(snap::Writer& w, noc::PacketTable& t) const {
-  array_.save_state(w);
-  out_.save_state(w, t);
-
-  std::vector<Addr> keys;
-  keys.reserve(mshrs_.size());
-  for (const auto& [addr, m] : mshrs_) keys.push_back(addr);
-  std::sort(keys.begin(), keys.end());
-  w.u64(keys.size());
-  for (const Addr addr : keys) {
-    const Mshr& m = mshrs_.at(addr);
-    w.u64(addr);
-    w.u8(static_cast<std::uint8_t>(m.kind));
-    w.u64(m.waiters.size());
-    for (const Waiter& wt : m.waiters) {
-      w.u64(wt.op_id);
-      w.b(wt.is_store);
-      w.u64(wt.store_value);
-      w.u64(wt.addr);
-    }
-    w.b(m.inv_pending);
-    w.b(m.recall_pending);
-    w.u64(m.issued);
-  }
-
-  keys.clear();
-  keys.reserve(evict_buffer_.size());
-  for (const auto& [addr, e] : evict_buffer_) keys.push_back(addr);
-  std::sort(keys.begin(), keys.end());
-  w.u64(keys.size());
-  for (const Addr addr : keys) {
-    const EvictEntry& e = evict_buffer_.at(addr);
-    w.u64(addr);
-    w.raw(std::span<const std::uint8_t>(e.data));
-    w.b(e.dirty);
-  }
+template <class Ar>
+void L1Cache::visit(Ar& ar) {
+  ar(array_, out_, mshrs_, evict_buffer_);
 }
-
-void L1Cache::restore_state(snap::Reader& r, const noc::PacketTable& t) {
-  array_.restore_state(r);
-  out_.restore_state(r, t);
-
-  mshrs_.clear();
-  const std::uint64_t n_mshr = r.u64();
-  for (std::uint64_t i = 0; i < n_mshr; ++i) {
-    const Addr addr = r.u64();
-    Mshr m{};
-    m.kind = static_cast<Mshr::Kind>(r.u8());
-    const std::uint64_t n_waiters = r.u64();
-    for (std::uint64_t j = 0; j < n_waiters; ++j) {
-      Waiter wt{};
-      wt.op_id = r.u64();
-      wt.is_store = r.b();
-      wt.store_value = r.u64();
-      wt.addr = r.u64();
-      m.waiters.push_back(wt);
-    }
-    m.inv_pending = r.b();
-    m.recall_pending = r.b();
-    m.issued = r.u64();
-    mshrs_.emplace(addr, std::move(m));
-  }
-
-  evict_buffer_.clear();
-  const std::uint64_t n_evict = r.u64();
-  for (std::uint64_t i = 0; i < n_evict; ++i) {
-    const Addr addr = r.u64();
-    EvictEntry e{};
-    r.raw(std::span<std::uint8_t>(e.data));
-    e.dirty = r.b();
-    evict_buffer_.emplace(addr, e);
-  }
-}
+template void L1Cache::visit(snap::Writer&);
+template void L1Cache::visit(snap::Reader&);
 
 }  // namespace disco::cache

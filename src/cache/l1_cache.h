@@ -69,8 +69,8 @@ class L1Cache final : public noc::PacketSink {
 
   /// Checkpoint/restore of the full controller state (array, outbound
   /// queue, MSHRs, eviction buffer). Maps serialize sorted by address.
-  void save_state(snap::Writer& w, noc::PacketTable& t) const;
-  void restore_state(snap::Reader& r, const noc::PacketTable& t);
+  template <class Ar>
+  void visit(Ar& ar);
 
   // --- functional-warmup API (no timing, no messages; used only before
   // the timing phase to pre-populate cache and directory state) ---
@@ -92,6 +92,9 @@ class L1Cache final : public noc::PacketSink {
     bool is_store;
     std::uint64_t store_value;
     Addr addr;  ///< full (word-granularity) address for the store target
+
+    template <class Ar>
+    void visit(Ar& ar) { ar(op_id, is_store, store_value, addr); }
   };
   struct Mshr {
     enum class Kind { IS, IM, SM } kind;
@@ -99,10 +102,16 @@ class L1Cache final : public noc::PacketSink {
     bool inv_pending = false;     ///< Inv overtook the DataS grant
     bool recall_pending = false;  ///< Recall overtook the DataE/M grant
     Cycle issued = 0;
+
+    template <class Ar>
+    void visit(Ar& ar) { ar(kind, waiters, inv_pending, recall_pending, issued); }
   };
   struct EvictEntry {
     BlockBytes data{};
     bool dirty = false;
+
+    template <class Ar>
+    void visit(Ar& ar) { ar(data, dirty); }
   };
 
   void send(Msg m, Addr addr, NodeId dst_node, UnitKind dst_unit, Cycle now,

@@ -79,8 +79,8 @@ class L2Bank final : public noc::PacketSink {
   /// Checkpoint/restore of the full bank state (segmented array, outbound
   /// queue, transaction table, replay/space-wait queues). The transaction
   /// table serializes sorted by address.
-  void save_state(snap::Writer& w, noc::PacketTable& t) const;
-  void restore_state(snap::Reader& r, const noc::PacketTable& t);
+  template <class Ar>
+  void visit(Ar& ar);
 
   // --- functional-warmup API (no timing, no messages) ---
   /// Callback invoked for lines functionally evicted to make room; the
@@ -116,6 +116,12 @@ class L2Bank final : public noc::PacketSink {
 
     enum class After { None, InstallFill, UpdateThenGrant, AbsorbPut };
     After after_space = After::None;
+
+    template <class Ar>
+    void visit(Ar& ar) {
+      ar(kind, phase, addr, req, queue, pending_acks, parent, data, have_data,
+         data_dirty, filled_from_mem, wire, after_space);
+    }
   };
 
   // --- message handlers ---

@@ -60,34 +60,14 @@ struct CacheStats {
     return total ? static_cast<double>(l1_misses) / static_cast<double>(total) : 0.0;
   }
 
-  void save_state(snap::Writer& w) const {
-    nuca_latency.save_state(w);
-    nuca_latency_hist.save_state(w);
-    dram_latency.save_state(w);
-    miss_latency.save_state(w);
-    miss_latency_hist.save_state(w);
-    for (const std::uint64_t v :
-         {l1_hits, l1_misses, l1_evictions, l1_writebacks, l2_hits, l2_misses,
-          l2_evictions, l2_fills, bank_compressions, bank_decompressions,
-          invalidations_sent, recalls_sent, dram_reads, dram_writes,
-          l1_array_reads, l1_array_writes, l2_array_reads, l2_array_writes})
-      w.u64(v);
-    stored_line_bytes.save_state(w);
-  }
-  void restore_state(snap::Reader& r) {
-    nuca_latency.restore_state(r);
-    nuca_latency_hist.restore_state(r);
-    dram_latency.restore_state(r);
-    miss_latency.restore_state(r);
-    miss_latency_hist.restore_state(r);
-    for (std::uint64_t* v :
-         {&l1_hits, &l1_misses, &l1_evictions, &l1_writebacks, &l2_hits,
-          &l2_misses, &l2_evictions, &l2_fills, &bank_compressions,
-          &bank_decompressions, &invalidations_sent, &recalls_sent,
-          &dram_reads, &dram_writes, &l1_array_reads, &l1_array_writes,
-          &l2_array_reads, &l2_array_writes})
-      *v = r.u64();
-    stored_line_bytes.restore_state(r);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(nuca_latency, nuca_latency_hist, dram_latency, miss_latency,
+       miss_latency_hist, l1_hits, l1_misses, l1_evictions, l1_writebacks,
+       l2_hits, l2_misses, l2_evictions, l2_fills, bank_compressions,
+       bank_decompressions, invalidations_sent, recalls_sent, dram_reads,
+       dram_writes, l1_array_reads, l1_array_writes, l2_array_reads,
+       l2_array_writes, stored_line_bytes);
   }
 };
 

@@ -38,50 +38,12 @@ class Core {
     window_stalls_ = blocked_stalls_ = 0;
   }
 
-  /// Checkpoint/restore of the core's issue state and counters (the trace
-  /// generator's stream position rides along).
-  void save_state(snap::Writer& w) const {
-    gen_.save_state(w);
-    w.b(pending_.has_value());
-    if (pending_.has_value()) {
-      w.u64(pending_->addr);
-      w.b(pending_->is_store);
-      w.u32(pending_->gap);
-    }
-    w.u32(gap_left_);
-    w.u32(outstanding_);
-    w.u64(inflight_ids_.size());
-    for (const std::uint64_t id : inflight_ids_) w.u64(id);  // std::set: sorted
-    w.u64(next_op_id_);
-    w.u64(ops_);
-    w.u64(loads_);
-    w.u64(stores_);
-    w.u64(stalls_);
-    w.u64(window_stalls_);
-    w.u64(blocked_stalls_);
-  }
-  void restore_state(snap::Reader& r) {
-    gen_.restore_state(r);
-    pending_.reset();
-    if (r.b()) {
-      workload::TraceOp op;
-      op.addr = r.u64();
-      op.is_store = r.b();
-      op.gap = r.u32();
-      pending_ = op;
-    }
-    gap_left_ = r.u32();
-    outstanding_ = r.u32();
-    inflight_ids_.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) inflight_ids_.insert(r.u64());
-    next_op_id_ = r.u64();
-    ops_ = r.u64();
-    loads_ = r.u64();
-    stores_ = r.u64();
-    stalls_ = r.u64();
-    window_stalls_ = r.u64();
-    blocked_stalls_ = r.u64();
+  /// Snapshot: the core's issue state and counters (the trace generator's
+  /// stream position rides along).
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(gen_, pending_, gap_left_, outstanding_, inflight_ids_, next_op_id_,
+       ops_, loads_, stores_, stalls_, window_stalls_, blocked_stalls_);
   }
 
  private:

@@ -584,42 +584,44 @@ std::uint64_t CmpSystem::total_stall_cycles() const {
 // ---------------------------------------------------------------------------
 // Checkpoint/restore
 
+template <class Ar>
+void CmpSystem::visit_header(Ar& ar, std::uint64_t digest,
+                             std::uint64_t& measured_done) {
+  ar.expect(digest, "cell digest");
+  ar(measured_done, cycle_, next_hard_fault_);
+  if (next_hard_fault_ > hard_schedule_.size())
+    throw snap::SnapshotError("snapshot: hard-fault cursor out of range");
+  ar(hard_faults_applied_, any_node_dead_, last_progress_sig_,
+     activity_sig_at_progress_, last_progress_cycle_);
+}
+
+template <class Ar>
+void CmpSystem::visit_body(Ar& ar) {
+  ar(noc_stats_, cache_stats_);
+  ar.expect(injector_ != nullptr, "fault-injector presence");
+  if (injector_ != nullptr) ar(*injector_);
+  ar.expect(tracer_ != nullptr, "tracer presence");
+  if (tracer_ != nullptr) ar(*tracer_);
+  ar.expect(checker_ != nullptr, "invariant-checker presence");
+  if (checker_ != nullptr) ar(*checker_);
+  ar(*network_);
+  ar.each(l1s_);
+  ar.each(l2s_);
+  ar.each(mems_);
+  ar.each(cores_);
+}
+
 void CmpSystem::save_snapshot(const std::string& path,
                               std::uint64_t measured_done,
                               std::uint64_t digest) const {
-  snap::Writer meta;
-  meta.u64(digest);
-  meta.u64(measured_done);
-  meta.u64(cycle_);
-  meta.u64(next_hard_fault_);
-  meta.u64(hard_faults_applied_);
-  meta.b(any_node_dead_);
-  meta.u64(last_progress_sig_);
-  meta.u64(activity_sig_at_progress_);
-  meta.u64(last_progress_cycle_);
-
-  // Component bodies intern packets into the table as they serialize; the
-  // table itself (closed under nack_ref) is written between the metadata
-  // and the bodies, so restore can materialize every packet first and then
-  // resolve the bodies' references in a single pass.
+  // Saving only reads; the field lists are non-const to serve restore too.
+  auto& self = const_cast<CmpSystem&>(*this);
+  snap::Writer payload;
+  self.visit_header(payload, digest, measured_done);
   noc::PacketTable table;
   snap::Writer body;
-  noc::save_noc_stats(body, noc_stats_);
-  cache_stats_.save_state(body);
-  body.b(injector_ != nullptr);
-  if (injector_ != nullptr) injector_->save_state(body);
-  body.b(tracer_ != nullptr);
-  if (tracer_ != nullptr) tracer_->save_state(body);
-  body.b(checker_ != nullptr);
-  if (checker_ != nullptr) checker_->save_state(body);
-  network_->save_state(body, table);
-  for (const auto& l1 : l1s_) l1->save_state(body, table);
-  for (const auto& l2 : l2s_) l2->save_state(body, table);
-  for (const auto& m : mems_) m->save_state(body, table);
-  for (const auto& c : cores_) c->save_state(body);
-
-  snap::Writer payload;
-  payload.append(meta);
+  body.packets = &table;
+  self.visit_body(body);
   table.save_table(payload);
   payload.append(body);
   snap::write_snapshot_file(path, payload.data());
@@ -629,41 +631,11 @@ std::uint64_t CmpSystem::restore_snapshot(const std::string& path,
                                           std::uint64_t digest) {
   const std::vector<std::uint8_t> payload = snap::read_snapshot_file(path);
   snap::Reader r{std::span<const std::uint8_t>(payload)};
-
-  if (r.u64() != digest)
-    throw snap::SnapshotError("snapshot: cell digest mismatch (snapshot "
-                              "belongs to a different cell or parameters)");
-  const std::uint64_t measured_done = r.u64();
-  cycle_ = r.u64();
-  next_hard_fault_ = r.u64();
-  if (next_hard_fault_ > hard_schedule_.size())
-    throw snap::SnapshotError("snapshot: hard-fault cursor out of range");
-  hard_faults_applied_ = r.u64();
-  any_node_dead_ = r.b();
-  last_progress_sig_ = r.u64();
-  activity_sig_at_progress_ = r.u64();
-  last_progress_cycle_ = r.u64();
-
+  std::uint64_t measured_done = 0;
+  visit_header(r, digest, measured_done);
   noc::PacketTable table;
   table.load_table(r);
-
-  noc::load_noc_stats(r, noc_stats_);
-  cache_stats_.restore_state(r);
-  if (r.b() != (injector_ != nullptr))
-    throw snap::SnapshotError("snapshot: fault-injector presence mismatch");
-  if (injector_ != nullptr) injector_->restore_state(r);
-  if (r.b() != (tracer_ != nullptr))
-    throw snap::SnapshotError("snapshot: tracer presence mismatch");
-  if (tracer_ != nullptr) tracer_->restore_state(r);
-  if (r.b() != (checker_ != nullptr))
-    throw snap::SnapshotError("snapshot: invariant-checker presence mismatch");
-  if (checker_ != nullptr) checker_->restore_state(r);
-  network_->restore_state(r, table);
-  for (const auto& l1 : l1s_) l1->restore_state(r, table);
-  for (const auto& l2 : l2s_) l2->restore_state(r, table);
-  for (const auto& m : mems_) m->restore_state(r, table);
-  for (const auto& c : cores_) c->restore_state(r);
-
+  visit_body(r);
   r.expect_end();
   return measured_done;
 }

@@ -159,6 +159,13 @@ class CmpSystem {
   ~CmpSystem();
 
  private:
+  /// Snapshot field lists. The header precedes the packet table; the body,
+  /// whose packet references fill the table, follows it.
+  template <class Ar>
+  void visit_header(Ar& ar, std::uint64_t digest, std::uint64_t& measured_done);
+  template <class Ar>
+  void visit_body(Ar& ar);
+
   void tick();
   void check_cancel() const;
   void check_progress();

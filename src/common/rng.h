@@ -2,7 +2,6 @@
 // behaviour in the simulator flows through Rng so experiments replay exactly.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <limits>
 
@@ -63,14 +62,10 @@ class Rng {
   /// Bernoulli trial with probability p.
   bool chance(double p) { return next_double() < p; }
 
-  /// Raw generator state, for checkpoint/restore. A restored Rng continues
-  /// the exact stream the saved one would have produced.
-  std::array<std::uint64_t, 4> state() const {
-    return {state_[0], state_[1], state_[2], state_[3]};
-  }
-  void set_state(const std::array<std::uint64_t, 4>& s) {
-    for (int i = 0; i < 4; ++i) state_[i] = s[static_cast<std::size_t>(i)];
-  }
+  /// Snapshot of the generator state: a restored Rng continues the exact
+  /// stream the saved one would have produced.
+  template <class Ar>
+  void visit(Ar& ar) { ar(state_); }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

@@ -46,6 +46,12 @@ std::vector<std::uint8_t> Reader::bytes() {
   return std::vector<std::uint8_t>(s.begin(), s.end());
 }
 
+std::uint64_t Reader::count() {
+  const std::uint64_t n = u64();
+  if (n > remaining()) fail("snapshot: element count past end of payload");
+  return n;
+}
+
 std::string Reader::str() {
   const std::uint64_t n = u64();
   if (n > remaining()) fail("snapshot: string length past end of payload");

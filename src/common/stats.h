@@ -9,8 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/snapshot.h"
-
 namespace disco {
 
 /// Running scalar accumulator: count / sum / min / max / mean.
@@ -29,18 +27,8 @@ class Accumulator {
   double max() const { return count_ ? max_ : 0.0; }
   void reset() { *this = Accumulator{}; }
 
-  void save_state(snap::Writer& w) const {
-    w.u64(count_);
-    w.f64(sum_);
-    w.f64(min_);
-    w.f64(max_);
-  }
-  void restore_state(snap::Reader& r) {
-    count_ = r.u64();
-    sum_ = r.f64();
-    min_ = r.f64();
-    max_ = r.f64();
-  }
+  template <class Ar>
+  void visit(Ar& ar) { ar(count_, sum_, min_, max_); }
 
  private:
   std::uint64_t count_ = 0;
@@ -70,14 +58,8 @@ class Histogram {
   /// histogram reports that sample's bucket for every q.
   std::uint64_t approx_quantile(double q) const;
 
-  void save_state(snap::Writer& w) const {
-    for (const std::uint64_t b : buckets_) w.u64(b);
-    acc_.save_state(w);
-  }
-  void restore_state(snap::Reader& r) {
-    for (std::uint64_t& b : buckets_) b = r.u64();
-    acc_.restore_state(r);
-  }
+  template <class Ar>
+  void visit(Ar& ar) { ar(buckets_, acc_); }
 
  private:
   static constexpr std::size_t kBuckets = 24;

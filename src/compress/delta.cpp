@@ -7,7 +7,7 @@ namespace {
 
 constexpr std::uint8_t kZeroTag = 0xFE;
 
-std::uint64_t load_flit(const BlockBytes& b, std::size_t i) {
+std::uint64_t read_flit(const BlockBytes& b, std::size_t i) {
   std::uint64_t v;
   std::memcpy(&v, b.data() + i * kFlitBytes, sizeof(v));
   return v;
@@ -30,7 +30,7 @@ Encoded DeltaAlgorithm::compress(const BlockBytes& block) const {
   std::uint64_t flits[kWordsPerBlock];
   bool all_zero = true;
   for (std::size_t i = 0; i < kWordsPerBlock; ++i) {
-    flits[i] = load_flit(block, i);
+    flits[i] = read_flit(block, i);
     all_zero = all_zero && flits[i] == 0;
   }
   if (all_zero) return Encoded{{kZeroTag}};

@@ -46,9 +46,9 @@ class DiscoUnit final : public noc::RouterExtension {
   /// adapt_thresholds() re-aligns to the fixed window grid on wake.
   bool idle() const override { return busy_engines() == 0; }
 
-  /// Checkpoint/restore of engine and adaptive-threshold state.
-  void save_state(snap::Writer& w, noc::PacketTable& t) const override;
-  void restore_state(snap::Reader& r, const noc::PacketTable& t) override;
+  /// Snapshot of engine and adaptive-threshold state.
+  void visit(snap::Writer& w) override;
+  void visit(snap::Reader& r) override;
 
   /// Confidence values (exposed for unit tests and threshold sweeps).
   double compression_confidence(const noc::VcId& v) const;
@@ -74,6 +74,12 @@ class DiscoUnit final : public noc::RouterExtension {
     // Lifetime fault state: survives release(), see DiscoUnit::release.
     std::uint32_t errors = 0;  ///< decode/CRC failures observed by this engine
     bool quarantined = false;  ///< permanently taken out of service
+
+    template <class Ar>
+    void visit(Ar& ar) {
+      ar(busy, decompress, awaiting_residency, vc, pkt, done_at,
+         old_flit_count, result, errors, quarantined);
+    }
   };
 
   struct Candidate {
@@ -88,6 +94,8 @@ class DiscoUnit final : public noc::RouterExtension {
   void complete(Engine& eng, Cycle now);
   void release(Engine& eng, Cycle now);
   void adapt_thresholds(Cycle now);
+  template <class Ar>
+  void fields(Ar& ar);
 
   noc::Router& router_;
   DiscoConfig cfg_;

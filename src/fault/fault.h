@@ -15,7 +15,6 @@
 
 #include "common/config.h"
 #include "common/rng.h"
-#include "common/snapshot.h"
 
 namespace disco::fault {
 
@@ -67,6 +66,18 @@ struct FaultCounters {
   /// the "100% detected" acceptance criterion is measured against).
   std::uint64_t payload_faults() const {
     return link_bit_flips + llc_bit_flips + engine_faults;
+  }
+
+  /// Named field list: the injector's snapshot and the result export
+  /// (sim::FaultSummary) both walk it.
+  template <class V>
+  void visit(V& v) {
+    v("link_bit_flips", link_bit_flips);
+    v("llc_bit_flips", llc_bit_flips);
+    v("flit_drops", flit_drops);
+    v("flit_duplicates", flit_duplicates);
+    v("engine_stalls", engine_stalls);
+    v("engine_faults", engine_faults);
   }
 };
 
@@ -124,28 +135,10 @@ class FaultInjector {
     return true;
   }
 
-  /// Checkpoint/restore: the RNG stream position and the fault counters are
-  /// the whole mutable state.
-  void save_state(snap::Writer& w) const {
-    for (const std::uint64_t s : rng_.state()) w.u64(s);
-    w.u64(counters_.link_bit_flips);
-    w.u64(counters_.llc_bit_flips);
-    w.u64(counters_.flit_drops);
-    w.u64(counters_.flit_duplicates);
-    w.u64(counters_.engine_stalls);
-    w.u64(counters_.engine_faults);
-  }
-  void restore_state(snap::Reader& r) {
-    std::array<std::uint64_t, 4> s{};
-    for (std::uint64_t& v : s) v = r.u64();
-    rng_.set_state(s);
-    counters_.link_bit_flips = r.u64();
-    counters_.llc_bit_flips = r.u64();
-    counters_.flit_drops = r.u64();
-    counters_.flit_duplicates = r.u64();
-    counters_.engine_stalls = r.u64();
-    counters_.engine_faults = r.u64();
-  }
+  /// Snapshot: the RNG stream position and the fault counters are the
+  /// whole mutable state.
+  template <class Ar>
+  void visit(Ar& ar) { ar(rng_, counters_); }
 
  private:
   void flip_random_bit(std::vector<std::uint8_t>& bytes) {

@@ -57,22 +57,17 @@ class PipelinedChannel {
   /// checks: a sleeping consumer must have nothing ready).
   Cycle front_ready() const { return queue_.empty() ? 0 : queue_.front().ready; }
 
-  /// Checkpoint support: visit every in-flight entry with its absolute
-  /// ready cycle, oldest first.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const Entry& e : queue_) fn(e.ready, e.item);
-  }
-  /// Checkpoint support: re-enqueue an entry with its saved ready cycle
-  /// (push() would re-add the +1 pipeline delay).
-  void restore_push(Cycle ready, T item) {
-    queue_.push_back({ready, std::move(item)});
-  }
+  /// Snapshot: every in-flight entry with its absolute ready cycle.
+  template <class Ar>
+  void visit(Ar& ar) { ar(queue_); }
 
  private:
   struct Entry {
     Cycle ready;
     T item;
+
+    template <class Ar>
+    void visit(Ar& ar) { ar(ready, item); }
   };
   Ring<Entry> queue_;
   std::uint8_t* wake_ = nullptr;  ///< consumer's pending-wake flag (optional)
@@ -95,14 +90,8 @@ class FlitLink {
   void set_wake(std::uint8_t* flag) { chan_.set_wake(flag); }
   Cycle front_ready() const { return chan_.front_ready(); }
 
-  /// Checkpoint support (see PipelinedChannel::for_each/restore_push).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    chan_.for_each(fn);
-  }
-  void restore_push(Cycle ready, Flit f) { chan_.restore_push(ready, std::move(f)); }
-  Cycle last_push() const { return last_push_; }
-  void set_last_push(Cycle c) { last_push_ = c; }
+  template <class Ar>
+  void visit(Ar& ar) { ar(chan_, last_push_); }
 
  private:
   PipelinedChannel<Flit> chan_;
@@ -112,6 +101,9 @@ class FlitLink {
 /// Credit wire: each event returns one buffer slot of one VC.
 struct Credit {
   std::uint8_t vc = 0;
+
+  template <class Ar>
+  void visit(Ar& ar) { ar(vc); }
 };
 
 using CreditLink = PipelinedChannel<Credit>;

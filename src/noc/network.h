@@ -113,13 +113,13 @@ class Network {
   /// in-flight compressions/expansions of the run).
   bool credits_quiescent() const;
 
-  /// Checkpoint/restore of the whole network: topology, routers, NIs,
-  /// extensions, every link's in-flight contents, and the hard-fault
-  /// bookkeeping. Restore re-applies the structural disconnections implied
-  /// by the restored topology (dead routers/links have their wires severed
-  /// exactly as the kill path left them).
-  void save_state(snap::Writer& w, PacketTable& t) const;
-  void restore_state(snap::Reader& r, const PacketTable& t);
+  /// Snapshot of the whole network: topology, routers, NIs, extensions,
+  /// every link's in-flight contents, and the hard-fault bookkeeping.
+  /// Restore re-applies the structural disconnections implied by the
+  /// restored topology (dead routers/links have their wires severed exactly
+  /// as the kill path left them).
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   void note_doomed(const PacketPtr& pkt, Cycle now);

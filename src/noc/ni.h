@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/config.h"
-#include "common/snapshot.h"
 #include "fault/fault.h"
 #include "noc/link.h"
 #include "noc/noc_stats.h"
@@ -34,8 +33,6 @@
 #include "trace/trace.h"
 
 namespace disco::noc {
-
-class PacketTable;
 
 /// Endpoint consuming ejected packets (cache controllers, memory controller).
 class PacketSink {
@@ -161,27 +158,34 @@ class NetworkInterface {
             credits_in_->front_ready() > now);
   }
 
-  /// Checkpoint/restore of all mutable NI state (inject queues, active
-  /// sends, credits, reassembly/recovery/dedup tables, id counters, mode
-  /// flags). Unordered tables serialize in sorted key order so a save ->
-  /// restore -> save round trip is byte-identical.
-  void save_state(snap::Writer& w, PacketTable& t) const;
-  void restore_state(snap::Reader& r, const PacketTable& t);
+  /// Snapshot of all mutable NI state (inject queues, active sends,
+  /// credits, reassembly/recovery/dedup tables, id counters, mode flags).
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   struct PendingInject {
     PacketPtr pkt;
     Cycle ready_at;
     Cycle queued_at = 0;
+
+    template <class Ar>
+    void visit(Ar& ar) { ar(pkt, ready_at, queued_at); }
   };
   struct ActiveSend {
     PacketPtr pkt;
     std::uint8_t vc = 0;
     std::uint32_t next_seq = 0;
+
+    template <class Ar>
+    void visit(Ar& ar) { ar(pkt, vc, next_seq); }
   };
   struct PendingDeliver {
     PacketPtr pkt;
     Cycle deliver_at;
+
+    template <class Ar>
+    void visit(Ar& ar) { ar(pkt, deliver_at); }
   };
   struct Reassembly {
     PacketPtr pkt;                  ///< fault mode only
@@ -189,12 +193,18 @@ class NetworkInterface {
     std::uint32_t have = 0;
     Cycle first = 0;
     bool nacked = false;            ///< a loss timeout already fired
+
+    template <class Ar>
+    void visit(Ar& ar) { ar(pkt, seen_mask, have, first, nacked); }
   };
   /// A corrupted or flit-lossy packet awaiting a raw retransmission.
   struct Parked {
     PacketPtr pkt;
     std::uint32_t retries = 0;
     Cycle last_nack = 0;
+
+    template <class Ar>
+    void visit(Ar& ar) { ar(pkt, retries, last_nack); }
   };
 
   bool fault_mode() const { return injector_ != nullptr && injector_->enabled(); }

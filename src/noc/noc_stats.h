@@ -68,6 +68,24 @@ struct NocStats {
   Accumulator packet_latency[kNumVNets];  ///< inject->eject per vnet
   Histogram queueing_cycles;              ///< per-packet idle cycles
 
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(buffer_writes, buffer_reads, crossbar_traversals, link_flits, alloc_ops,
+       credits_sent, inflight_compressions, inflight_decompressions,
+       source_compressions, compression_aborts, decompression_aborts,
+       engine_starts, ni_compressions, ni_decompressions,
+       exposed_decomp_cycles, exposed_comp_cycles, hidden_decomp_ops,
+       crc_checks, corruptions_detected, silent_corruptions,
+       flit_loss_timeouts, nacks_sent, retransmissions, retransmit_deliveries,
+       backoff_cycles, duplicate_flits_dropped, duplicate_retransmissions,
+       unrecovered_deliveries, engine_decode_errors, engines_quarantined,
+       links_killed, routers_killed, engines_hard_failed, banks_killed,
+       unreachable_drops, dead_component_drops, flits_destroyed,
+       severed_packets, reroutes, bypass_retransmits, synth_completions,
+       packets_injected, packets_ejected, flits_injected, sa_idle_losses,
+       packet_latency, queueing_cycles);
+  }
+
   double avg_packet_latency() const {
     double sum = 0;
     std::uint64_t n = 0;

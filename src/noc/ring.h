@@ -27,6 +27,8 @@ namespace disco::noc {
 template <typename T>
 class Ring {
  public:
+  using value_type = T;
+
   Ring() = default;
 
   bool empty() const { return size_ == 0; }

@@ -688,33 +688,19 @@ bool Router::credits_quiescent() const {
   return true;
 }
 
-void Router::save_state(snap::Writer& w, PacketTable& t) const {
+template <class Ar>
+void Router::visit(Ar& ar) {
   for (std::size_t p = 0; p < kNumPorts; ++p) {
-    for (std::uint32_t v = 0; v < num_vcs_; ++v) save_vc(w, t, in_vc(p, v));
-    for (std::uint32_t v = 0; v < num_vcs_; ++v) w.u32(credit(p, v));
-    for (std::uint32_t v = 0; v < num_vcs_; ++v)
-      w.b(out_vc_taken_[p * num_vcs_ + v] != 0);
+    for (std::uint32_t v = 0; v < num_vcs_; ++v) ar(in_vc(p, v));
+    for (std::uint32_t v = 0; v < num_vcs_; ++v) ar(credit(p, v));
+    for (std::uint32_t v = 0; v < num_vcs_; ++v) ar(taken(p, v));
   }
-  for (const std::uint32_t v : va_rr_) w.u32(v);
-  for (const std::uint32_t v : sa_in_rr_) w.u32(v);
-  for (const std::uint32_t v : sa_out_rr_) w.u32(v);
-  w.b(degraded_);
-}
-
-void Router::restore_state(snap::Reader& r, const PacketTable& t) {
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    for (std::uint32_t v = 0; v < num_vcs_; ++v) load_vc(r, t, in_vc(p, v));
-    for (std::uint32_t v = 0; v < num_vcs_; ++v) credit(p, v) = r.u32();
-    for (std::uint32_t v = 0; v < num_vcs_; ++v)
-      taken(p, v) = r.b() ? 1 : 0;
-  }
-  for (std::uint32_t& v : va_rr_) v = r.u32();
-  for (std::uint32_t& v : sa_in_rr_) v = r.u32();
-  for (std::uint32_t& v : sa_out_rr_) v = r.u32();
-  degraded_ = r.b();
+  ar(va_rr_, sa_in_rr_, sa_out_rr_, degraded_);
   // Restored VCs may hold arbitrary state; rebuild the occupancy mask
   // pessimistically and let route_compute clean it up.
-  busy_vcs_.fill(vc_mask_);
+  if constexpr (Ar::kLoading) busy_vcs_.fill(vc_mask_);
 }
+template void Router::visit(snap::Writer&);
+template void Router::visit(snap::Reader&);
 
 }  // namespace disco::noc

@@ -29,7 +29,6 @@
 namespace disco::noc {
 
 class Router;
-class PacketTable;
 
 /// Structural snapshot of why a network might not be making progress, taken
 /// by the no-progress watchdog when it trips. Aggregated over all routers
@@ -62,16 +61,10 @@ class RouterExtension {
   /// Idle elision: true when skipping this extension's tick would be a
   /// no-op (no engine mid-operation, no deferred work). Default: stateless.
   virtual bool idle() const { return true; }
-  /// Checkpoint/restore of extension-private state (DISCO engines,
-  /// thresholds). Default: stateless extension.
-  virtual void save_state(snap::Writer& w, PacketTable& t) const {
-    static_cast<void>(w);
-    static_cast<void>(t);
-  }
-  virtual void restore_state(snap::Reader& r, const PacketTable& t) {
-    static_cast<void>(r);
-    static_cast<void>(t);
-  }
+  /// Snapshot of extension-private state (DISCO engines, thresholds), one
+  /// override per archive. Default: stateless extension.
+  virtual void visit(snap::Writer& w) { static_cast<void>(w); }
+  virtual void visit(snap::Reader& r) { static_cast<void>(r); }
 };
 
 class Router {
@@ -180,11 +173,11 @@ class Router {
   /// expansion debt.
   bool credits_quiescent() const;
 
-  /// Checkpoint/restore of all mutable router state (VC buffers, credits,
-  /// allocation round-robin pointers, degraded flag). Wires/links are
-  /// serialized by the owning Network.
-  void save_state(snap::Writer& w, PacketTable& t) const;
-  void restore_state(snap::Reader& r, const PacketTable& t);
+  /// Snapshot of all mutable router state (VC buffers, credits, allocation
+  /// round-robin pointers, degraded flag). Wires/links are serialized by the
+  /// owning Network.
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   static constexpr std::size_t idx(Port p) { return static_cast<std::size_t>(p); }

@@ -1,6 +1,5 @@
-// NoC-layer snapshot helpers: packet-graph interning plus serializers for
-// the value types (Encoded, Flit, VirtualChannel, links, NocStats) shared by
-// every component that buffers packets.
+// NoC-layer snapshot support: packet-graph interning for the snapshot
+// archives (common/snapshot.h).
 //
 // Packets are a shared object graph: one PacketPtr may be referenced from a
 // VC buffer, a link, a DISCO engine and an NI recovery table at once, and a
@@ -15,55 +14,38 @@
 #include <vector>
 
 #include "common/snapshot.h"
-#include "noc/link.h"
-#include "noc/noc_stats.h"
 #include "noc/packet.h"
-#include "noc/vc.h"
 
 namespace disco::noc {
 
 class PacketTable {
  public:
   // --- save side ---
-  /// Intern `p` (registering it for the table) and write its u32 reference.
-  void save_ref(snap::Writer& w, const PacketPtr& p) { w.u32(intern(p)); }
+  /// Intern `p` (registering it for the table); returns its reference.
+  std::uint32_t intern(const PacketPtr& p);
   /// Serialize the table itself. Call after every component body has been
   /// written (interning is closed under nack_ref via a worklist).
   void save_table(snap::Writer& w);
 
   // --- restore side ---
   /// Deserialize the table: allocate-then-fill, so recursive references
-  /// resolve. Call before restoring any component body.
+  /// resolve. Call before restoring any component body; `r` resolves its
+  /// packet references against this table from then on.
   void load_table(snap::Reader& r);
-  /// Read a u32 reference and resolve it against the loaded table.
-  PacketPtr load_ref(snap::Reader& r) const;
-
-  std::size_t size() const { return pkts_.size(); }
+  /// Resolve a reference against the loaded table.
+  PacketPtr resolve(std::uint32_t ref) const;
 
  private:
-  std::uint32_t intern(const PacketPtr& p);
   std::unordered_map<const Packet*, std::uint32_t> index_;
   std::vector<PacketPtr> pkts_;
 };
 
-// Value-type serializers (all fields, declaration order, lossless).
-void save_encoded(snap::Writer& w, const compress::Encoded& e);
-compress::Encoded load_encoded(snap::Reader& r);
-void save_opt_encoded(snap::Writer& w, const std::optional<compress::Encoded>& e);
-std::optional<compress::Encoded> load_opt_encoded(snap::Reader& r);
-
-void save_flit(snap::Writer& w, PacketTable& t, const Flit& f);
-Flit load_flit(snap::Reader& r, const PacketTable& t);
-
-void save_vc(snap::Writer& w, PacketTable& t, const VirtualChannel& vc);
-void load_vc(snap::Reader& r, const PacketTable& t, VirtualChannel& vc);
-
-void save_flit_link(snap::Writer& w, PacketTable& t, const FlitLink& l);
-void load_flit_link(snap::Reader& r, const PacketTable& t, FlitLink& l);
-void save_credit_link(snap::Writer& w, const CreditLink& l);
-void load_credit_link(snap::Reader& r, CreditLink& l);
-
-void save_noc_stats(snap::Writer& w, const NocStats& s);
-void load_noc_stats(snap::Reader& r, NocStats& s);
+// Packet references as archive fields (found by argument-dependent lookup).
+void visit(snap::Writer& w, PacketPtr& p);
+void visit(snap::Reader& r, PacketPtr& p);
+/// A non-owning handle travels as a reference to the packet it resolves to
+/// (a stale handle as null).
+void visit(snap::Writer& w, PacketHandle& h);
+void visit(snap::Reader& r, PacketHandle& h);
 
 }  // namespace disco::noc

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <deque>
 
+#include "common/snapshot.h"
+
 namespace disco::noc {
 namespace {
 
@@ -216,41 +218,16 @@ void Topology::recompute() {
   }
 }
 
-void Topology::save_state(snap::Writer& w) const {
-  const auto save_flags = [&](const std::vector<bool>& v) {
-    w.u64(v.size());
-    for (const bool f : v) w.b(f);
-  };
-  save_flags(router_alive_);
-  save_flags(engine_alive_);
-  save_flags(bank_alive_);
-  w.u64(link_alive_.size());
-  for (const auto& dirs : link_alive_)
-    for (const bool f : dirs) w.b(f);
-  w.b(routing_healthy_);
-  w.u32(epoch_);
-  w.u32(dead_routers_);
-  w.u32(dead_links_);
+template <class Ar>
+void Topology::visit(Ar& ar) {
+  ar.each(router_alive_, "topology geometry");
+  ar.each(engine_alive_, "topology geometry");
+  ar.each(bank_alive_, "topology geometry");
+  ar.each(link_alive_, "topology geometry");
+  ar(routing_healthy_, epoch_, dead_routers_, dead_links_);
+  if constexpr (Ar::kLoading) recompute();
 }
-
-void Topology::restore_state(snap::Reader& r) {
-  const auto load_flags = [&](std::vector<bool>& v) {
-    if (r.u64() != v.size())
-      throw snap::SnapshotError("snapshot: topology geometry mismatch");
-    for (std::size_t i = 0; i < v.size(); ++i) v[i] = r.b();
-  };
-  load_flags(router_alive_);
-  load_flags(engine_alive_);
-  load_flags(bank_alive_);
-  if (r.u64() != link_alive_.size())
-    throw snap::SnapshotError("snapshot: topology geometry mismatch");
-  for (auto& dirs : link_alive_)
-    for (bool& f : dirs) f = r.b();
-  routing_healthy_ = r.b();
-  epoch_ = r.u32();
-  dead_routers_ = r.u32();
-  dead_links_ = r.u32();
-  recompute();
-}
+template void Topology::visit(snap::Writer&);
+template void Topology::visit(snap::Reader&);
 
 }  // namespace disco::noc

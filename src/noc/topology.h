@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/snapshot.h"
 #include "common/types.h"
 #include "noc/routing.h"
 
@@ -95,11 +94,11 @@ class Topology {
   std::uint32_t dead_routers() const { return dead_routers_; }
   std::uint32_t dead_links() const { return dead_links_; }
 
-  /// Checkpoint/restore: the alive flags + epoch are the primary state; the
-  /// component map and next-hop tables are recomputed on restore (they are a
-  /// pure function of the alive sets, with deterministic tie-breaks).
-  void save_state(snap::Writer& w) const;
-  void restore_state(snap::Reader& r);
+  /// Snapshot: the alive flags + epoch are the primary state; the component
+  /// map and next-hop tables are recomputed on restore (they are a pure
+  /// function of the alive sets, with deterministic tie-breaks).
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   std::size_t pair_index(NodeId here, NodeId dst) const {

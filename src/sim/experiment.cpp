@@ -111,17 +111,19 @@ CellResult run_cell(const SystemConfig& cfg,
   r.decompression_aborts = ns.decompression_aborts;
   r.hidden_decomp_ops = ns.hidden_decomp_ops;
   r.exposed_decomp_cycles = ns.exposed_decomp_cycles;
+  r.exposed_comp_cycles = ns.exposed_comp_cycles;
+  r.ni_compressions = ns.ni_compressions;
+  r.ni_decompressions = ns.ni_decompressions;
+  r.engine_starts = ns.engine_starts;
+  r.sa_idle_losses = ns.sa_idle_losses;
+  r.l2_hits = cs.l2_hits;
+  r.l2_misses = cs.l2_misses;
+  r.l2_fills = cs.l2_fills;
   r.energy = energy::compute_energy(ns, cs, cfg, opt.measure_cycles,
                                     sys.algorithm().hardware_overhead() / 0.023);
   if (const fault::FaultInjector* fi = sys.fault_injector()) {
-    const fault::FaultCounters& fc = fi->counters();
+    static_cast<fault::FaultCounters&>(r.fault) = fi->counters();
     r.fault.enabled = true;
-    r.fault.link_bit_flips = fc.link_bit_flips;
-    r.fault.llc_bit_flips = fc.llc_bit_flips;
-    r.fault.flit_drops = fc.flit_drops;
-    r.fault.flit_duplicates = fc.flit_duplicates;
-    r.fault.engine_stalls = fc.engine_stalls;
-    r.fault.engine_faults = fc.engine_faults;
     r.fault.crc_checks = ns.crc_checks;
     r.fault.corruptions_detected = ns.corruptions_detected;
     r.fault.silent_corruptions = ns.silent_corruptions;

@@ -2,97 +2,69 @@
 
 #include <ostream>
 
+#include "sim/wire.h"
+
 namespace disco::sim {
 namespace {
 
+/// Walks CellResult::visit into one JSON object. Numbers use the stream's
+/// formatting; gated objects (fault, hard_fault, invariants) appear only
+/// when their gate is set, so plain runs keep the output of older builds.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::ostream& os) : os_(os) {}
+
+  void operator()(const char* name, const std::string& v) {
+    key(name);
+    std::string quoted;
+    wire::append_json_string(quoted, v);
+    os_ << quoted;
+  }
+  void operator()(const char* name, std::uint64_t v) {
+    key(name);
+    os_ << v;
+  }
+  void operator()(const char* name, double v) {
+    key(name);
+    os_ << v;
+  }
+  void operator()(const char* name, Scheme v) {
+    key(name);
+    os_ << '"' << to_string(v) << '"';
+  }
+  template <class F>
+  void object(const char* name, F&& fields) {
+    key(name);
+    os_ << '{';
+    first_ = true;
+    fields();
+    os_ << '}';
+    first_ = false;
+  }
+  template <class F>
+  void object(const char* name, bool gate, F&& fields) {
+    if (gate) object(name, fields);
+  }
+  void computed(const char* name, double v) { (*this)(name, v); }
+  void transport(const char*, const std::string&) {}
+
+ private:
+  void key(const char* name) {
+    if (!first_) os_ << ',';
+    first_ = false;
+    os_ << '"' << name << "\":";
+  }
+
+  std::ostream& os_;
+  bool first_ = true;
+};
+
 void write_fields(std::ostream& os, const CellResult& r) {
-  os << "{"
-     << "\"workload\":\"" << r.workload << "\","
-     << "\"algorithm\":\"" << r.algorithm << "\","
-     << "\"scheme\":\"" << to_string(r.scheme) << "\","
-     << "\"measured_cycles\":" << r.measured_cycles << ","
-     << "\"core_ops\":" << r.core_ops << ","
-     << "\"l1_misses\":" << r.l1_misses << ","
-     << "\"avg_nuca_latency\":" << r.avg_nuca_latency << ","
-     << "\"avg_miss_latency\":" << r.avg_miss_latency << ","
-     << "\"avg_dram_latency\":" << r.avg_dram_latency << ","
-     << "\"l2_miss_rate\":" << r.l2_miss_rate << ","
-     << "\"avg_packet_latency\":" << r.avg_packet_latency << ","
-     << "\"avg_stored_ratio\":" << r.avg_stored_ratio << ","
-     << "\"link_flits\":" << r.link_flits << ","
-     << "\"inflight_compressions\":" << r.inflight_compressions << ","
-     << "\"inflight_decompressions\":" << r.inflight_decompressions << ","
-     << "\"source_compressions\":" << r.source_compressions << ","
-     << "\"compression_aborts\":" << r.compression_aborts << ","
-     << "\"decompression_aborts\":" << r.decompression_aborts << ","
-     << "\"hidden_decomp_ops\":" << r.hidden_decomp_ops << ","
-     << "\"energy\":{"
-     << "\"noc_dynamic_nj\":" << r.energy.noc_dynamic_nj << ","
-     << "\"noc_leakage_nj\":" << r.energy.noc_leakage_nj << ","
-     << "\"l2_dynamic_nj\":" << r.energy.l2_dynamic_nj << ","
-     << "\"l2_leakage_nj\":" << r.energy.l2_leakage_nj << ","
-     << "\"compressor_dynamic_nj\":" << r.energy.compressor_dynamic_nj << ","
-     << "\"compressor_leakage_nj\":" << r.energy.compressor_leakage_nj << ","
-     << "\"dram_nj\":" << r.energy.dram_nj << ","
-     << "\"subsystem_nj\":" << r.energy.subsystem_nj() << "}";
-  // Gated so fault-free runs keep byte-identical output to older builds.
-  if (r.fault.enabled) {
-    const FaultSummary& f = r.fault;
-    os << ",\"fault\":{"
-       << "\"link_bit_flips\":" << f.link_bit_flips << ","
-       << "\"llc_bit_flips\":" << f.llc_bit_flips << ","
-       << "\"flit_drops\":" << f.flit_drops << ","
-       << "\"flit_duplicates\":" << f.flit_duplicates << ","
-       << "\"engine_stalls\":" << f.engine_stalls << ","
-       << "\"engine_faults\":" << f.engine_faults << ","
-       << "\"crc_checks\":" << f.crc_checks << ","
-       << "\"corruptions_detected\":" << f.corruptions_detected << ","
-       << "\"silent_corruptions\":" << f.silent_corruptions << ","
-       << "\"flit_loss_timeouts\":" << f.flit_loss_timeouts << ","
-       << "\"nacks_sent\":" << f.nacks_sent << ","
-       << "\"retransmissions\":" << f.retransmissions << ","
-       << "\"retransmit_deliveries\":" << f.retransmit_deliveries << ","
-       << "\"backoff_cycles\":" << f.backoff_cycles << ","
-       << "\"duplicate_flits_dropped\":" << f.duplicate_flits_dropped << ","
-       << "\"duplicate_retransmissions\":" << f.duplicate_retransmissions << ","
-       << "\"unrecovered_deliveries\":" << f.unrecovered_deliveries << ","
-       << "\"engine_decode_errors\":" << f.engine_decode_errors << ","
-       << "\"engines_quarantined\":" << f.engines_quarantined << "}";
-    // Nested gate: only cells run with a hard-fault schedule carry the
-    // degradation block, so soft-fault-only output stays byte-identical.
-    if (f.hard_enabled) {
-      os << ",\"hard_fault\":{"
-         << "\"applied\":" << f.hard_faults_applied << ","
-         << "\"links_killed\":" << f.links_killed << ","
-         << "\"routers_killed\":" << f.routers_killed << ","
-         << "\"engines_hard_failed\":" << f.engines_hard_failed << ","
-         << "\"banks_killed\":" << f.banks_killed << ","
-         << "\"unreachable_drops\":" << f.unreachable_drops << ","
-         << "\"dead_component_drops\":" << f.dead_component_drops << ","
-         << "\"flits_destroyed\":" << f.flits_destroyed << ","
-         << "\"severed_packets\":" << f.severed_packets << ","
-         << "\"reroutes\":" << f.reroutes << ","
-         << "\"bypass_retransmits\":" << f.bypass_retransmits << ","
-         << "\"synth_completions\":" << f.synth_completions << "}";
-    }
-  }
-  // Same gating rule: only runs with --check-invariants carry the object.
-  if (r.invariants.enabled) {
-    const trace::InvariantSummary& v = r.invariants;
-    os << ",\"invariants\":{"
-       << "\"events_checked\":" << v.events_checked << ","
-       << "\"cycles_checked\":" << v.cycles_checked << ","
-       << "\"violations\":" << v.violations << ","
-       << "\"credit_violations\":" << v.credit_violations << ","
-       << "\"conservation_violations\":" << v.conservation_violations << ","
-       << "\"vc_state_violations\":" << v.vc_state_violations << ","
-       << "\"shadow_violations\":" << v.shadow_violations << ","
-       << "\"confidence_violations\":" << v.confidence_violations << ","
-       << "\"eject_violations\":" << v.eject_violations << ","
-       << "\"cache_violations\":" << v.cache_violations << ","
-       << "\"first_violation\":\"" << v.first_violation << "\"}";
-  }
-  os << "}";
+  os << '{';
+  JsonWriter w(os);
+  // The writer only reads; the field list is non-const to serve decoding.
+  const_cast<CellResult&>(r).visit(w);
+  os << '}';
 }
 
 }  // namespace

@@ -349,22 +349,17 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
       detail::prepare_cells(cells, opt, res, work);
 
   detail::ProgressMeter progress(work.size(), opt);
-  const unsigned max_attempts = std::max(1u, opt.max_attempts);
 
   detail::run_pool(work.size(), opt.threads, [&](std::size_t w) {
     const std::size_t i = work[w];
     SweepCellOutcome& out = res.cells[i];
     const auto cell_t0 = detail::Clock::now();
-    for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-      out.attempts = attempt;
-      out.status =
-          detail::run_attempt(prepared[i], opt.cell_timeout_ms,
-                              opt.supervisor.hang_grace_ms, nullptr,
-                              out.result, out.error);
-      // A timed-out cell is not retried: the retry would spend the same
-      // wall-clock budget again for the same deterministic outcome.
-      if (out.status != CellStatus::Failed) break;
-    }
+    // One attempt: cells are deterministic, so a retry in this process
+    // would replay the same seed into the same failure.
+    out.attempts = 1;
+    out.status = detail::run_attempt(prepared[i], opt.cell_timeout_ms,
+                                     opt.supervisor.hang_grace_ms, nullptr,
+                                     out.result, out.error);
     out.wall_ms = detail::ms_since(cell_t0);
     if (!out.ok()) {
       progress.note("cell " + std::to_string(i) + " (" +

@@ -8,10 +8,11 @@
 //     — a pure function of the cell's position in the sweep, never of
 //     execution order — and results are aggregated in input order, so an
 //     N-thread run emits bit-identical metrics to a serial run.
-//   - Robustness: a cell that throws is retried up to max_attempts times and
-//     then recorded as Failed (with the exception text) instead of aborting
-//     the whole sweep; an optional wall-clock timeout records TimedOut and
-//     reclaims the worker via the cell's cooperative cancellation token.
+//   - Robustness: a cell that throws is recorded as Failed (with the
+//     exception text) instead of aborting the whole sweep; it is not retried,
+//     since a deterministic cell would fail the same way again. An optional
+//     wall-clock timeout records TimedOut and reclaims the worker via the
+//     cell's cooperative cancellation token.
 //   - Crash resilience: with SupervisorOptions active (--isolate,
 //     --checkpoint-dir, --resume) each cell runs in a forked child process,
 //     so a SIGSEGV or a hard hang kills one cell — retried with backoff,
@@ -98,9 +99,6 @@ struct SweepOptions {
   std::uint64_t base_seed = 1;
   /// When false, cells keep the seed already in their SystemConfig.
   bool reseed_cells = true;
-  /// Attempts per cell before it is recorded as Failed (>= 1). The
-  /// supervisor uses supervisor.max_retries instead.
-  unsigned max_attempts = 2;
   /// Wall-clock budget per cell attempt; 0 disables the timeout.
   std::uint64_t cell_timeout_ms = 0;
   /// Run only cells whose group satisfies group % shard_count == shard_index;

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <string>
 #include <stdexcept>
 
 namespace disco::sim::wire {
@@ -136,144 +137,96 @@ struct Scanner {
   }
 };
 
-// --- CellResult field walk --------------------------------------------------
-
-/// One canonical enumeration of every CellResult field, shared by the
-/// encoder and the decoder so they can never drift apart.
-template <class F>
-void visit_result(CellResult& r, F&& f) {
-  f.str("workload", r.workload);
-  f.str("algorithm", r.algorithm);
-  std::uint64_t scheme = static_cast<std::uint64_t>(r.scheme);
-  f.u64("scheme", scheme);
-  if (scheme > static_cast<std::uint64_t>(Scheme::Ideal))
-    fail("scheme value out of range");
-  r.scheme = static_cast<Scheme>(scheme);
-  f.u64("measured_cycles", r.measured_cycles);
-  f.u64("core_ops", r.core_ops);
-  f.u64("l1_misses", r.l1_misses);
-  f.dbl("avg_nuca_latency", r.avg_nuca_latency);
-  f.dbl("avg_miss_latency", r.avg_miss_latency);
-  f.dbl("avg_dram_latency", r.avg_dram_latency);
-  f.dbl("l2_miss_rate", r.l2_miss_rate);
-  f.dbl("avg_packet_latency", r.avg_packet_latency);
-  f.dbl("avg_stored_ratio", r.avg_stored_ratio);
-  f.u64("link_flits", r.link_flits);
-  f.u64("inflight_compressions", r.inflight_compressions);
-  f.u64("inflight_decompressions", r.inflight_decompressions);
-  f.u64("source_compressions", r.source_compressions);
-  f.u64("compression_aborts", r.compression_aborts);
-  f.u64("decompression_aborts", r.decompression_aborts);
-  f.u64("hidden_decomp_ops", r.hidden_decomp_ops);
-  f.u64("exposed_decomp_cycles", r.exposed_decomp_cycles);
-  f.dbl("energy.noc_dynamic_nj", r.energy.noc_dynamic_nj);
-  f.dbl("energy.noc_leakage_nj", r.energy.noc_leakage_nj);
-  f.dbl("energy.l2_dynamic_nj", r.energy.l2_dynamic_nj);
-  f.dbl("energy.l2_leakage_nj", r.energy.l2_leakage_nj);
-  f.dbl("energy.compressor_dynamic_nj", r.energy.compressor_dynamic_nj);
-  f.dbl("energy.compressor_leakage_nj", r.energy.compressor_leakage_nj);
-  f.dbl("energy.dram_nj", r.energy.dram_nj);
-  f.boolean("fault.enabled", r.fault.enabled);
-  f.u64("fault.link_bit_flips", r.fault.link_bit_flips);
-  f.u64("fault.llc_bit_flips", r.fault.llc_bit_flips);
-  f.u64("fault.flit_drops", r.fault.flit_drops);
-  f.u64("fault.flit_duplicates", r.fault.flit_duplicates);
-  f.u64("fault.engine_stalls", r.fault.engine_stalls);
-  f.u64("fault.engine_faults", r.fault.engine_faults);
-  f.u64("fault.crc_checks", r.fault.crc_checks);
-  f.u64("fault.corruptions_detected", r.fault.corruptions_detected);
-  f.u64("fault.silent_corruptions", r.fault.silent_corruptions);
-  f.u64("fault.flit_loss_timeouts", r.fault.flit_loss_timeouts);
-  f.u64("fault.nacks_sent", r.fault.nacks_sent);
-  f.u64("fault.retransmissions", r.fault.retransmissions);
-  f.u64("fault.retransmit_deliveries", r.fault.retransmit_deliveries);
-  f.u64("fault.backoff_cycles", r.fault.backoff_cycles);
-  f.u64("fault.duplicate_flits_dropped", r.fault.duplicate_flits_dropped);
-  f.u64("fault.duplicate_retransmissions", r.fault.duplicate_retransmissions);
-  f.u64("fault.unrecovered_deliveries", r.fault.unrecovered_deliveries);
-  f.u64("fault.engine_decode_errors", r.fault.engine_decode_errors);
-  f.u64("fault.engines_quarantined", r.fault.engines_quarantined);
-  f.boolean("fault.hard_enabled", r.fault.hard_enabled);
-  f.u64("fault.hard_faults_applied", r.fault.hard_faults_applied);
-  f.u64("fault.links_killed", r.fault.links_killed);
-  f.u64("fault.routers_killed", r.fault.routers_killed);
-  f.u64("fault.engines_hard_failed", r.fault.engines_hard_failed);
-  f.u64("fault.banks_killed", r.fault.banks_killed);
-  f.u64("fault.unreachable_drops", r.fault.unreachable_drops);
-  f.u64("fault.dead_component_drops", r.fault.dead_component_drops);
-  f.u64("fault.flits_destroyed", r.fault.flits_destroyed);
-  f.u64("fault.severed_packets", r.fault.severed_packets);
-  f.u64("fault.reroutes", r.fault.reroutes);
-  f.u64("fault.bypass_retransmits", r.fault.bypass_retransmits);
-  f.u64("fault.synth_completions", r.fault.synth_completions);
-  f.boolean("invariants.enabled", r.invariants.enabled);
-  f.u64("invariants.events_checked", r.invariants.events_checked);
-  f.u64("invariants.cycles_checked", r.invariants.cycles_checked);
-  f.u64("invariants.violations", r.invariants.violations);
-  f.u64("invariants.credit_violations", r.invariants.credit_violations);
-  f.u64("invariants.conservation_violations",
-        r.invariants.conservation_violations);
-  f.u64("invariants.vc_state_violations", r.invariants.vc_state_violations);
-  f.u64("invariants.shadow_violations", r.invariants.shadow_violations);
-  f.u64("invariants.confidence_violations", r.invariants.confidence_violations);
-  f.u64("invariants.eject_violations", r.invariants.eject_violations);
-  f.u64("invariants.cache_violations", r.invariants.cache_violations);
-  f.str("invariants.first_violation", r.invariants.first_violation);
-  f.str("trace_text", r.trace_text);
-}
+// --- CellResult codec ---------------------------------------------------------
+//
+// Both walk CellResult::visit. Keys of nested objects are flattened to
+// "object.key"; a gate travels as "object.enabled"; every member travels
+// whatever its gate.
 
 struct Encoder {
   std::string out;
-  bool first = true;
+  std::string prefix;
 
   void key(const char* name) {
-    out.push_back(first ? '{' : ',');
-    first = false;
-    append_json_string(out, name);
+    out.push_back(out.empty() ? '{' : ',');
+    append_json_string(out, prefix + name);
     out.push_back(':');
   }
-  void str(const char* name, const std::string& v) {
+  void num(const char* name, std::uint64_t v) {
+    key(name);
+    out += std::to_string(v);
+  }
+  void operator()(const char* name, const std::string& v) {
     key(name);
     append_json_string(out, v);
   }
-  void u64(const char* name, const std::uint64_t& v) {
-    key(name);
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-    out += buf;
+  void operator()(const char* name, std::uint64_t v) { num(name, v); }
+  // Bit pattern, not decimal text: exact round trip by construction.
+  void operator()(const char* name, double v) {
+    num(name, std::bit_cast<std::uint64_t>(v));
   }
-  void dbl(const char* name, const double& v) {
-    // Bit pattern, not decimal text: exact round trip by construction.
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-    u64(name, bits);
+  void operator()(const char* name, Scheme v) {
+    num(name, static_cast<std::uint64_t>(v));
   }
-  void boolean(const char* name, const bool& v) {
-    const std::uint64_t b = v ? 1 : 0;
-    u64(name, b);
+  template <class F>
+  void object(const char* name, F&& fields) {
+    prefix = std::string(name) + ".";
+    fields();
+    prefix.clear();
   }
+  template <class F>
+  void object(const char* name, bool gate, F&& fields) {
+    object(name, [&] {
+      num("enabled", gate ? 1 : 0);
+      fields();
+    });
+  }
+  void computed(const char*, double) {}
+  void transport(const char* name, const std::string& v) { (*this)(name, v); }
 };
 
 struct Decoder {
   const Value& obj;
+  std::string prefix;
 
   const Value& get(const char* name, Value::Kind kind) const {
-    const Value* v = obj.find(name);
-    if (v == nullptr) fail(std::string("missing field ") + name);
-    if (v->kind != kind) fail(std::string("wrong kind for field ") + name);
+    const std::string key = prefix + name;
+    const Value* v = obj.find(key);
+    if (v == nullptr) fail("missing field " + key);
+    if (v->kind != kind) fail("wrong kind for field " + key);
     return *v;
   }
-  void str(const char* name, std::string& v) const {
+  std::uint64_t num(const char* name) const {
+    return get(name, Value::Kind::Num).num;
+  }
+  void operator()(const char* name, std::string& v) const {
     v = get(name, Value::Kind::Str).str;
   }
-  void u64(const char* name, std::uint64_t& v) const {
-    v = get(name, Value::Kind::Num).num;
+  void operator()(const char* name, std::uint64_t& v) const { v = num(name); }
+  void operator()(const char* name, double& v) const {
+    v = std::bit_cast<double>(num(name));
   }
-  void dbl(const char* name, double& v) const {
-    v = std::bit_cast<double>(get(name, Value::Kind::Num).num);
+  void operator()(const char* name, Scheme& v) const {
+    const std::uint64_t n = num(name);
+    if (n > static_cast<std::uint64_t>(Scheme::Ideal))
+      fail("scheme value out of range");
+    v = static_cast<Scheme>(n);
   }
-  void boolean(const char* name, bool& v) const {
-    v = get(name, Value::Kind::Num).num != 0;
+  template <class F>
+  void object(const char* name, F&& fields) {
+    prefix = std::string(name) + ".";
+    fields();
+    prefix.clear();
   }
+  template <class F>
+  void object(const char* name, bool& gate, F&& fields) {
+    object(name, [&] {
+      gate = num("enabled") != 0;
+      fields();
+    });
+  }
+  void computed(const char*, double) const {}
+  void transport(const char* name, std::string& v) const { (*this)(name, v); }
 };
 
 }  // namespace
@@ -328,9 +281,9 @@ void append_json_string(std::string& out, std::string_view s) {
 }
 
 std::string encode_result(const CellResult& r) {
-  CellResult copy = r;
   Encoder enc;
-  visit_result(copy, enc);
+  // The encoder only reads; the field list is non-const to serve decoding.
+  const_cast<CellResult&>(r).visit(enc);
   enc.out.push_back('}');
   return enc.out;
 }
@@ -338,7 +291,8 @@ std::string encode_result(const CellResult& r) {
 CellResult decode_result(const Value& obj) {
   if (obj.kind != Value::Kind::Obj) fail("result is not an object");
   CellResult r;
-  visit_result(r, Decoder{obj});
+  Decoder dec{obj, {}};
+  r.visit(dec);
   return r;
 }
 

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <vector>
 
+#include "common/snapshot.h"
+
 namespace disco::trace {
 namespace {
 
@@ -273,99 +275,21 @@ void InvariantChecker::end_of_cycle(Cycle now, std::uint64_t structural_inflight
   }
 }
 
-void InvariantChecker::save_state(snap::Writer& w) const {
-  w.b(summary_.enabled);
-  for (const std::uint64_t v :
-       {summary_.events_checked, summary_.cycles_checked, summary_.violations,
-        summary_.credit_violations, summary_.conservation_violations,
-        summary_.vc_state_violations, summary_.shadow_violations,
-        summary_.confidence_violations, summary_.eject_violations,
-        summary_.cache_violations, summary_.topology_violations})
-    w.u64(v);
-  w.str(summary_.first_violation);
-
-  w.u64(credits_.size());
-  for (const std::uint32_t c : credits_) w.u32(c);
-  w.u64(ni_credits_.size());
-  for (const std::uint32_t c : ni_credits_) w.u32(c);
-  for (const VcState v : vc_state_) w.u8(static_cast<std::uint8_t>(v));
-  for (const bool d : dead_nodes_) w.b(d);
-
-  // Unordered maps serialize sorted by key for byte-deterministic saves.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(shadows_.size());
-  for (const auto& [k, sh] : shadows_) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  w.u64(keys.size());
-  for (const std::uint64_t k : keys) {
-    const Shadow& sh = shadows_.at(k);
-    w.u64(k);
-    w.u64(sh.pkt);
-    w.b(sh.decided);
-  }
-  keys.clear();
-  keys.reserve(ejected_seqs_.size());
-  for (const auto& [k, v] : ejected_seqs_) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  w.u64(keys.size());
-  for (const std::uint64_t k : keys) {
-    w.u64(k);
-    w.u64(ejected_seqs_.at(k));
-  }
-
-  w.u64(injected_flits_);
-  w.u64(ejected_flits_);
-  w.u64(killed_flits_);
-  w.i64(rebuild_delta_);
-  w.f64(conf_comp_max_);
-  w.f64(conf_decomp_min_);
-  w.f64(conf_decomp_max_);
+template <class Ar>
+void InvariantChecker::visit(Ar& ar) {
+  InvariantSummary& s = summary_;
+  ar(s.enabled, s.events_checked, s.cycles_checked, s.violations,
+     s.credit_violations, s.conservation_violations, s.vc_state_violations,
+     s.shadow_violations, s.confidence_violations, s.eject_violations,
+     s.cache_violations, s.topology_violations, s.first_violation);
+  ar.each(credits_, "checker geometry");
+  ar.each(ni_credits_, "checker geometry");
+  ar.each(vc_state_);
+  ar.each(dead_nodes_);
+  ar(shadows_, ejected_seqs_, injected_flits_, ejected_flits_, killed_flits_,
+     rebuild_delta_, conf_comp_max_, conf_decomp_min_, conf_decomp_max_);
 }
-
-void InvariantChecker::restore_state(snap::Reader& r) {
-  summary_.enabled = r.b();
-  for (std::uint64_t* v :
-       {&summary_.events_checked, &summary_.cycles_checked,
-        &summary_.violations, &summary_.credit_violations,
-        &summary_.conservation_violations, &summary_.vc_state_violations,
-        &summary_.shadow_violations, &summary_.confidence_violations,
-        &summary_.eject_violations, &summary_.cache_violations,
-        &summary_.topology_violations})
-    *v = r.u64();
-  summary_.first_violation = r.str();
-
-  if (r.u64() != credits_.size())
-    throw snap::SnapshotError("snapshot: checker geometry mismatch");
-  for (std::uint32_t& c : credits_) c = r.u32();
-  if (r.u64() != ni_credits_.size())
-    throw snap::SnapshotError("snapshot: checker geometry mismatch");
-  for (std::uint32_t& c : ni_credits_) c = r.u32();
-  for (VcState& v : vc_state_) v = static_cast<VcState>(r.u8());
-  for (std::size_t i = 0; i < dead_nodes_.size(); ++i) dead_nodes_[i] = r.b();
-
-  shadows_.clear();
-  const std::uint64_t n_shadows = r.u64();
-  for (std::uint64_t i = 0; i < n_shadows; ++i) {
-    const std::uint64_t k = r.u64();
-    Shadow sh;
-    sh.pkt = r.u64();
-    sh.decided = r.b();
-    shadows_.emplace(static_cast<std::size_t>(k), sh);
-  }
-  ejected_seqs_.clear();
-  const std::uint64_t n_ej = r.u64();
-  for (std::uint64_t i = 0; i < n_ej; ++i) {
-    const std::uint64_t k = r.u64();
-    ejected_seqs_[k] = r.u64();
-  }
-
-  injected_flits_ = r.u64();
-  ejected_flits_ = r.u64();
-  killed_flits_ = r.u64();
-  rebuild_delta_ = r.i64();
-  conf_comp_max_ = r.f64();
-  conf_decomp_min_ = r.f64();
-  conf_decomp_max_ = r.f64();
-}
+template void InvariantChecker::visit(snap::Writer&);
+template void InvariantChecker::visit(snap::Reader&);
 
 }  // namespace disco::trace

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/snapshot.h"
 #include "trace/invariants.h"
 
 namespace disco::trace {
@@ -213,43 +214,15 @@ void Tracer::write_chrome_json(std::ostream& os) const {
   os << "\n],\"displayTimeUnit\":\"ns\"}\n";
 }
 
-void Tracer::save_state(snap::Writer& w) const {
-  w.u64(capacity_);
-  w.u64(ring_.size());
-  for (const TraceEvent& e : ring_) {
-    w.u64(e.cycle);
-    w.u16(e.node);
-    w.u8(static_cast<std::uint8_t>(e.event));
-    w.u8(e.port);
-    w.u8(e.vc);
-    w.u64(e.pkt);
-    w.i64(e.arg);
-  }
-  w.u64(head_);
-  w.u64(total_);
-}
-
-void Tracer::restore_state(snap::Reader& r) {
-  if (r.u64() != capacity_)
-    throw snap::SnapshotError("snapshot: tracer capacity mismatch");
-  ring_.clear();
-  const std::uint64_t n = r.u64();
-  if (n > capacity_)
+template <class Ar>
+void Tracer::visit(Ar& ar) {
+  ar.expect(capacity_, "tracer capacity");
+  ar(ring_);
+  if (ring_.size() > capacity_)
     throw snap::SnapshotError("snapshot: tracer ring overflow");
-  ring_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    TraceEvent e;
-    e.cycle = r.u64();
-    e.node = static_cast<NodeId>(r.u16());
-    e.event = static_cast<Event>(r.u8());
-    e.port = r.u8();
-    e.vc = r.u8();
-    e.pkt = r.u64();
-    e.arg = r.i64();
-    ring_.push_back(e);
-  }
-  head_ = r.u64();
-  total_ = r.u64();
+  ar(head_, total_);
 }
+template void Tracer::visit(snap::Writer&);
+template void Tracer::visit(snap::Reader&);
 
 }  // namespace disco::trace

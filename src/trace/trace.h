@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/config.h"
-#include "common/snapshot.h"
 #include "common/types.h"
 
 namespace disco::trace {
@@ -107,6 +106,9 @@ struct TraceEvent {
   std::int64_t arg = 0;
 
   bool operator==(const TraceEvent&) const = default;
+
+  template <class Ar>
+  void visit(Ar& ar) { ar(cycle, node, event, port, vc, pkt, arg); }
 };
 
 class InvariantChecker;
@@ -145,10 +147,10 @@ class Tracer {
   /// instant event per probe, pid = node, tid = port.
   void write_chrome_json(std::ostream& os) const;
 
-  /// Checkpoint/restore of the ring contents and sequence counters (the
-  /// capture mask is config-derived and only geometry-checked).
-  void save_state(snap::Writer& w) const;
-  void restore_state(snap::Reader& r);
+  /// Snapshot of the ring contents and sequence counters (the capture mask
+  /// is config-derived; the capacity is checked).
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   std::vector<TraceEvent> ring_;

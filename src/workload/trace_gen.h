@@ -5,7 +5,6 @@
 #pragma once
 
 #include "common/rng.h"
-#include "common/snapshot.h"
 #include "common/types.h"
 #include "workload/profile.h"
 
@@ -15,6 +14,9 @@ struct TraceOp {
   Addr addr = 0;
   bool is_store = false;
   std::uint32_t gap = 0;  ///< compute cycles before this reference issues
+
+  template <class Ar>
+  void visit(Ar& ar) { ar(addr, is_store, gap); }
 };
 
 /// OS-style page-frame scattering: generators produce virtual addresses
@@ -42,23 +44,11 @@ class TraceGenerator {
   Addr private_base() const { return private_base_; }
   static Addr shared_base() { return Addr{1} << 42; }
 
-  /// Checkpoint/restore: RNG stream position + sequential-run cursor
-  /// (private_base_ is a pure function of the constructor arguments).
-  void save_state(snap::Writer& w) const {
-    for (const std::uint64_t s : rng_.state()) w.u64(s);
-    w.u64(seq_addr_);
-    w.u32(seq_left_);
-    w.u64(seq_region_base_);
-    w.u64(seq_region_span_);
-  }
-  void restore_state(snap::Reader& r) {
-    std::array<std::uint64_t, 4> s{};
-    for (std::uint64_t& v : s) v = r.u64();
-    rng_.set_state(s);
-    seq_addr_ = r.u64();
-    seq_left_ = r.u32();
-    seq_region_base_ = r.u64();
-    seq_region_span_ = r.u64();
+  /// Snapshot: RNG stream position + sequential-run cursor (private_base_
+  /// is a pure function of the constructor arguments).
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(rng_, seq_addr_, seq_left_, seq_region_base_, seq_region_span_);
   }
 
  private:

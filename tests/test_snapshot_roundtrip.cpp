@@ -128,12 +128,10 @@ TEST(ComponentSnapshot, RngStreamContinuesExactly) {
   for (int i = 0; i < 1000; ++i) a.next_u64();
 
   snap::Writer w;
-  for (const std::uint64_t s : a.state()) w.u64(s);
+  w(a);
   snap::Reader r(w.data());
   Rng b(999);  // different seed: state must come wholly from the snapshot
-  std::array<std::uint64_t, 4> st{};
-  for (auto& v : st) v = r.u64();
-  b.set_state(st);
+  r(b);
 
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
 }
@@ -144,10 +142,10 @@ TEST(ComponentSnapshot, TraceGeneratorStreamContinuesExactly) {
   for (int i = 0; i < 500; ++i) a.next();
 
   snap::Writer w;
-  a.save_state(w);
+  w(a);
   workload::TraceGenerator b(profile, 3, 42);
   snap::Reader r(w.data());
-  b.restore_state(r);
+  r(b);
   EXPECT_NO_THROW(r.expect_end());
 
   for (int i = 0; i < 500; ++i) {
@@ -168,19 +166,19 @@ TEST(ComponentSnapshot, StatsRoundTripIsByteIdentical) {
     h.add(rng.next_below(1 << 20));
   }
   snap::Writer w1;
-  acc.save_state(w1);
-  h.save_state(w1);
+  w1(acc);
+  w1(h);
 
   Accumulator acc2;
   Histogram h2;
   snap::Reader r(w1.data());
-  acc2.restore_state(r);
-  h2.restore_state(r);
+  r(acc2);
+  r(h2);
   EXPECT_NO_THROW(r.expect_end());
 
   snap::Writer w2;
-  acc2.save_state(w2);
-  h2.save_state(w2);
+  w2(acc2);
+  w2(h2);
   EXPECT_EQ(w1.data(), w2.data());
   EXPECT_EQ(acc.mean(), acc2.mean());
   EXPECT_EQ(h.approx_quantile(0.9), h2.approx_quantile(0.9));
@@ -196,10 +194,10 @@ TEST(ComponentSnapshot, TracerRingRoundTrip) {
            0x1000 + i, static_cast<std::int64_t>(i));
 
   snap::Writer w;
-  a.save_state(w);
+  w(a);
   trace::Tracer b(cfg);
   snap::Reader r(w.data());
-  b.restore_state(r);
+  r(b);
   EXPECT_NO_THROW(r.expect_end());
 
   EXPECT_EQ(a.total_events(), b.total_events());

@@ -8,6 +8,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -152,6 +153,76 @@ TEST(WireFormat, RoundTripIsBitExact) {
   EXPECT_EQ(wire::encode_result(d), encoded);
 }
 
+/// Walks CellResult::visit recording every key with a printable bit image
+/// of its value (a gate records "on"/"off", a plain object nothing).
+struct FieldRecorder {
+  std::vector<std::pair<std::string, std::string>> fields;
+
+  void operator()(const char* key, const std::string& v) {
+    fields.emplace_back(key, v);
+  }
+  void operator()(const char* key, std::uint64_t v) {
+    fields.emplace_back(key, std::to_string(v));
+  }
+  void operator()(const char* key, double v) {
+    fields.emplace_back(key, std::to_string(std::bit_cast<std::uint64_t>(v)));
+  }
+  void operator()(const char* key, Scheme v) { fields.emplace_back(key, to_string(v)); }
+  template <class F>
+  void object(const char* key, F&& f) {
+    fields.emplace_back(key, "");
+    f();
+  }
+  template <class F>
+  void object(const char* key, bool gate, F&& f) {
+    fields.emplace_back(key, gate ? "on" : "off");
+    f();
+  }
+  void computed(const char* key, double v) { (*this)(key, v); }
+  void transport(const char* key, const std::string& v) { (*this)(key, v); }
+};
+
+/// Gives every field of a result a distinct non-default value and sets
+/// every gate (fault, hard fault, invariants).
+struct FieldFiller {
+  std::uint64_t next = 1;
+
+  void operator()(const char*, std::string& v) { v = "s" + std::to_string(next++); }
+  void operator()(const char*, std::uint64_t& v) { v = next++; }
+  void operator()(const char*, double& v) { v = static_cast<double>(next++) / 3.0; }
+  void operator()(const char*, Scheme& v) { v = Scheme::DISCO; }
+  template <class F>
+  void object(const char*, F&& f) { f(); }
+  template <class F>
+  void object(const char*, bool& gate, F&& f) {
+    gate = true;
+    f();
+  }
+  void computed(const char*, double) {}
+  void transport(const char* key, std::string& v) { (*this)(key, v); }
+};
+
+TEST(WireFormat, EveryResultFieldReachesJsonAndWire) {
+  CellResult r;
+  FieldFiller fill;
+  r.visit(fill);
+  FieldRecorder fields;
+  r.visit(fields);
+
+  std::ostringstream json;
+  write_json(json, r);
+  for (const auto& [key, value] : fields.fields) {
+    if (key == "trace_text") continue;  // wire-only by design
+    EXPECT_NE(json.str().find("\"" + key + "\":"), std::string::npos)
+        << key << " never reaches the JSON";
+  }
+
+  CellResult d = wire::decode_result(wire::parse_object(wire::encode_result(r)));
+  FieldRecorder decoded;
+  d.visit(decoded);
+  EXPECT_EQ(decoded.fields, fields.fields);
+}
+
 TEST(WireFormat, RejectsTruncatedAndMalformedPayloads) {
   const std::string good = wire::encode_result(CellResult{});
   EXPECT_THROW(wire::parse_object(good.substr(0, good.size() / 2)),
@@ -225,8 +296,16 @@ TEST(Supervisor, CrashRecordedWhenRetriesExhausted) {
 TEST(Supervisor, HungChildIsKilledAndRetried) {
   auto cells = small_grid();
   cells.resize(2);
+  // The hung attempt times out at any budget, but the healthy retry and the
+  // healthy sibling run under the same one: size it from a measured healthy
+  // run of these cells at the same concurrency, so a slow or single-CPU
+  // machine cannot kill them.
+  const SweepResult healthy = run_sweep(cells, quiet(2));
+  ASSERT_TRUE(healthy.all_ok());
+  double slowest_ms = 0;
+  for (const auto& c : healthy.cells) slowest_ms = std::max(slowest_ms, c.wall_ms);
   SweepOptions opt = quiet(2);
-  opt.cell_timeout_ms = 250;
+  opt.cell_timeout_ms = 250 + static_cast<std::uint64_t>(4 * slowest_ms);
   opt.supervisor.isolate = true;
   opt.supervisor.max_retries = 1;
   opt.supervisor.retry_backoff_ms = 10;
@@ -361,7 +440,6 @@ SweepCell starved_cell() {
 TEST(Watchdog, TripsOnZeroCreditStarvationWithClassifiedError) {
   SweepOptions opt = quiet(1);
   opt.progress_watchdog_cycles = 2000;
-  opt.max_attempts = 1;
   const SweepResult r = run_sweep({starved_cell()}, opt);
   ASSERT_EQ(r.cells[0].status, CellStatus::Failed);
   EXPECT_NE(r.cells[0].error.find("watchdog"), std::string::npos)

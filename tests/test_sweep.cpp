@@ -117,13 +117,12 @@ TEST(SweepEngine, ShardsPartitionByGroupAndUnionCoversAll) {
 TEST(SweepEngine, FailedCellIsRecordedNotFatal) {
   auto cells = small_grid();
   cells[1].cfg.algorithm = "no-such-algorithm";  // make_algorithm throws
-  SweepOptions opt = quiet(2);
-  opt.max_attempts = 3;
-  const SweepResult r = run_sweep(cells, opt);
+  const SweepResult r = run_sweep(cells, quiet(2));
   EXPECT_EQ(r.failed, 1u);
   EXPECT_EQ(r.completed, cells.size() - 1);
   EXPECT_EQ(r.cells[1].status, CellStatus::Failed);
-  EXPECT_EQ(r.cells[1].attempts, 3u) << "failed cells are retried";
+  EXPECT_EQ(r.cells[1].attempts, 1u)
+      << "a deterministic failure is not retried in process";
   EXPECT_FALSE(r.cells[1].error.empty());
   for (const std::size_t i : {0UL, 2UL, 3UL}) {
     EXPECT_TRUE(r.cells[i].ok()) << "cell " << i;

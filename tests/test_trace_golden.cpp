@@ -14,6 +14,16 @@
 
 #include "sim/golden.h"
 
+namespace disco::sim {
+
+// Print a scenario by name, so the test name shown by `--gtest_list_tests`
+// and ctest is stable instead of a byte dump of the struct's pointers.
+void PrintTo(const GoldenScenario& scenario, std::ostream* os) {
+  *os << scenario.name;
+}
+
+}  // namespace disco::sim
+
 namespace disco {
 namespace {
 
