@@ -55,7 +55,7 @@ std::uint32_t load_word(const BlockBytes& b, std::size_t i) {
 }  // namespace
 
 Encoded CpackAlgorithm::compress(const BlockBytes& block) const {
-  BitWriter bw;
+  BitWriter bw(kCpackTag);
   Dict dict;
   for (std::size_t i = 0; i < kWords; ++i) {
     const std::uint32_t w = load_word(block, i);
@@ -88,12 +88,7 @@ Encoded CpackAlgorithm::compress(const BlockBytes& block) const {
       dict.push(w);
     }
   }
-  std::vector<std::uint8_t> bits = bw.take();
-  if (1 + bits.size() >= 1 + kBlockBytes) return encode_raw(block);
-  Encoded e;
-  e.bytes.push_back(kCpackTag);
-  e.bytes.insert(e.bytes.end(), bits.begin(), bits.end());
-  return e;
+  return encoded_or_raw(bw, block);
 }
 
 BlockBytes CpackAlgorithm::decompress(std::span<const std::uint8_t> enc) const {

@@ -33,6 +33,11 @@ enum FpcPrefix : unsigned {
   kRawWord = 7,       // + 32 bits
 };
 
+/// One 3-bit prefix and its `width`-bit payload, in a single put.
+void put_coded(BitWriter& bw, unsigned prefix, std::uint64_t payload, unsigned width) {
+  bw.put((std::uint64_t{prefix} << width) | payload, 3 + width);
+}
+
 bool half_is_sign_ext_byte(std::uint16_t h) {
   const auto s = static_cast<std::int16_t>(h);
   return s >= -128 && s < 128;
@@ -41,56 +46,40 @@ bool half_is_sign_ext_byte(std::uint16_t h) {
 }  // namespace
 
 Encoded FpcAlgorithm::compress(const BlockBytes& block) const {
-  BitWriter bw;
+  BitWriter bw(kFpcTag);
   std::size_t i = 0;
   while (i < kWords) {
     const std::uint32_t w = load_word(block, i);
     if (w == 0) {
       std::size_t run = 1;
       while (i + run < kWords && run < 8 && load_word(block, i + run) == 0) ++run;
-      bw.put(kZeroRun, 3);
-      bw.put(run - 1, 3);
+      put_coded(bw, kZeroRun, run - 1, 3);
       i += run;
       continue;
     }
     if (sign_fits(w, 4)) {
-      bw.put(kSignExt4, 3);
-      bw.put(w & 0xF, 4);
+      put_coded(bw, kSignExt4, w & 0xF, 4);
     } else if (sign_fits(w, 8)) {
-      bw.put(kSignExt8, 3);
-      bw.put(w & 0xFF, 8);
+      put_coded(bw, kSignExt8, w & 0xFF, 8);
     } else if (sign_fits(w, 16)) {
-      bw.put(kSignExt16, 3);
-      bw.put(w & 0xFFFF, 16);
+      put_coded(bw, kSignExt16, w & 0xFFFF, 16);
     } else if ((w & 0xFFFF) == 0) {
-      bw.put(kZeroPadded, 3);
-      bw.put(w >> 16, 16);
+      put_coded(bw, kZeroPadded, w >> 16, 16);
     } else if (half_is_sign_ext_byte(static_cast<std::uint16_t>(w >> 16)) &&
                half_is_sign_ext_byte(static_cast<std::uint16_t>(w))) {
-      bw.put(kTwoHalfBytes, 3);
-      bw.put((w >> 16) & 0xFF, 8);
-      bw.put(w & 0xFF, 8);
+      put_coded(bw, kTwoHalfBytes, ((w >> 8) & 0xFF00) | (w & 0xFF), 16);
     } else {
       const std::uint8_t b0 = static_cast<std::uint8_t>(w);
       if (((w >> 8) & 0xFF) == b0 && ((w >> 16) & 0xFF) == b0 &&
           ((w >> 24) & 0xFF) == b0) {
-        bw.put(kRepBytes, 3);
-        bw.put(b0, 8);
+        put_coded(bw, kRepBytes, b0, 8);
       } else {
-        bw.put(kRawWord, 3);
-        bw.put(w, 32);
+        put_coded(bw, kRawWord, w, 32);
       }
     }
     ++i;
   }
-
-  std::vector<std::uint8_t> bits = bw.take();
-  if (1 + bits.size() >= 1 + kBlockBytes) return encode_raw(block);
-  Encoded e;
-  e.bytes.reserve(1 + bits.size());
-  e.bytes.push_back(kFpcTag);
-  e.bytes.insert(e.bytes.end(), bits.begin(), bits.end());
-  return e;
+  return encoded_or_raw(bw, block);
 }
 
 BlockBytes FpcAlgorithm::decompress(std::span<const std::uint8_t> enc) const {
@@ -165,28 +154,20 @@ enum SfpcPrefix : unsigned { kSZero = 0, kSByte = 1, kSHalf = 2, kSRaw = 7 };
 }
 
 Encoded SfpcAlgorithm::compress(const BlockBytes& block) const {
-  BitWriter bw;
+  BitWriter bw(kFpcTag);
   for (std::size_t i = 0; i < kWords; ++i) {
     const std::uint32_t w = load_word(block, i);
     if (w == 0) {
       bw.put(kSZero, 3);
     } else if (sign_fits(w, 8)) {
-      bw.put(kSByte, 3);
-      bw.put(w & 0xFF, 8);
+      put_coded(bw, kSByte, w & 0xFF, 8);
     } else if (sign_fits(w, 16)) {
-      bw.put(kSHalf, 3);
-      bw.put(w & 0xFFFF, 16);
+      put_coded(bw, kSHalf, w & 0xFFFF, 16);
     } else {
-      bw.put(kSRaw, 3);
-      bw.put(w, 32);
+      put_coded(bw, kSRaw, w, 32);
     }
   }
-  std::vector<std::uint8_t> bits = bw.take();
-  if (1 + bits.size() >= 1 + kBlockBytes) return encode_raw(block);
-  Encoded e;
-  e.bytes.push_back(kFpcTag);
-  e.bytes.insert(e.bytes.end(), bits.begin(), bits.end());
-  return e;
+  return encoded_or_raw(bw, block);
 }
 
 BlockBytes SfpcAlgorithm::decompress(std::span<const std::uint8_t> enc) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <unordered_map>
 
 #include "compress/bitstream.h"
 
@@ -23,8 +24,7 @@ std::uint32_t load_word(const BlockBytes& b, std::size_t i) {
 FvcAlgorithm::FvcAlgorithm() {
   table_ = {0x00000000u, 0x00000001u, 0xFFFFFFFFu, 0x00000002u,
             0x00000004u, 0x00000008u, 0x00000010u, 0x000000FFu};
-  for (std::size_t i = 0; i < table_.size(); ++i)
-    index_of_[table_[i]] = static_cast<std::uint32_t>(i);
+  index_of_.assign(table_);
 }
 
 FvcAlgorithm::FvcAlgorithm(std::span<const BlockBytes> sample) : FvcAlgorithm() {
@@ -43,33 +43,26 @@ void FvcAlgorithm::retrain(std::span<const BlockBytes> sample) {
     return a.first < b.first;
   });
   table_.clear();
-  index_of_.clear();
-  for (std::size_t i = 0; i < kTableEntries && i < sorted.size(); ++i) {
+  for (std::size_t i = 0; i < kTableEntries && i < sorted.size(); ++i)
     table_.push_back(sorted[i].first);
-    index_of_[sorted[i].first] = static_cast<std::uint32_t>(i);
-  }
+  index_of_.assign(table_);  // before the padding, which is not a value
   while (table_.size() < kTableEntries) table_.push_back(0);
 }
 
 Encoded FvcAlgorithm::compress(const BlockBytes& block) const {
-  BitWriter bw;
+  BitWriter bw(kFvcTag);
   for (std::size_t i = 0; i < kWords; ++i) {
     const std::uint32_t w = load_word(block, i);
-    const auto it = index_of_.find(w);
-    if (it != index_of_.end()) {
+    const std::uint32_t index = index_of_.find(w);
+    if (index != WordTable::kAbsent) {
       bw.put_bit(true);
-      bw.put(it->second, kIndexBits);
+      bw.put(index, kIndexBits);
     } else {
       bw.put_bit(false);
       bw.put(w, 32);
     }
   }
-  std::vector<std::uint8_t> bits = bw.take();
-  if (1 + bits.size() >= 1 + kBlockBytes) return encode_raw(block);
-  Encoded e;
-  e.bytes.push_back(kFvcTag);
-  e.bytes.insert(e.bytes.end(), bits.begin(), bits.end());
-  return e;
+  return encoded_or_raw(bw, block);
 }
 
 BlockBytes FvcAlgorithm::decompress(std::span<const std::uint8_t> enc) const {

@@ -7,10 +7,10 @@
 #pragma once
 
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "compress/algorithm.h"
+#include "compress/word_table.h"
 
 namespace disco::compress {
 
@@ -34,7 +34,7 @@ class FvcAlgorithm final : public Algorithm {
 
  private:
   std::vector<std::uint32_t> table_;
-  std::unordered_map<std::uint32_t, std::uint32_t> index_of_;
+  WordTable index_of_;
 };
 
 }  // namespace disco::compress

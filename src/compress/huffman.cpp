@@ -81,9 +81,10 @@ HuffmanCode HuffmanCode::build(const std::vector<std::uint64_t>& freqs) {
 void HuffmanCode::build_decode_tables() {
   max_len_ = 0;
   for (const auto& c : codes_) max_len_ = std::max(max_len_, c.length);
-  count_.assign(max_len_ + 1, 0);
+  assert(max_len_ <= 64 && "codes are held in 64 bits");
+  rows_.assign(max_len_ + 1, LengthRow{});
   for (const auto& c : codes_)
-    if (c.length > 0) ++count_[c.length];
+    if (c.length > 0) ++rows_[c.length].count;
 
   sorted_symbols_.clear();
   for (std::size_t s = 0; s < codes_.size(); ++s)
@@ -95,34 +96,34 @@ void HuffmanCode::build_decode_tables() {
               return a < b;
             });
 
-  first_code_.assign(max_len_ + 1, 0);
-  first_index_.assign(max_len_ + 1, 0);
   std::uint64_t code = 0;
   std::uint32_t index = 0;
   for (std::uint8_t len = 1; len <= max_len_; ++len) {
+    LengthRow& row = rows_[len];
     code <<= 1;
-    first_code_[len] = code;
-    first_index_[len] = index;
-    code += count_[len];
-    index += count_[len];
+    row.first_code = code;
+    row.first_index = index;
+    code += row.count;
+    index += row.count;
   }
-}
-
-void HuffmanCode::encode(BitWriter& bw, std::size_t symbol) const {
-  const HuffCode& c = codes_[symbol];
-  assert(c.length > 0 && "encoding symbol without a code");
-  bw.put(c.bits, c.length);
 }
 
 std::size_t HuffmanCode::decode(BitReader& br) const {
-  std::uint64_t code = 0;
-  for (std::uint8_t len = 1; len <= max_len_; ++len) {
-    code = (code << 1) | (br.get_bit() ? 1ULL : 0ULL);
-    const std::uint64_t first = first_code_[len];
-    if (count_[len] > 0 && code < first + count_[len] && code >= first) {
-      return sorted_symbols_[first_index_[len] + (code - first)];
+  // Walk the canonical tables on one peeked window. Bits past the end read
+  // as zero, so the walk stops at the stream's end: running out before a
+  // code matches is a truncation, not an invalid code.
+  const std::uint64_t window = br.peek();
+  const std::size_t avail = br.bits_left();
+  const std::size_t limit = std::min<std::size_t>(max_len_, avail);
+  for (std::size_t len = 1; len <= limit; ++len) {
+    const LengthRow& row = rows_[len];
+    const std::uint64_t offset = (window >> (64 - len)) - row.first_code;
+    if (offset < row.count) {
+      br.skip(static_cast<unsigned>(len));
+      return sorted_symbols_[row.first_index + offset];
     }
   }
+  if (max_len_ > avail) throw DecodeError("bit stream truncated");
   throw DecodeError("invalid Huffman stream");
 }
 

@@ -4,6 +4,7 @@
 // and decoder tables reproducible from code lengths alone.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -26,16 +27,24 @@ class HuffmanCode {
   const HuffCode& code(std::size_t symbol) const { return codes_[symbol]; }
   bool has_code(std::size_t symbol) const { return codes_[symbol].length > 0; }
 
-  void encode(BitWriter& bw, std::size_t symbol) const;
-  /// Decode one symbol by walking the canonical table.
+  void encode(BitWriter& bw, std::size_t symbol) const {
+    const HuffCode& c = codes_[symbol];
+    assert(c.length > 0 && "encoding symbol without a code");
+    bw.put(c.bits, c.length);
+  }
+  /// Decode one symbol by walking the canonical table on a peeked window.
   std::size_t decode(BitReader& br) const;
 
  private:
+  /// Canonical decode table row for one code length.
+  struct LengthRow {
+    std::uint64_t first_code = 0;   ///< first canonical code of this length
+    std::uint32_t count = 0;        ///< number of codes of this length
+    std::uint32_t first_index = 0;  ///< index into sorted_symbols_
+  };
+
   std::vector<HuffCode> codes_;
-  // Canonical decode tables indexed by code length (1..max).
-  std::vector<std::uint64_t> first_code_;    ///< first canonical code of each length
-  std::vector<std::uint32_t> first_index_;   ///< index into sorted_symbols_
-  std::vector<std::uint32_t> count_;         ///< number of codes of each length
+  std::vector<LengthRow> rows_;  ///< indexed by code length (1..max)
   std::vector<std::uint32_t> sorted_symbols_;
   std::uint8_t max_len_ = 0;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <unordered_map>
 
 #include "common/rng.h"
 
@@ -72,15 +73,14 @@ void Sc2Algorithm::retrain(std::span<const BlockBytes> training_blocks) {
   if (sorted.size() > kTableWords) sorted.resize(kTableWords);
 
   word_of_symbol_.clear();
-  symbol_of_word_.clear();
   std::vector<std::uint64_t> freqs(kTableWords + 1, 0);
   std::uint64_t covered = 0;
   for (std::size_t s = 0; s < sorted.size(); ++s) {
     word_of_symbol_.push_back(sorted[s].first);
-    symbol_of_word_[sorted[s].first] = static_cast<std::uint32_t>(s);
     freqs[s] = sorted[s].second;
     covered += sorted[s].second;
   }
+  symbol_of_word_.assign(word_of_symbol_);
   // Escape frequency = everything not covered by the table (at least 1 so
   // the escape path always has a code).
   freqs[kEscape] = std::max<std::uint64_t>(total_words - covered, 1);
@@ -88,23 +88,22 @@ void Sc2Algorithm::retrain(std::span<const BlockBytes> training_blocks) {
 }
 
 Encoded Sc2Algorithm::compress(const BlockBytes& block) const {
-  BitWriter bw;
+  BitWriter bw(kSc2Tag);
   for (std::size_t i = 0; i < kWords; ++i) {
     const std::uint32_t w = load_word(block, i);
-    const auto it = symbol_of_word_.find(w);
-    if (it != symbol_of_word_.end()) {
-      code_.encode(bw, it->second);
+    const std::uint32_t symbol = symbol_of_word_.find(w);
+    if (symbol != WordTable::kAbsent) {
+      code_.encode(bw, symbol);
     } else {
       code_.encode(bw, kEscape);
       bw.put(w, 32);
     }
+    // Code lengths are unbounded by the block, so stop as soon as the
+    // stream can no longer beat raw: it then never outgrows the writer's
+    // inline buffer.
+    if (bw.byte_count() > kBlockBytes) return encode_raw(block);
   }
-  std::vector<std::uint8_t> bits = bw.take();
-  if (1 + bits.size() >= 1 + kBlockBytes) return encode_raw(block);
-  Encoded e;
-  e.bytes.push_back(kSc2Tag);
-  e.bytes.insert(e.bytes.end(), bits.begin(), bits.end());
-  return e;
+  return encoded_or_raw(bw, block);
 }
 
 BlockBytes Sc2Algorithm::decompress(std::span<const std::uint8_t> enc) const {

@@ -10,11 +10,11 @@
 #pragma once
 
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "compress/algorithm.h"
 #include "compress/huffman.h"
+#include "compress/word_table.h"
 
 namespace disco::compress {
 
@@ -35,15 +35,13 @@ class Sc2Algorithm final : public Algorithm {
   /// Rebuild the code table from a workload sample (SC² sampling phase).
   void retrain(std::span<const BlockBytes> training_blocks);
 
-  std::size_t table_entries() const { return symbol_of_word_.size(); }
-
  private:
   static constexpr std::size_t kTableWords = 255;  ///< frequent-word symbols
   static constexpr std::size_t kEscape = kTableWords;  ///< escape symbol id
 
   HuffmanCode code_;
   std::vector<std::uint32_t> word_of_symbol_;
-  std::unordered_map<std::uint32_t, std::uint32_t> symbol_of_word_;
+  WordTable symbol_of_word_;
 };
 
 }  // namespace disco::compress

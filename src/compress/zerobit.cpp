@@ -11,7 +11,7 @@ constexpr std::uint8_t kZeroBitTag = 0x00;
 }  // namespace
 
 Encoded ZeroBitAlgorithm::compress(const BlockBytes& block) const {
-  BitWriter bw;
+  BitWriter bw(kZeroBitTag);
   for (std::size_t w = 0; w < kWords; ++w) {
     unsigned mask = 0;
     for (unsigned byte = 0; byte < 4; ++byte) {
@@ -22,12 +22,7 @@ Encoded ZeroBitAlgorithm::compress(const BlockBytes& block) const {
       if (mask & (1u << byte)) bw.put(block[w * 4 + byte], 8);
     }
   }
-  std::vector<std::uint8_t> bits = bw.take();
-  if (1 + bits.size() >= 1 + kBlockBytes) return encode_raw(block);
-  Encoded e;
-  e.bytes.push_back(kZeroBitTag);
-  e.bytes.insert(e.bytes.end(), bits.begin(), bits.end());
-  return e;
+  return encoded_or_raw(bw, block);
 }
 
 BlockBytes ZeroBitAlgorithm::decompress(std::span<const std::uint8_t> enc) const {

@@ -42,7 +42,6 @@ TEST(PacketPool, LiveCountTracksAllocAndRelease) {
 }
 
 TEST(PacketPool, SlotsAreRecycledThroughTheFreelist) {
-  auto& pool = noc::packet_pool();
   noc::Packet* first;
   {
     noc::PacketPtr a = noc::make_packet();
