@@ -306,10 +306,7 @@ void CmpSystem::tick() {
 }
 
 void CmpSystem::check_cancel() const {
-  if ((cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) ||
-      interrupt_requested()) {
-    throw CancelledError();
-  }
+  if (interrupt_requested()) throw CancelledError();
 }
 
 bool CmpSystem::work_outstanding() const {

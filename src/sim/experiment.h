@@ -3,7 +3,6 @@
 // tables and figures report. Every bench binary is a thin driver over this.
 #pragma once
 
-#include <atomic>
 #include <string>
 #include <vector>
 
@@ -198,6 +197,7 @@ struct CellResult {
       v("confidence_violations", s.confidence_violations);
       v("eject_violations", s.eject_violations);
       v("cache_violations", s.cache_violations);
+      v("topology_violations", s.topology_violations);
       v("first_violation", s.first_violation);
     });
     v.transport("trace_text", trace_text);
@@ -211,10 +211,6 @@ struct RunOptions {
   /// Timed warmup after the functional phase (fills queues/MSHRs).
   Cycle warmup_cycles = 20000;
   Cycle measure_cycles = 100000;
-  /// Cooperative cancellation token, polled by the simulation loop every few
-  /// hundred cycles; when set the cell unwinds with cmp::CancelledError so a
-  /// timed-out or interrupted cell releases its pool slot. Null = never.
-  const std::atomic<bool>* cancel = nullptr;
 
   // --- Mid-cell checkpointing -------------------------------------------
   /// When both `snapshot_interval` and `snapshot_path` are set, the

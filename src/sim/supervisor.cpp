@@ -159,24 +159,15 @@ class CheckpointJournal {
 // ---------------------------------------------------------------------------
 
 void debug_fault_hook(const SupervisorOptions& so, std::size_t cell,
-                      unsigned attempt, bool in_child,
-                      const std::atomic<bool>* cancel) {
+                      unsigned attempt) {
   if (attempt > so.debug_crash_attempts) return;
   const auto is = [cell](int k) {
     return k >= 0 && static_cast<std::size_t>(k) == cell;
   };
-  if (is(so.debug_crash_cell)) {
-    if (in_child) std::raise(SIGSEGV);
-    throw std::runtime_error("debug: injected crash");
-  }
+  if (is(so.debug_crash_cell)) std::raise(SIGSEGV);
   if (is(so.debug_throw_cell)) throw 42;  // deliberately not a std::exception
   if (is(so.debug_hang_cell)) {
-    if (in_child) {
-      for (;;) ::pause();  // until the parent's SIGTERM/SIGKILL
-    }
-    while (cancel == nullptr || !cancel->load(std::memory_order_relaxed))
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    throw cmp::CancelledError();
+    for (;;) ::pause();  // until the parent's SIGTERM/SIGKILL
   }
 }
 
@@ -288,8 +279,7 @@ void write_all(int fd, const std::string& payload) {
   std::string payload;
   int exit_code = 0;
   try {
-    debug_fault_hook(opt.supervisor, index, attempt, /*in_child=*/true,
-                     nullptr);
+    debug_fault_hook(opt.supervisor, index, attempt);
     CellResult r = run_cell(cell.cfg, cell.profile, cell.opt);
     if (auto_trace) r.trace_text.clear();
     payload = wire::encode_result(r);
@@ -340,11 +330,10 @@ class IsolatedScheduler {
  public:
   IsolatedScheduler(const std::vector<SweepCell>& prepared,
                     const std::vector<std::size_t>& work,
-                    const SweepOptions& opt, unsigned max_attempts,
-                    SweepResult& res, CheckpointJournal& journal,
-                    detail::ProgressMeter& progress)
+                    const SweepOptions& opt, SweepResult& res,
+                    CheckpointJournal& journal, detail::ProgressMeter& progress)
       : prepared_(prepared), work_(work), opt_(opt), so_(opt.supervisor),
-        max_attempts_(max_attempts), res_(res), journal_(journal),
+        max_attempts_(1 + so_.max_retries), res_(res), journal_(journal),
         progress_(progress), cell_start_(work.size()) {}
 
   void run() {
@@ -460,8 +449,9 @@ class IsolatedScheduler {
     std::uint64_t resumed_cycles = 0;
     classify_exit(c, wstatus, status, error, result, resumed_cycles);
 
-    const bool retryable = status == CellStatus::Failed ||
-                           status == CellStatus::Crashed ||
+    // Failed is final: the child ran run_cell to a throw (or sent garbage),
+    // and a retry would replay the same seed into the same failure.
+    const bool retryable = status == CellStatus::Crashed ||
                            status == CellStatus::TimedOut ||
                            status == CellStatus::ResourceExhausted;
     if (retryable && c.attempt < max_attempts_ && !interrupt_requested()) {
@@ -505,7 +495,7 @@ class IsolatedScheduler {
     }
     if (c.term_sent) {
       status = CellStatus::TimedOut;
-      error = "cell exceeded " + std::to_string(opt_.cell_timeout_ms) +
+      error = "cell exceeded " + std::to_string(so_.cell_timeout_ms) +
               "ms budget (child " + (c.killed ? "killed" : "terminated") + ")";
       return;
     }
@@ -588,9 +578,9 @@ class IsolatedScheduler {
         }
         continue;
       }
-      if (opt_.cell_timeout_ms > 0 &&
+      if (so_.cell_timeout_ms > 0 &&
           std::chrono::duration<double, std::milli>(now - c.start).count() >
-              static_cast<double>(opt_.cell_timeout_ms)) {
+              static_cast<double>(so_.cell_timeout_ms)) {
         ::kill(c.pid, SIGTERM);
         c.term_sent = true;
         c.term_at = now;
@@ -609,11 +599,7 @@ class IsolatedScheduler {
     }
     // Pending attempts never run: journal whatever state their cell is in.
     for (const PendingAttempt& p : pending_) {
-      SweepCellOutcome& out = res_.cells[work_[p.windex]];
-      if (out.attempts == 0) {
-        out.status = CellStatus::Interrupted;
-        out.error = "sweep interrupted before this cell ran";
-      }
+      detail::interrupt_if_unclaimed(res_.cells[work_[p.windex]]);
       finalize(p.windex);
     }
     pending_.clear();
@@ -646,13 +632,7 @@ class IsolatedScheduler {
     // interrupted cell keeps it — the --resume rerun picks it up mid-cell.
     if (out.status != CellStatus::Interrupted)
       gc_snapshot(so_.checkpoint_dir, out.index);
-    if (!out.ok()) {
-      progress_.note("cell " + std::to_string(out.index) + " (" +
-                     prepared_[out.index].profile.name + "/" +
-                     std::string(to_string(prepared_[out.index].cfg.scheme)) +
-                     ") " + to_string(out.status) + ": " + out.error);
-    }
-    progress_.cell_done();
+    progress_.cell_finished(prepared_[out.index], out);
   }
 
   const std::vector<SweepCell>& prepared_;
@@ -667,50 +647,6 @@ class IsolatedScheduler {
   std::deque<PendingAttempt> pending_;
   std::vector<ChildProc> running_;
 };
-
-// ---------------------------------------------------------------------------
-// Supervised in-process execution (checkpoint / debug hooks, no fork)
-// ---------------------------------------------------------------------------
-
-void run_inprocess_cells(const std::vector<SweepCell>& prepared,
-                         const std::vector<std::size_t>& work,
-                         const SweepOptions& opt, unsigned max_attempts,
-                         SweepResult& res, CheckpointJournal& journal,
-                         detail::ProgressMeter& progress) {
-  const SupervisorOptions& so = opt.supervisor;
-  detail::run_pool(work.size(), opt.threads, [&](std::size_t w) {
-    const std::size_t i = work[w];
-    SweepCellOutcome& out = res.cells[i];
-    const auto cell_t0 = Clock::now();
-    for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-      if (attempt > 1 && so.retry_backoff_ms > 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            so.retry_backoff_ms << (attempt - 2)));
-      out.attempts = attempt;
-      const detail::AttemptHook hook =
-          [&so, i, attempt](const std::atomic<bool>* cancel) {
-            debug_fault_hook(so, i, attempt, /*in_child=*/false, cancel);
-          };
-      out.status = detail::run_attempt(prepared[i], opt.cell_timeout_ms,
-                                       so.hang_grace_ms, hook, out.result,
-                                       out.error);
-      // Unlike plain run_sweep, the supervisor retries timeouts too: with
-      // backoff and process isolation a hang is often load-dependent.
-      if (out.status == CellStatus::Ok ||
-          out.status == CellStatus::Interrupted || interrupt_requested())
-        break;
-    }
-    out.wall_ms = ms_since(cell_t0);
-    journal.append(encode_entry(out));
-    if (!out.ok()) {
-      progress.note("cell " + std::to_string(i) + " (" +
-                    prepared[i].profile.name + "/" +
-                    std::string(to_string(prepared[i].cfg.scheme)) + ") " +
-                    to_string(out.status) + ": " + out.error);
-    }
-    progress.cell_done();
-  });
-}
 
 }  // namespace
 
@@ -774,27 +710,23 @@ Manifest load_manifest(const std::string& path) {
   return m;
 }
 
-SweepResult run_sweep_supervised(const std::vector<SweepCell>& cells,
-                                 const SweepOptions& opt) {
-  const auto t0 = Clock::now();
+void detail::run_isolated(const std::vector<SweepCell>& prepared,
+                          std::vector<std::size_t> work,
+                          const SweepOptions& opt, SweepResult& res) {
   const SupervisorOptions& so = opt.supervisor;
-  SweepResult res;
-  std::vector<std::size_t> work;
-  const std::vector<SweepCell> prepared =
-      detail::prepare_cells(cells, opt, res, work);
-  const unsigned max_attempts = 1 + so.max_retries;
+  const std::size_t cells = prepared.size();
 
   // Resume: adopt the prior run's Ok cells verbatim; everything else reruns.
   std::vector<std::string> carried;
   if (!so.resume_manifest.empty()) {
     Manifest m = load_manifest(so.resume_manifest);
     const unsigned shards = std::max(1u, opt.shard_count);
-    if (m.cells != cells.size() || m.base_seed != opt.base_seed ||
+    if (m.cells != cells || m.base_seed != opt.base_seed ||
         m.shard_index != opt.shard_index % shards || m.shard_count != shards) {
       throw std::runtime_error(
           "resume: manifest " + so.resume_manifest +
           " does not match this sweep (cells " + std::to_string(m.cells) +
-          " vs " + std::to_string(cells.size()) + ", base_seed " +
+          " vs " + std::to_string(cells) + ", base_seed " +
           std::to_string(m.base_seed) + " vs " + std::to_string(opt.base_seed) +
           ", shard " + std::to_string(m.shard_index) + "/" +
           std::to_string(m.shard_count) + " vs " +
@@ -819,7 +751,7 @@ SweepResult run_sweep_supervised(const std::vector<SweepCell>& cells,
   // snapshots a previous run left in this checkpoint dir; on resume, only
   // the cells still to be run may keep one.
   if (!so.checkpoint_dir.empty()) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
+    for (std::size_t i = 0; i < cells; ++i) {
       const bool still_to_run =
           !so.resume_manifest.empty() &&
           std::find(work.begin(), work.end(), i) != work.end();
@@ -829,31 +761,11 @@ SweepResult run_sweep_supervised(const std::vector<SweepCell>& cells,
 
   CheckpointJournal journal;
   if (!so.checkpoint_dir.empty())
-    journal.open(so.checkpoint_dir, encode_header(cells.size(), opt),
+    journal.open(so.checkpoint_dir, encode_header(cells, opt),
                  std::move(carried));
 
   detail::ProgressMeter progress(work.size(), opt);
-  if (so.isolate) {
-    IsolatedScheduler(prepared, work, opt, max_attempts, res, journal,
-                      progress)
-        .run();
-  } else {
-    run_inprocess_cells(prepared, work, opt, max_attempts, res, journal,
-                        progress);
-  }
-
-  // Cells never claimed before an interrupt shutdown.
-  for (const std::size_t i : work) {
-    SweepCellOutcome& out = res.cells[i];
-    if (out.attempts == 0 && out.status == CellStatus::Skipped) {
-      out.status = CellStatus::Interrupted;
-      out.error = "sweep interrupted before this cell ran";
-      journal.append(encode_entry(out));
-    }
-  }
-  detail::tally_outcomes(res);
-  res.wall_ms = ms_since(t0);
-  return res;
+  IsolatedScheduler(prepared, work, opt, res, journal, progress).run();
 }
 
 }  // namespace disco::sim

@@ -2,17 +2,18 @@
 // child process (--isolate) that reports its CellResult back over a pipe in
 // the lossless wire format (wire.h); the parent is a single-threaded poll()
 // scheduler that enforces wall-clock budgets with SIGTERM -> grace ->
-// SIGKILL escalation, retries crashed / hung / failed cells with exponential
-// backoff, and journals every finished cell to an append-only checkpoint
-// manifest (atomic tmp + rename per cell). A later run with --resume adopts
-// the manifest's Ok cells verbatim, so its aggregate output is
-// byte-identical to an uninterrupted run. On a crash or hang the child
+// SIGKILL escalation, retries crashed / hung / over-RSS cells with
+// exponential backoff (a cell that throws is final), and journals every
+// finished cell to an append-only checkpoint manifest (atomic tmp + rename
+// per cell). A later run with --resume adopts the manifest's Ok cells
+// verbatim, so its aggregate output is byte-identical to an uninterrupted
+// run. On a crash or hang the child
 // flushes a postmortem black box (tracer ring tail, invariant summary,
 // last-progress cycle, stall census) next to the manifest.
 //
-// The supervisor also runs without isolation (checkpoint/resume/debug hooks
-// on the classic thread pool) — a crash then still kills the process, but
-// checkpointing and the deterministic fault hooks keep working.
+// run_sweep hands a sweep to the supervisor whenever SupervisorOptions is
+// active, so every supervisor flag (--timeout-ms, --checkpoint-dir, --resume,
+// --max-rss-mb, ...) forks its cells; --isolate alone asks for nothing else.
 #pragma once
 
 #include <cstdint>
@@ -52,12 +53,5 @@ struct Manifest {
 /// or has no valid header line; an unparseable entry line is dropped (the
 /// cell simply reruns), never fatal.
 Manifest load_manifest(const std::string& path);
-
-/// Run a sweep under the supervisor. Called by run_sweep when
-/// opt.supervisor.active(); callable directly by tests. Throws
-/// std::runtime_error when a resume manifest does not match the sweep
-/// (cell count, base seed or shard differ).
-SweepResult run_sweep_supervised(const std::vector<SweepCell>& cells,
-                                 const SweepOptions& opt);
 
 }  // namespace disco::sim

@@ -1,22 +1,17 @@
 #include "sim/sweep.h"
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "common/interrupt.h"
 #include "common/rng.h"
 #include "fault/fault.h"
 #include "compress/decode_error.h"
-#include "sim/supervisor.h"
 #include "sim/sweep_internal.h"
 #include "trace/trace.h"
 
@@ -71,114 +66,6 @@ std::string describe_current_exception() {
   } catch (...) {
     return "exception of unknown type";
   }
-}
-
-namespace {
-
-/// Completion slot shared with a (possibly outlived) attempt thread.
-struct AttemptState {
-  SweepCell cell;  ///< owned copy: must outlive a wedged, detached attempt
-  std::atomic<bool> cancel{false};
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  bool threw = false;
-  bool cancelled = false;  ///< CancelledError unwound the cell
-  std::string error;
-  CellResult result;
-};
-
-std::atomic<std::size_t> g_live_attempt_threads{0};
-
-}  // namespace
-
-std::size_t live_attempt_threads() {
-  return g_live_attempt_threads.load(std::memory_order_acquire);
-}
-
-CellStatus run_attempt(const SweepCell& cell, std::uint64_t timeout_ms,
-                       std::uint64_t hang_grace_ms, const AttemptHook& hook,
-                       CellResult& result, std::string& error) {
-  if (timeout_ms == 0) {
-    try {
-      if (hook) hook(cell.opt.cancel);
-      result = run_cell(cell.cfg, cell.profile, cell.opt);
-      return CellStatus::Ok;
-    } catch (const cmp::CancelledError&) {
-      error = "cell interrupted";
-      return CellStatus::Interrupted;
-    } catch (...) {
-      error = describe_current_exception();
-    }
-    return CellStatus::Failed;
-  }
-
-  auto st = std::make_shared<AttemptState>();
-  st->cell = cell;
-  st->cell.opt.cancel = &st->cancel;
-  g_live_attempt_threads.fetch_add(1, std::memory_order_acq_rel);
-  std::thread worker([st, hook] {
-    CellResult r;
-    bool threw = false;
-    bool cancelled = false;
-    std::string err;
-    try {
-      if (hook) hook(&st->cancel);
-      r = run_cell(st->cell.cfg, st->cell.profile, st->cell.opt);
-    } catch (const cmp::CancelledError&) {
-      cancelled = true;
-    } catch (...) {
-      threw = true;
-      err = describe_current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(st->mu);
-      st->result = std::move(r);
-      st->threw = threw;
-      st->cancelled = cancelled;
-      st->error = std::move(err);
-      st->done = true;
-    }
-    st->cv.notify_all();
-    g_live_attempt_threads.fetch_sub(1, std::memory_order_acq_rel);
-  });
-
-  std::unique_lock<std::mutex> lock(st->mu);
-  if (!st->cv.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                       [&] { return st->done; })) {
-    // Budget exceeded: fire the cooperative cancellation token. The sim loop
-    // polls it every few hundred cycles, so a bounded grace wait reclaims
-    // the thread (and its pool slot); only a truly wedged attempt — one that
-    // never reaches a poll point again — is detached.
-    st->cancel.store(true, std::memory_order_release);
-    const bool reclaimed = st->cv.wait_for(
-        lock,
-        std::chrono::milliseconds(std::max<std::uint64_t>(hang_grace_ms, 1)),
-        [&] { return st->done; });
-    lock.unlock();
-    if (reclaimed) {
-      worker.join();
-    } else {
-      worker.detach();
-    }
-    const bool interrupted = interrupt_requested();
-    error = interrupted
-                ? "cell interrupted"
-                : "cell exceeded " + std::to_string(timeout_ms) + "ms budget";
-    return interrupted ? CellStatus::Interrupted : CellStatus::TimedOut;
-  }
-  lock.unlock();
-  worker.join();
-  if (st->cancelled) {
-    error = "cell interrupted";
-    return CellStatus::Interrupted;
-  }
-  if (st->threw) {
-    error = st->error;
-    return CellStatus::Failed;
-  }
-  result = std::move(st->result);
-  return CellStatus::Ok;
 }
 
 std::vector<SweepCell> prepare_cells(const std::vector<SweepCell>& cells,
@@ -248,24 +135,26 @@ namespace {
                "  --shard i/k     run shard i of k (0 <= i < k); cells are\n"
                "                  sharded by group so comparison rows stay whole\n"
                "  --seed S        base seed; per-cell seed = splitmix64(S, cell)\n"
-               "  --timeout-ms T  per-cell wall-clock budget (0 = none)\n"
                "  --no-progress   suppress the stderr progress line\n"
-               "crash resilience (sweep supervisor):\n"
+               "crash resilience (sweep supervisor; --timeout-ms, --checkpoint-dir,\n"
+               "--resume, --snapshot-interval-cycles, --max-rss-mb and the\n"
+               "--debug-* hooks imply --isolate):\n"
                "  --isolate            run each cell in a forked child process;\n"
                "                       a SIGSEGV or hard hang costs one cell\n"
+               "  --timeout-ms T       per-cell wall-clock budget (0 = none)\n"
                "  --checkpoint-dir D   journal finished cells to D/manifest.jsonl\n"
                "                       and write postmortem black boxes into D\n"
                "  --resume M           adopt the Ok cells of manifest M verbatim\n"
                "                       (aggregate output is byte-identical to an\n"
                "                       uninterrupted run) and run only the rest\n"
-               "  --max-retries R      extra attempts per crashed/hung/failed cell\n"
+               "  --max-retries R      extra attempts per crashed/hung/over-RSS cell\n"
                "                       (default 1)\n"
                "  --retry-backoff-ms B backoff before retry r is B << (r-1)\n"
                "                       (default 100)\n"
                "  --hang-grace-ms G    grace between SIGTERM and SIGKILL for a\n"
                "                       timed-out child (default 2000)\n"
                "  --snapshot-interval-cycles N\n"
-               "                       (with --isolate --checkpoint-dir) each\n"
+               "                       (needs --checkpoint-dir) each\n"
                "                       worker snapshots its full simulation\n"
                "                       state every N measured cycles; retries\n"
                "                       resume from the last good snapshot\n"
@@ -280,7 +169,11 @@ namespace {
                "  --debug-crash-cell K / --debug-hang-cell K / --debug-throw-cell K\n"
                "                       deterministically break cell K (tests/CI);\n"
                "                       --debug-crash-attempts A limits the hooks\n"
-               "                       to the first A attempts (default 1)\n"
+               "                       to the first A attempts (default 1);\n"
+               "                       --debug-kill-cell K --debug-kill-cycle C\n"
+               "                       SIGKILLs cell K after its first snapshot\n"
+               "                       at or past cycle C (needs\n"
+               "                       --snapshot-interval-cycles)\n"
                "tracing / invariants:\n"
                "  --trace PREFIX       capture probe events; writes Chrome JSON\n"
                "                       to <PREFIX>-cell<i>.json (Perfetto)\n"
@@ -340,44 +233,39 @@ std::vector<CellResult> SweepResult::ok_results() const {
 
 SweepResult run_sweep(const std::vector<SweepCell>& cells,
                       const SweepOptions& opt) {
-  if (opt.supervisor.active()) return run_sweep_supervised(cells, opt);
-
   const auto t0 = detail::Clock::now();
   SweepResult res;
   std::vector<std::size_t> work;
   const std::vector<SweepCell> prepared =
       detail::prepare_cells(cells, opt, res, work);
 
-  detail::ProgressMeter progress(work.size(), opt);
-
-  detail::run_pool(work.size(), opt.threads, [&](std::size_t w) {
-    const std::size_t i = work[w];
-    SweepCellOutcome& out = res.cells[i];
-    const auto cell_t0 = detail::Clock::now();
-    // One attempt: cells are deterministic, so a retry in this process
-    // would replay the same seed into the same failure.
-    out.attempts = 1;
-    out.status = detail::run_attempt(prepared[i], opt.cell_timeout_ms,
-                                     opt.supervisor.hang_grace_ms, nullptr,
-                                     out.result, out.error);
-    out.wall_ms = detail::ms_since(cell_t0);
-    if (!out.ok()) {
-      progress.note("cell " + std::to_string(i) + " (" +
-                    prepared[i].profile.name + "/" +
-                    std::string(to_string(prepared[i].cfg.scheme)) + ") " +
-                    to_string(out.status) + ": " + out.error);
-    }
-    progress.cell_done();
-  });
-
-  // Cells the pool never claimed (interrupt shutdown) are Interrupted, not
-  // silently Skipped.
-  for (const std::size_t i : work) {
-    SweepCellOutcome& out = res.cells[i];
-    if (out.attempts == 0 && out.status == CellStatus::Skipped) {
-      out.status = CellStatus::Interrupted;
-      out.error = "sweep interrupted before this cell ran";
-    }
+  if (opt.supervisor.active()) {
+    detail::run_isolated(prepared, std::move(work), opt, res);
+  } else {
+    detail::ProgressMeter progress(work.size(), opt);
+    detail::run_pool(work.size(), opt.threads, [&](std::size_t w) {
+      const std::size_t i = work[w];
+      const SweepCell& cell = prepared[i];
+      SweepCellOutcome& out = res.cells[i];
+      const auto cell_t0 = detail::Clock::now();
+      // One attempt: cells are deterministic, so a retry would replay the
+      // same seed into the same failure.
+      out.attempts = 1;
+      try {
+        out.result = run_cell(cell.cfg, cell.profile, cell.opt);
+        out.status = CellStatus::Ok;
+      } catch (const cmp::CancelledError&) {
+        out.status = CellStatus::Interrupted;
+        out.error = "cell interrupted";
+      } catch (...) {
+        out.status = CellStatus::Failed;
+        out.error = detail::describe_current_exception();
+      }
+      out.wall_ms = detail::ms_since(cell_t0);
+      progress.cell_finished(cell, out);
+    });
+    for (const std::size_t i : work)
+      detail::interrupt_if_unclaimed(res.cells[i]);
   }
   detail::tally_outcomes(res);
   res.wall_ms = detail::ms_since(t0);
@@ -424,7 +312,7 @@ SweepOptions parse_sweep_flags(int argc, char** argv,
     } else if (arg == "--seed") {
       opt.base_seed = std::strtoull(value(), nullptr, 10);
     } else if (arg == "--timeout-ms") {
-      opt.cell_timeout_ms = std::strtoull(value(), nullptr, 10);
+      opt.supervisor.cell_timeout_ms = std::strtoull(value(), nullptr, 10);
     } else if (arg == "--no-progress") {
       opt.progress = false;
     } else if (arg == "--isolate") {
@@ -538,6 +426,16 @@ SweepOptions parse_sweep_flags(int argc, char** argv,
     } else {
       positional.push_back(arg);
     }
+  }
+  const SupervisorOptions& so = opt.supervisor;
+  if (so.snapshot_interval_cycles > 0 && so.checkpoint_dir.empty()) {
+    std::fprintf(stderr, "--snapshot-interval-cycles needs --checkpoint-dir\n");
+    usage(argv[0], 2);
+  }
+  if (so.debug_kill_cell >= 0 && so.snapshot_interval_cycles == 0) {
+    std::fprintf(stderr,
+                 "--debug-kill-cell needs --snapshot-interval-cycles\n");
+    usage(argv[0], 2);
   }
   return opt;
 }

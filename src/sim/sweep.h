@@ -10,12 +10,12 @@
 //     N-thread run emits bit-identical metrics to a serial run.
 //   - Robustness: a cell that throws is recorded as Failed (with the
 //     exception text) instead of aborting the whole sweep; it is not retried,
-//     since a deterministic cell would fail the same way again. An optional
-//     wall-clock timeout records TimedOut and reclaims the worker via the
-//     cell's cooperative cancellation token.
-//   - Crash resilience: with SupervisorOptions active (--isolate,
-//     --checkpoint-dir, --resume) each cell runs in a forked child process,
-//     so a SIGSEGV or a hard hang kills one cell — retried with backoff,
+//     since a deterministic cell would fail the same way again.
+//   - Two execution paths. With SupervisorOptions inactive every cell runs
+//     in process on the thread pool, with no timeout and no retry. With it
+//     active (--isolate, --timeout-ms, --checkpoint-dir, --resume, ...) each
+//     cell runs in a forked child process, so a SIGSEGV, a hard hang or a
+//     runaway resident set kills one cell — retried with backoff,
 //     postmortem black box on disk — never the sweep. Completed cells are
 //     journaled to an append-only manifest and --resume replays them
 //     byte-identically (see supervisor.h).
@@ -33,9 +33,9 @@
 
 namespace disco::sim {
 
-/// Crash-resilient execution knobs (see supervisor.h). The supervisor takes
-/// over the sweep when any of these is set; with all defaults the sweep runs
-/// on the classic in-process thread pool.
+/// Crash-resilient execution knobs (see supervisor.h). Setting any of them
+/// (see active()) runs every cell in a forked child; with all defaults the
+/// sweep runs on the in-process thread pool.
 struct SupervisorOptions {
   /// Run each cell attempt in a forked child process; a crash or hard hang
   /// costs one cell attempt, never the sweep.
@@ -46,22 +46,24 @@ struct SupervisorOptions {
   /// Path of a prior run's manifest: its Ok cells are adopted verbatim (the
   /// wire format is bit-exact) and only the rest are run.
   std::string resume_manifest;
-  /// Extra attempts after the first for a crashed / timed-out / failed cell.
+  /// Wall-clock budget per cell attempt; 0 disables the timeout.
+  std::uint64_t cell_timeout_ms = 0;
+  /// Extra attempts after the first for a crashed / timed-out / over-RSS
+  /// cell. A cell that throws is final: its retry would replay the same seed.
   unsigned max_retries = 1;
   /// Delay before retry r is retry_backoff_ms << (r - 1).
   std::uint64_t retry_backoff_ms = 100;
-  /// After a timeout: SIGTERM (child) or cancellation-token (thread) grace
-  /// before escalating to SIGKILL / detach.
+  /// After a timeout: grace between the child's SIGTERM and its SIGKILL.
   std::uint64_t hang_grace_ms = 2000;
 
   // --- mid-cell checkpointing ------------------------------------------
-  /// When > 0 (and checkpoint_dir is set, isolated mode), each forked
-  /// worker snapshots its full simulation state to
-  /// <checkpoint_dir>/snap-cell<i>.bin every N measured cycles; a retried
-  /// attempt (after a crash, SIGKILL or timeout) resumes from the last
-  /// good snapshot instead of recomputing from cycle 0, byte-identically.
-  /// Corrupted / mismatched snapshots are rejected by checksum and the
-  /// retry falls back to a from-zero run. 0 = off.
+  /// When > 0 (checkpoint_dir must be set), each forked worker snapshots
+  /// its full simulation state to <checkpoint_dir>/snap-cell<i>.bin every
+  /// N measured cycles; a retried attempt (after a crash, SIGKILL or
+  /// timeout) resumes from the last good snapshot instead of recomputing
+  /// from cycle 0, byte-identically. Corrupted / mismatched snapshots are
+  /// rejected by checksum and the retry falls back to a from-zero run.
+  /// 0 = off.
   std::uint64_t snapshot_interval_cycles = 0;
   /// Resident-set cap per isolated child, in MiB: a worker whose RSS
   /// exceeds it is SIGKILLed and journaled as `resource_exhausted`
@@ -69,15 +71,15 @@ struct SupervisorOptions {
   std::uint64_t max_rss_mb = 0;
 
   // --- deterministic fault hooks for tests and the CI recovery drill ---
-  /// Cell index that SIGSEGVs (isolated) / throws (in-process); -1 = none.
+  /// Cell index whose child SIGSEGVs; -1 = none.
   int debug_crash_cell = -1;
-  /// Cell index that hangs until killed / cancelled; -1 = none.
+  /// Cell index whose child hangs until killed; -1 = none.
   int debug_hang_cell = -1;
-  /// Cell index that throws a non-std::exception value; -1 = none.
+  /// Cell index whose child throws a non-std::exception value; -1 = none.
   int debug_throw_cell = -1;
-  /// Cell index whose isolated child raises SIGKILL on itself right after
-  /// the first snapshot at or past debug_kill_cycle (tests the
-  /// kill-between-snapshots recovery path); -1 = none.
+  /// Cell index whose child raises SIGKILL on itself right after the first
+  /// snapshot at or past debug_kill_cycle (tests the kill-between-snapshots
+  /// recovery path; needs snapshot_interval_cycles); -1 = none.
   int debug_kill_cell = -1;
   std::uint64_t debug_kill_cycle = 0;
   /// The hooks fire only while the cell's attempt number is <= this, so a
@@ -85,9 +87,9 @@ struct SupervisorOptions {
   unsigned debug_crash_attempts = 1;
 
   bool active() const {
-    return isolate || !checkpoint_dir.empty() || !resume_manifest.empty() ||
-           snapshot_interval_cycles > 0 || max_rss_mb > 0 ||
-           debug_crash_cell >= 0 || debug_hang_cell >= 0 ||
+    return isolate || cell_timeout_ms > 0 || !checkpoint_dir.empty() ||
+           !resume_manifest.empty() || snapshot_interval_cycles > 0 ||
+           max_rss_mb > 0 || debug_crash_cell >= 0 || debug_hang_cell >= 0 ||
            debug_throw_cell >= 0 || debug_kill_cell >= 0;
   }
 };
@@ -99,8 +101,6 @@ struct SweepOptions {
   std::uint64_t base_seed = 1;
   /// When false, cells keep the seed already in their SystemConfig.
   bool reseed_cells = true;
-  /// Wall-clock budget per cell attempt; 0 disables the timeout.
-  std::uint64_t cell_timeout_ms = 0;
   /// Run only cells whose group satisfies group % shard_count == shard_index;
   /// the rest are recorded as Skipped.
   unsigned shard_index = 0;
@@ -119,7 +119,8 @@ struct SweepOptions {
   /// cell's SystemConfig so a deadlocked / livelocked cell fails with a
   /// classified NoProgressError instead of burning its wall-clock budget.
   std::uint64_t progress_watchdog_cycles = 0;
-  /// Crash-resilient execution (--isolate, --checkpoint-dir, --resume, ...).
+  /// Crash-resilient execution (--isolate, --timeout-ms, --checkpoint-dir,
+  /// --resume, ...).
   SupervisorOptions supervisor;
 };
 
@@ -142,7 +143,7 @@ struct SweepCell {
 enum class CellStatus : std::uint8_t {
   Ok,
   Failed,       ///< threw (any type — rendered to a structured error string)
-  TimedOut,     ///< exceeded the wall-clock budget; worker/child reclaimed
+  TimedOut,     ///< exceeded the wall-clock budget; child killed
   Skipped,      ///< not in this shard
   Crashed,      ///< isolated child died on a signal (SIGSEGV, ...)
   Interrupted,  ///< SIGINT/SIGTERM shutdown before the cell could finish
@@ -188,9 +189,10 @@ struct SweepResult {
   std::vector<CellResult> ok_results() const;
 };
 
-/// Run the sweep. Dispatches to the crash-resilient supervisor
-/// (run_sweep_supervised) when opt.supervisor.active(); may throw
-/// std::runtime_error if a resume manifest does not match the sweep.
+/// Run the sweep: on the in-process thread pool, or under the forked
+/// supervisor when opt.supervisor.active(). Throws std::runtime_error if a
+/// resume manifest does not match the sweep (cell count, base seed or shard
+/// differ).
 SweepResult run_sweep(const std::vector<SweepCell>& cells,
                       const SweepOptions& opt);
 
@@ -198,23 +200,26 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
 /// same ordered-completion progress reporting, for sweeps whose cells are
 /// not run_cell invocations (network-only load/latency points, per-algorithm
 /// corpus scans). `fn` must write its result into caller-owned, per-index
-/// storage; no timeout/retry wrapping is applied.
+/// storage.
 void run_indexed(std::size_t count, const std::function<void(std::size_t)>& fn,
                  const SweepOptions& opt);
 
 /// Install SIGINT/SIGTERM handlers that raise the process interrupt flag
 /// (common/interrupt.h): workers stop claiming cells, running cells unwind
-/// via their cancellation tokens, partial results and the checkpoint
-/// manifest are flushed, and drivers exit with code 130. A second signal
-/// exits immediately.
+/// at their next interrupt poll (in process) or are SIGTERMed (children),
+/// partial results and the checkpoint manifest are flushed, and drivers exit
+/// with code 130. A second signal exits immediately.
 void install_interrupt_handlers();
 
 /// Parse the standard sweep flags (--threads N, --shard i/k, --seed S,
 /// --no-progress, --timeout-ms T, --isolate, --checkpoint-dir D, --resume M,
 /// --help, ...) out of argv; every unrecognized argument is appended to
-/// `positional` in order. Exits with a usage message on malformed flags or
-/// --help. The DISCO_DEBUG_{CRASH,HANG,THROW}_CELL / DISCO_DEBUG_CRASH_ATTEMPTS
-/// environment variables seed the corresponding debug hooks.
+/// `positional` in order. Exits with a usage message on malformed flags, on
+/// flags that cannot take effect (--snapshot-interval-cycles without
+/// --checkpoint-dir, --debug-kill-cell without --snapshot-interval-cycles)
+/// or on --help. The DISCO_DEBUG_{CRASH,HANG,THROW,KILL}_CELL,
+/// DISCO_DEBUG_KILL_CYCLE and DISCO_DEBUG_CRASH_ATTEMPTS environment
+/// variables seed the corresponding debug hooks.
 SweepOptions parse_sweep_flags(int argc, char** argv,
                                std::vector<std::string>& positional);
 

@@ -1,8 +1,6 @@
 // Internals shared between the sweep engine (sweep.cpp) and the crash
-// supervisor (supervisor.cpp): the thread pool, the per-attempt runner with
-// cooperative-cancellation timeout handling, cell preparation and outcome
-// accounting. Not part of the public sweep API; tests include it to poke at
-// attempt-thread accounting.
+// supervisor (supervisor.cpp): the thread pool, cell preparation, progress
+// reporting and outcome accounting. Not part of the public sweep API.
 #pragma once
 
 #include <atomic>
@@ -55,6 +53,16 @@ class ProgressMeter {
     std::fprintf(stderr, "\n%s: %s\n", label_.c_str(), line.c_str());
   }
 
+  /// A cell reached its final outcome: note it unless Ok, then count it.
+  void cell_finished(const SweepCell& cell, const SweepCellOutcome& out) {
+    if (!out.ok()) {
+      note("cell " + std::to_string(out.index) + " (" + cell.profile.name +
+           "/" + to_string(cell.cfg.scheme) + ") " + to_string(out.status) +
+           ": " + out.error);
+    }
+    cell_done();
+  }
+
  private:
   const std::size_t total_;
   const bool enabled_;
@@ -76,25 +84,6 @@ void run_pool(std::size_t count, unsigned threads,
 /// `42` or a C string a structured CellResult error instead of a terminate().
 std::string describe_current_exception();
 
-/// Attempt threads currently alive (including detached, wedged ones). Tests
-/// assert this returns to zero after a timed-out cell, proving the timeout
-/// path reclaims its thread instead of leaking it.
-std::size_t live_attempt_threads();
-
-/// Optional per-attempt hook, run on the attempt thread (with that attempt's
-/// cancellation token) just before run_cell. The supervisor injects its
-/// debug crash/hang/throw faults through this.
-using AttemptHook = std::function<void(const std::atomic<bool>* cancel)>;
-
-/// One attempt at a cell. Returns Ok/Failed/Interrupted, or TimedOut when a
-/// wall-clock budget is set and exceeded — the attempt's cancellation token
-/// is then fired and the thread joined within `hang_grace_ms` (the sim loop
-/// polls the token every few hundred cycles); only a truly wedged attempt is
-/// detached.
-CellStatus run_attempt(const SweepCell& cell, std::uint64_t timeout_ms,
-                       std::uint64_t hang_grace_ms, const AttemptHook& hook,
-                       CellResult& result, std::string& error);
-
 /// Resolve groups / seeds / trace config / watchdog per cell, record
 /// skipped-by-shard cells in `res`, and append the runnable cell indices to
 /// `work` — everything order-dependent, done deterministically before any
@@ -102,6 +91,21 @@ CellStatus run_attempt(const SweepCell& cell, std::uint64_t timeout_ms,
 std::vector<SweepCell> prepare_cells(const std::vector<SweepCell>& cells,
                                      const SweepOptions& opt, SweepResult& res,
                                      std::vector<std::size_t>& work);
+
+/// An interrupt stopped the sweep before this work cell's first attempt:
+/// record it as Interrupted rather than leave it looking Skipped.
+inline void interrupt_if_unclaimed(SweepCellOutcome& out) {
+  if (out.attempts != 0) return;
+  out.status = CellStatus::Interrupted;
+  out.error = "sweep interrupted before this cell ran";
+}
+
+/// Run the work cells in forked children under the supervisor (resume
+/// adoption, checkpoint journal, retries; supervisor.cpp). Throws
+/// std::runtime_error when a resume manifest does not match the sweep.
+void run_isolated(const std::vector<SweepCell>& prepared,
+                  std::vector<std::size_t> work, const SweepOptions& opt,
+                  SweepResult& res);
 
 /// Recompute completed/failed/crashed/skipped/interrupted from cell states.
 void tally_outcomes(SweepResult& res);

@@ -1,28 +1,26 @@
 // Crash-resilient sweep supervisor: process isolation survives SIGSEGV,
 // hang watchdog + SIGTERM/SIGKILL escalation, retry with backoff,
 // checkpoint/resume byte-identity, in-sim deadlock/livelock/starvation
-// classification, cooperative-cancellation thread reclamation, and the
-// SIGINT flush-and-resume path. The deterministic debug fault hooks
-// (--debug-crash-cell & co.) stand in for real crashes and hangs.
+// classification, the SIGINT flush-and-resume path, and the sweep flag
+// parser's rejection of flags that cannot take effect. The deterministic
+// debug fault hooks (--debug-crash-cell & co.) stand in for real crashes and
+// hangs.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 #include "cmp/system.h"
 #include "common/interrupt.h"
 #include "sim/json_export.h"
 #include "sim/supervisor.h"
 #include "sim/sweep.h"
-#include "sim/sweep_internal.h"
 #include "sim/wire.h"
 #include "workload/profile.h"
 
@@ -223,6 +221,16 @@ TEST(WireFormat, EveryResultFieldReachesJsonAndWire) {
   EXPECT_EQ(decoded.fields, fields.fields);
 }
 
+TEST(WireFormat, TopologyViolationsReachTheJson) {
+  CellResult r;
+  r.invariants.enabled = true;
+  r.invariants.topology_violations = 3;
+  std::ostringstream json;
+  write_json(json, r);
+  EXPECT_NE(json.str().find("\"topology_violations\":3"), std::string::npos)
+      << json.str();
+}
+
 TEST(WireFormat, RejectsTruncatedAndMalformedPayloads) {
   const std::string good = wire::encode_result(CellResult{});
   EXPECT_THROW(wire::parse_object(good.substr(0, good.size() / 2)),
@@ -233,6 +241,47 @@ TEST(WireFormat, RejectsTruncatedAndMalformedPayloads) {
   EXPECT_THROW(wire::decode_result(wire::parse_object("{\"workload\":\"w\"}")),
                std::runtime_error)
       << "missing fields must be an error, not silently defaulted";
+}
+
+// ---------------------------------------------------------------------------
+// Sweep flags that cannot take effect are rejected
+// ---------------------------------------------------------------------------
+
+SweepOptions parse_flags(std::vector<std::string> args) {
+  args.insert(args.begin(), "sweep");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  std::vector<std::string> positional;
+  return parse_sweep_flags(static_cast<int>(argv.size()), argv.data(),
+                           positional);
+}
+
+TEST(SweepFlagsDeathTest, SnapshotIntervalWithoutCheckpointDirExits) {
+  EXPECT_EXIT(parse_flags({"--snapshot-interval-cycles", "1000"}),
+              ::testing::ExitedWithCode(2),
+              "--snapshot-interval-cycles needs --checkpoint-dir");
+}
+
+TEST(SweepFlagsDeathTest, DebugKillCellWithoutSnapshotIntervalExits) {
+  EXPECT_EXIT(
+      parse_flags({"--checkpoint-dir", "ckpt", "--debug-kill-cell", "3"}),
+      ::testing::ExitedWithCode(2),
+      "--debug-kill-cell needs --snapshot-interval-cycles");
+}
+
+TEST(SweepFlags, MidCellKillDrillParses) {
+  const SweepOptions opt = parse_flags(
+      {"--checkpoint-dir", "ckpt", "--snapshot-interval-cycles", "20000",
+       "--debug-kill-cell", "3", "--debug-kill-cycle", "40000",
+       "--timeout-ms", "500"});
+  EXPECT_EQ(opt.supervisor.checkpoint_dir, "ckpt");
+  EXPECT_EQ(opt.supervisor.snapshot_interval_cycles, 20000u);
+  EXPECT_EQ(opt.supervisor.debug_kill_cell, 3);
+  EXPECT_EQ(opt.supervisor.debug_kill_cycle, 40000u);
+  EXPECT_EQ(opt.supervisor.cell_timeout_ms, 500u);
+  EXPECT_TRUE(opt.supervisor.active());
+  EXPECT_TRUE(parse_flags({"--timeout-ms", "500"}).supervisor.active())
+      << "a timeout needs a child to kill";
 }
 
 // ---------------------------------------------------------------------------
@@ -305,7 +354,8 @@ TEST(Supervisor, HungChildIsKilledAndRetried) {
   double slowest_ms = 0;
   for (const auto& c : healthy.cells) slowest_ms = std::max(slowest_ms, c.wall_ms);
   SweepOptions opt = quiet(2);
-  opt.cell_timeout_ms = 250 + static_cast<std::uint64_t>(4 * slowest_ms);
+  opt.supervisor.cell_timeout_ms =
+      250 + static_cast<std::uint64_t>(4 * slowest_ms);
   opt.supervisor.isolate = true;
   opt.supervisor.max_retries = 1;
   opt.supervisor.retry_backoff_ms = 10;
@@ -322,12 +372,28 @@ TEST(Supervisor, HungChildIsKilledAndRetried) {
 TEST(Supervisor, NonStdExceptionBecomesStructuredError) {
   auto cells = small_grid();
   SweepOptions opt = quiet(2);
-  opt.supervisor.debug_throw_cell = 1;  // throws the int 42, in-process
+  opt.supervisor.debug_throw_cell = 1;  // the child throws the int 42
   opt.supervisor.max_retries = 0;
   const SweepResult r = run_sweep(cells, opt);
   EXPECT_EQ(r.cells[1].status, CellStatus::Failed);
   EXPECT_EQ(r.cells[1].error, "int exception: 42")
       << "a non-std::exception throw must not std::terminate the sweep";
+  EXPECT_EQ(r.completed, cells.size() - 1);
+}
+
+TEST(Supervisor, ThrowingCellIsFinalNotRetried) {
+  auto cells = small_grid();
+  cells[1].cfg.algorithm = "no-such-algorithm";  // make_algorithm throws
+  SweepOptions opt = quiet(2);
+  opt.supervisor.isolate = true;
+  opt.supervisor.max_retries = 2;
+  opt.supervisor.retry_backoff_ms = 10;
+  const SweepResult r = run_sweep(cells, opt);
+  EXPECT_EQ(r.cells[1].status, CellStatus::Failed);
+  EXPECT_EQ(r.cells[1].attempts, 1u)
+      << "a retry would replay the same seed into the same throw";
+  EXPECT_NE(r.cells[1].error.find("no-such-algorithm"), std::string::npos)
+      << r.cells[1].error;
   EXPECT_EQ(r.completed, cells.size() - 1);
 }
 
@@ -477,48 +543,6 @@ TEST(Watchdog, IsolatedTripWritesPostmortemBlackBox) {
 }
 
 // ---------------------------------------------------------------------------
-// Timed-out-cell thread reclamation (the in-process pool-slot leak fix)
-// ---------------------------------------------------------------------------
-
-TEST(Cancellation, TimedOutCellReleasesItsAttemptThread) {
-  auto cells = small_grid();
-  cells.resize(1);
-  cells[0].opt.measure_cycles = 50'000'000;  // far beyond the budget
-  SweepOptions opt = quiet(1);
-  opt.cell_timeout_ms = 50;
-  const SweepResult r = run_sweep(cells, opt);
-  EXPECT_EQ(r.cells[0].status, CellStatus::TimedOut);
-  // The cancellation token is polled every 256 cycles, so the attempt thread
-  // must unwind almost immediately — not run 50M cycles to completion.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (detail::live_attempt_threads() != 0 &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(detail::live_attempt_threads(), 0u)
-      << "timed-out attempt thread leaked (pool slot not reclaimed)";
-}
-
-TEST(Cancellation, SupervisedTimeoutIsRetriedAndRecovers) {
-  auto cells = small_grid();
-  cells.resize(1);
-  SweepOptions opt = quiet(1);
-  // Generous budget: attempt 1 is a *deliberate* hang so it times out at any
-  // budget, while the healthy retry must never be killed by a slow machine.
-  opt.cell_timeout_ms = 2000;
-  opt.supervisor.debug_hang_cell = 0;  // in-process hang, attempt 1 only
-  opt.supervisor.debug_crash_attempts = 1;
-  opt.supervisor.max_retries = 1;
-  opt.supervisor.retry_backoff_ms = 10;
-  opt.supervisor.hang_grace_ms = 2000;
-  const SweepResult r = run_sweep(cells, opt);
-  EXPECT_TRUE(r.all_ok()) << r.cells[0].error;
-  EXPECT_EQ(r.cells[0].attempts, 2u)
-      << "the supervisor retries timeouts (unlike the plain sweep)";
-  EXPECT_EQ(detail::live_attempt_threads(), 0u);
-}
-
-// ---------------------------------------------------------------------------
 // The acceptance drill: one crash + one hang in one isolated sweep
 // ---------------------------------------------------------------------------
 
@@ -529,7 +553,7 @@ TEST(Supervisor, CrashAndHangInOneSweepRecoverEndToEnd) {
   const std::string reference = as_json(run_sweep(cells, quiet(2)));
 
   SweepOptions opt = quiet(2);
-  opt.cell_timeout_ms = 300;
+  opt.supervisor.cell_timeout_ms = 300;
   opt.supervisor.isolate = true;
   opt.supervisor.checkpoint_dir = dir.str();
   opt.supervisor.max_retries = 1;
@@ -693,6 +717,21 @@ TEST(RssWatchdog, OverLimitWorkerIsKilledAndJournaledDistinctly) {
   std::stringstream body;
   body << f.rdbuf();
   EXPECT_NE(body.str().find("resource_exhausted"), std::string::npos);
+}
+
+TEST(RssWatchdog, CapAloneForksTheWorker) {
+  // --max-rss-mb is enforced by the parent on its children, so setting it
+  // without --isolate must still fork the cell rather than be ignored.
+  auto cells = small_grid();
+  cells.resize(1);
+  cells[0].opt.measure_cycles = 50'000'000;
+  SweepOptions opt = quiet(1);
+  opt.supervisor.max_rss_mb = 1;
+  opt.supervisor.max_retries = 0;
+  const SweepResult r = run_sweep(cells, opt);
+  EXPECT_EQ(r.cells[0].status, CellStatus::ResourceExhausted)
+      << r.cells[0].error;
+  EXPECT_EQ(r.cells[0].attempts, 1u);
 }
 
 // ---------------------------------------------------------------------------

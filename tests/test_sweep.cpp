@@ -136,10 +136,11 @@ TEST(SweepEngine, TimedOutCellIsRecordedNotFatal) {
   cells.resize(1);
   cells[0].opt.measure_cycles = 200000;  // far beyond the budget below
   SweepOptions opt = quiet(1);
-  opt.cell_timeout_ms = 25;
+  opt.supervisor.cell_timeout_ms = 25;  // forks the cell: a child is killable
+  opt.supervisor.max_retries = 0;
   const SweepResult r = run_sweep(cells, opt);
   EXPECT_EQ(r.cells[0].status, CellStatus::TimedOut);
-  EXPECT_EQ(r.cells[0].attempts, 1u) << "timeouts are not retried";
+  EXPECT_EQ(r.cells[0].attempts, 1u) << "max_retries = 0";
   EXPECT_EQ(r.failed, 1u);
   EXPECT_TRUE(r.ok_results().empty());
 }
