@@ -61,7 +61,9 @@ class L1Array {
 
   std::uint32_t sets() const { return sets_; }
   std::uint32_t ways() const { return ways_; }
-  std::size_t set_of(Addr addr) const { return (addr / kBlockBytes) % sets_; }
+  /// sets_ is a power of two (asserted at construction), so the modulo is
+  /// a mask: a runtime `%` on a 64-bit value compiles to a divide.
+  std::size_t set_of(Addr addr) const { return (addr / kBlockBytes) & (sets_ - 1); }
 
   /// Snapshot: geometry-checked, then every line.
   template <class Ar>
@@ -163,7 +165,7 @@ class SegmentedArray {
   std::size_t set_of(Addr addr) const {
     std::uint64_t idx = (addr / kBlockBytes) >> index_shift_;
     idx ^= (idx >> set_bits_) ^ (idx >> (2 * set_bits_));
-    return idx % sets_;
+    return idx & (sets_ - 1);  // power-of-two sets: no divide
   }
 
   /// Occupancy diagnostics: valid lines and used segments over the array.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/arrays.h"
+#include "common/rng.h"
 
 namespace disco::cache {
 namespace {
@@ -34,6 +35,41 @@ TEST(L1Array, VictimNullWhenFreeWayExists) {
   L1Array a(32 * 1024, 4);
   a.install(0, BlockBytes{}, L1State::E, 1);
   EXPECT_EQ(a.victim_for(0), nullptr);
+}
+
+// set_of masks with sets - 1 instead of dividing; on a power-of-two set
+// count that must equal the modulo formula for every address. Covers the L1
+// geometry and every L2 bank geometry the suite builds: 16 KB (golden and
+// 4x4 cells with a 256 KB L2) up to 1 MB banks, each tag factor, and the
+// bank-interleave shifts of 1 to 64 nodes.
+TEST(L1Array, SetIndexMaskEqualsModulo) {
+  const L1Array a(32 * 1024, 4);
+  Rng rng(0x5E7);
+  for (int i = 0; i < 4096; ++i) {
+    const Addr addr = rng.next_u64();
+    ASSERT_EQ(a.set_of(addr), (addr / kBlockBytes) % a.sets()) << addr;
+  }
+}
+
+TEST(SegmentedArray, SetIndexMaskEqualsModulo) {
+  Rng rng(0x5E8);
+  for (const std::uint64_t size : {16ULL << 10, 64ULL << 10, 256ULL << 10, 1ULL << 20}) {
+    for (const std::uint32_t tag_factor : {1u, 2u, 4u}) {
+      for (const std::uint32_t shift : {0u, 2u, 4u, 6u}) {
+        const SegmentedArray a(size, 8, tag_factor, shift);
+        std::uint32_t set_bits = 1;
+        while ((1u << set_bits) < a.sets()) ++set_bits;
+        for (int i = 0; i < 1024; ++i) {
+          const Addr addr = rng.next_u64();
+          std::uint64_t idx = (addr / kBlockBytes) >> shift;
+          idx ^= (idx >> set_bits) ^ (idx >> (2 * set_bits));
+          ASSERT_EQ(a.set_of(addr), idx % a.sets())
+              << "size " << size << " tag_factor " << tag_factor << " shift "
+              << shift << " addr " << addr;
+        }
+      }
+    }
+  }
 }
 
 TEST(SegmentedArray, UncompressedGeometryMatchesBaseline) {
