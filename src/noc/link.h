@@ -21,6 +21,7 @@ class PipelinedChannel {
   void push(Cycle now, T item) {
     queue_.push_back({now + 1, std::move(item)});
     if (wake_ != nullptr) *wake_ = 1;
+    if (port_mask_ != nullptr) *port_mask_ |= port_bit_;
   }
 
   /// Idle elision: point this channel at its consumer's pending-wake flag.
@@ -28,6 +29,15 @@ class PipelinedChannel {
   /// tick on the cycle the item becomes visible (pushes at t are visible at
   /// t+1, and the network latches pending flags at the top of each cycle).
   void set_wake(std::uint8_t* flag) { wake_ = flag; }
+
+  /// Point this channel at its port's bit in the consumer router's wire
+  /// mask (null detaches). Every push sets the bit; the router clears it
+  /// once it has drained the wire, so a set bit covers every non-empty wire
+  /// and the router's receive stages visit only those.
+  void set_port_bit(std::uint32_t* mask, std::uint32_t bit) {
+    port_mask_ = mask;
+    port_bit_ = bit;
+  }
 
   /// Pop the next item that is visible at `now` (nullptr-like if none).
   bool try_pop(Cycle now, T& out) {
@@ -71,6 +81,8 @@ class PipelinedChannel {
   };
   Ring<Entry> queue_;
   std::uint8_t* wake_ = nullptr;  ///< consumer's pending-wake flag (optional)
+  std::uint32_t* port_mask_ = nullptr;  ///< consumer router's wire mask (optional)
+  std::uint32_t port_bit_ = 0;
 };
 
 /// Flit wire: at most one flit per cycle is pushed by the sender (enforced
@@ -88,6 +100,9 @@ class FlitLink {
   void clear() { chan_.clear(); }
   std::vector<Flit> take_all() { return chan_.take_all(); }
   void set_wake(std::uint8_t* flag) { chan_.set_wake(flag); }
+  void set_port_bit(std::uint32_t* mask, std::uint32_t bit) {
+    chan_.set_port_bit(mask, bit);
+  }
   Cycle front_ready() const { return chan_.front_ready(); }
 
   template <class Ar>

@@ -49,10 +49,11 @@ void Router::tick(Cycle now) {
 }
 
 void Router::receive_credits(Cycle now) {
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    if (in_credit_[p] == nullptr) continue;
+  for (std::uint32_t wires = credit_wires_; wires != 0; wires &= wires - 1) {
+    const auto p = static_cast<std::size_t>(std::countr_zero(wires));
+    CreditLink& link = *in_credit_[p];
     Credit c;
-    while (in_credit_[p]->try_pop(now, c)) {
+    while (link.try_pop(now, c)) {
       assert(c.vc < num_vcs_);
       did_work_ = true;
       ++credit(p, c.vc);
@@ -60,14 +61,16 @@ void Router::receive_credits(Cycle now) {
         tracer_->emit(now, id_, trace::Event::CreditRecv,
                       static_cast<std::uint8_t>(p), c.vc, 0, 0);
     }
+    if (link.empty()) credit_wires_ &= ~(1u << p);
   }
 }
 
 void Router::receive_flits(Cycle now) {
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    if (in_flit_[p] == nullptr) continue;
+  for (std::uint32_t wires = flit_wires_; wires != 0; wires &= wires - 1) {
+    const auto p = static_cast<std::size_t>(std::countr_zero(wires));
+    FlitLink& link = *in_flit_[p];
     Flit f;
-    while (in_flit_[p]->try_pop(now, f)) {
+    while (link.try_pop(now, f)) {
       assert(f.vc_tag < num_vcs_);
       if (degraded_ && filter_dead_flit(f, p, now)) continue;
       f.arrival = now;
@@ -80,6 +83,7 @@ void Router::receive_flits(Cycle now) {
       in_vc(p, f.vc_tag).buffer.push_back(std::move(f));
       ++stats_.buffer_writes;
     }
+    if (link.empty()) flit_wires_ &= ~(1u << p);
   }
 }
 
@@ -129,63 +133,70 @@ void Router::route_compute(Cycle now) {
 }
 
 void Router::vc_allocate(Cycle now) {
-  // Collect requests per output port, with the sort keys (priority class,
-  // round-robin distance) computed once here rather than inside comparator
-  // calls. va_rr_ is only advanced after the grant loops, so reading it at
-  // collection time sees the same value the old in-sort read did.
-  auto& requests = va_requests_;
-  for (auto& r : requests) r.clear();
+  // Grant order per output: priority class first, then round-robin distance
+  // of the request's position key p*8+v from va_rr_[out], modulo 64. The key
+  // is unique per (port, VC) only while num_vcs <= 8; above that, (p, v) and
+  // (p+1, v-8) share a key, and the tie goes to the lower port — the VC in
+  // the higher v / 8 layer. So each layer keeps its own mask over the 64 key
+  // positions, and at each position the layers are granted highest first.
+  // Requests are bits in those masks, per (output, priority class): walking
+  // set bits of the masks rotated by va_rr_[out] visits requests in grant
+  // order with no sort.
+  constexpr std::size_t kLayers = 4;  // num_vcs <= 32, so v / 8 <= 3
+  constexpr std::size_t kPrioClasses = 3;
+  using LayerMasks = std::array<std::uint64_t, kLayers>;
+  std::array<std::array<LayerMasks, kPrioClasses>, kNumPorts> requests{};
+  std::uint32_t outs = 0;  // outputs with at least one request
   for (std::size_t p = 0; p < kNumPorts; ++p) {
     for (std::uint32_t mask = busy_vcs_[p]; mask != 0; mask &= mask - 1) {
       const auto v = static_cast<std::uint32_t>(std::countr_zero(mask));
-      VirtualChannel& ch = in_vc(p, v);
+      const VirtualChannel& ch = in_vc(p, v);
       if (ch.stage != VcStage::VcAlloc) continue;
       if (now <= ch.head_arrival) continue;  // stage-2 pipeline constraint
       const std::size_t out = idx(ch.out_port);
+      outs |= 1u << out;
       const int prio = priority_class(*ch.head_raw(), cfg_.deprioritize_compressible);
-      const std::uint32_t rr =
-          (static_cast<std::uint32_t>(p) * 8u + v + 64u - va_rr_[out]) % 64u;
-      requests[out].push_back(
-          {{static_cast<Port>(p), static_cast<std::uint8_t>(v)}, prio, rr});
+      requests[out][static_cast<std::size_t>(prio)][v >> 3] |=
+          1ULL << (static_cast<std::uint32_t>(p) * 8u + v);
     }
   }
 
-  for (std::size_t out = 0; out < kNumPorts; ++out) {
-    auto& reqs = requests[out];
-    if (reqs.empty()) continue;
-    stats_.alloc_ops += reqs.size();
-    // Priority class first, then round-robin position. Stable insertion
-    // sort: request lists are tiny (a handful of VCs) and std::stable_sort's
-    // heap-buffered merge showed up in profiles. Same order as stable_sort
-    // for any keys (and rr is unique per (port, vc), so no ties exist).
-    for (std::size_t i = 1; i < reqs.size(); ++i) {
-      const VaReq key = reqs[i];
-      std::size_t j = i;
-      while (j > 0 && (key.prio < reqs[j - 1].prio ||
-                       (key.prio == reqs[j - 1].prio && key.rr < reqs[j - 1].rr))) {
-        reqs[j] = reqs[j - 1];
-        --j;
-      }
-      reqs[j] = key;
+  // Grants (p, v) the first free downstream VC of its vnet on `out`.
+  auto grant = [&](std::size_t out, std::size_t p, std::uint32_t v) {
+    VirtualChannel& ch = in_vc(p, v);
+    const auto vnet = static_cast<std::uint32_t>(ch.head_raw()->vnet);
+    const std::uint32_t lo = vnet * cfg_.vcs_per_vnet;
+    for (std::uint32_t ov = lo; ov < lo + cfg_.vcs_per_vnet; ++ov) {
+      if (taken(out, ov) != 0) continue;
+      taken(out, ov) = 1;
+      ch.out_vc = static_cast<std::uint8_t>(ov);
+      ch.stage = VcStage::Active;
+      if (tracer_ != nullptr)
+        tracer_->emit(now, id_, trace::Event::VcAllocGrant,
+                      static_cast<std::uint8_t>(p), static_cast<std::uint8_t>(v),
+                      ch.head_raw()->id, static_cast<std::int64_t>((out << 8) | ov));
+      return true;
     }
+    return false;
+  };
+
+  const std::uint32_t layers = (num_vcs_ + 7) / 8;
+  for (; outs != 0; outs &= outs - 1) {
+    const auto out = static_cast<std::size_t>(std::countr_zero(outs));
+    const std::uint32_t rr = va_rr_[out];
     bool granted_any = false;
-    for (const VaReq& r : reqs) {
-      VirtualChannel& ch = vc(r.id);
-      const auto vnet = static_cast<std::uint32_t>(ch.head_raw()->vnet);
-      const std::uint32_t lo = vnet * cfg_.vcs_per_vnet;
-      const std::uint32_t hi = lo + cfg_.vcs_per_vnet;
-      for (std::uint32_t ov = lo; ov < hi; ++ov) {
-        if (taken(out, ov) != 0) continue;
-        taken(out, ov) = 1;
-        ch.out_vc = static_cast<std::uint8_t>(ov);
-        ch.stage = VcStage::Active;
-        granted_any = true;
-        if (tracer_ != nullptr)
-          tracer_->emit(now, id_, trace::Event::VcAllocGrant,
-                        static_cast<std::uint8_t>(r.id.port), r.id.vc,
-                        ch.head_raw()->id,
-                        static_cast<std::int64_t>((out << 8) | ov));
-        break;
+    for (const LayerMasks& m : requests[out]) {
+      std::uint64_t keys = 0;
+      for (std::uint32_t layer = 0; layer < layers; ++layer) {
+        keys |= m[layer];
+        stats_.alloc_ops += static_cast<std::uint64_t>(std::popcount(m[layer]));
+      }
+      for (std::uint64_t r = std::rotr(keys, static_cast<int>(rr)); r != 0; r &= r - 1) {
+        const std::uint32_t key = (static_cast<std::uint32_t>(std::countr_zero(r)) + rr) & 63u;
+        for (std::uint32_t layer = layers; layer-- > 0;) {
+          if (((m[layer] >> key) & 1u) != 0)
+            granted_any |= grant(out, (key >> 3) - layer, (layer << 3) | (key & 7u));
+        }
       }
     }
     if (granted_any) va_rr_[out] = (va_rr_[out] + 1) % 64u;
@@ -205,13 +216,15 @@ bool Router::sa_eligible(const VirtualChannel& ch, Cycle now) const {
 }
 
 void Router::switch_allocate_and_traverse(Cycle now, std::vector<VcId>& losers) {
-  // Stage 1 (input arbitration): one candidate VC per input port.
+  // Eligible work that cannot move this cycle is appended to `losers` as it
+  // is found (stage 1, then stage 2) and reported after traversal.
+  //
+  // Stage 1 (input arbitration): one candidate VC per input port. Each
+  // winner's input bit goes into the mask of the output it chose.
   std::array<int, kNumPorts> chosen_vc;
   std::array<int, kNumPorts> chosen_prio;  // winner's priority, for stage 2
-  chosen_vc.fill(-1);
-  chosen_prio.fill(0);
-  auto& stalled = sa_stalled_;  // eligible work that cannot move this cycle
-  stalled.clear();
+  std::array<std::uint32_t, kNumPorts> inputs_for{};  // per output: input bits
+  std::uint32_t outs = 0;  // outputs chosen by at least one input
 
   for (std::size_t p = 0; p < kNumPorts; ++p) {
     int best = -1;
@@ -225,7 +238,7 @@ void Router::switch_allocate_and_traverse(Cycle now, std::vector<VcId>& losers) 
         // VA-blocked packets are also idling candidates for DISCO.
         if (ch.stage == VcStage::VcAlloc && !ch.buffer.empty() &&
             now > ch.head_arrival)
-          stalled.push_back({static_cast<Port>(p), static_cast<std::uint8_t>(v)});
+          losers.push_back({static_cast<Port>(p), static_cast<std::uint8_t>(v)});
         continue;
       }
       // Wormhole forwards flit by flit; virtual cut-through (section 3.3A)
@@ -237,79 +250,67 @@ void Router::switch_allocate_and_traverse(Cycle now, std::vector<VcId>& losers) 
         needed_credits = ch.head_raw()->flit_count();
       }
       if (credit(idx(ch.out_port), ch.out_vc) < needed_credits) {
-        stalled.push_back({static_cast<Port>(p), static_cast<std::uint8_t>(v)});
+        losers.push_back({static_cast<Port>(p), static_cast<std::uint8_t>(v)});
         continue;
       }
       const int prio = priority_class(*ch.head_raw(), cfg_.deprioritize_compressible);
       const std::uint32_t rr_pos = (v + vcs - sa_in_rr_[p]) % vcs;
       if (best < 0 || prio < best_prio || (prio == best_prio && rr_pos < best_rr)) {
         if (best >= 0)
-          stalled.push_back({static_cast<Port>(p), static_cast<std::uint8_t>(best)});
+          losers.push_back({static_cast<Port>(p), static_cast<std::uint8_t>(best)});
         best = static_cast<int>(v);
         best_prio = prio;
         best_rr = rr_pos;
       } else {
-        stalled.push_back({static_cast<Port>(p), static_cast<std::uint8_t>(v)});
+        losers.push_back({static_cast<Port>(p), static_cast<std::uint8_t>(v)});
       }
     }
     chosen_vc[p] = best;
     chosen_prio[p] = best_prio;
-    if (best >= 0) stats_.alloc_ops += 1;
-  }
-
-  // Early exit: with no stage-1 winner anywhere, stages 2 and 3 are no-ops
-  // (stage 2 skips ports with chosen_vc < 0, so sa_out_rr_ never advances)
-  // and only the stall report below has work left.
-  bool any_chosen = false;
-  for (std::size_t p = 0; p < kNumPorts; ++p) any_chosen |= chosen_vc[p] >= 0;
-  if (!any_chosen) {
-    for (const VcId& v : stalled) {
-      VirtualChannel& ch = vc(v);
-      if (ch.buffer.empty()) continue;
-      ++ch.head_raw()->idle_cycles;
-      ++stats_.sa_idle_losses;
-      losers.push_back(v);
+    if (best >= 0) {
+      stats_.alloc_ops += 1;
+      const std::size_t out =
+          idx(in_vc(p, static_cast<std::uint32_t>(best)).out_port);
+      inputs_for[out] |= 1u << p;
+      outs |= 1u << out;
     }
-    return;
   }
 
-  // Stage 2 (output arbitration): one input per output port.
-  std::array<int, kNumPorts> winner_input;
-  winner_input.fill(-1);
-  for (std::size_t out = 0; out < kNumPorts; ++out) {
+  // Stage 2 (output arbitration): one input per chosen output, visiting the
+  // inputs that chose it in ascending port order.
+  std::array<int, kNumPorts> winner_input{};
+  for (std::uint32_t o = outs; o != 0; o &= o - 1) {
+    const auto out = static_cast<std::size_t>(std::countr_zero(o));
     int best_in = -1;
     int best_prio = 0;
     std::uint32_t best_rr = 0;
-    for (std::size_t p = 0; p < kNumPorts; ++p) {
-      if (chosen_vc[p] < 0) continue;
-      const VirtualChannel& ch = in_vc(p, static_cast<std::uint32_t>(chosen_vc[p]));
-      if (idx(ch.out_port) != out) continue;
+    for (std::uint32_t ins = inputs_for[out]; ins != 0; ins &= ins - 1) {
+      const auto p = static_cast<std::uint32_t>(std::countr_zero(ins));
       const int prio = chosen_prio[p];  // computed on the same head in stage 1
-      const std::uint32_t rr_pos =
-          (static_cast<std::uint32_t>(p) + kNumPorts - sa_out_rr_[out]) % kNumPorts;
+      const std::uint32_t rr_pos = (p + kNumPorts - sa_out_rr_[out]) % kNumPorts;
       if (best_in < 0 || prio < best_prio || (prio == best_prio && rr_pos < best_rr)) {
         if (best_in >= 0)
-          stalled.push_back({static_cast<Port>(best_in),
-                             static_cast<std::uint8_t>(chosen_vc[best_in])});
+          losers.push_back({static_cast<Port>(best_in),
+                            static_cast<std::uint8_t>(chosen_vc[best_in])});
         best_in = static_cast<int>(p);
         best_prio = prio;
         best_rr = rr_pos;
       } else {
-        stalled.push_back(
+        losers.push_back(
             {static_cast<Port>(p), static_cast<std::uint8_t>(chosen_vc[p])});
       }
     }
     winner_input[out] = best_in;
-    if (best_in >= 0) sa_out_rr_[out] = (static_cast<std::uint32_t>(best_in) + 1) % kNumPorts;
+    sa_out_rr_[out] = (static_cast<std::uint32_t>(best_in) + 1) % kNumPorts;
   }
 
   // Stage 3: switch traversal for winners.
-  for (std::size_t out = 0; out < kNumPorts; ++out) {
+  for (std::uint32_t o = outs; o != 0; o &= o - 1) {
+    const auto out = static_cast<std::size_t>(std::countr_zero(o));
     const int p = winner_input[out];
-    if (p < 0) continue;
     const VcId vid{static_cast<Port>(p), static_cast<std::uint8_t>(chosen_vc[p])};
     did_work_ = true;
-    VirtualChannel& ch = vc(vid);
+    VirtualChannel& ch = in_vc(static_cast<std::size_t>(p), vid.vc);
     sa_in_rr_[p] = (static_cast<std::uint32_t>(chosen_vc[p]) + 1) % num_vcs_;
 
     Flit f = std::move(ch.buffer.front());
@@ -362,13 +363,15 @@ void Router::switch_allocate_and_traverse(Cycle now, std::vector<VcId>& losers) 
   }
 
   // Report stalls: eligible-but-not-moved VCs idle this cycle.
-  for (const VcId& v : stalled) {
-    VirtualChannel& ch = vc(v);
+  std::size_t kept = 0;
+  for (const VcId& v : losers) {
+    const VirtualChannel& ch = in_vc(idx(v.port), v.vc);
     if (ch.buffer.empty()) continue;
     ++ch.head_raw()->idle_cycles;
     ++stats_.sa_idle_losses;
-    losers.push_back(v);
+    losers[kept++] = v;
   }
+  losers.resize(kept);
 }
 
 void Router::send_credit_for_pop(const VcId& v, Cycle now) {
@@ -475,12 +478,12 @@ bool Router::can_sleep() const {
   // one extra awake no-op tick, which touches no stats, traces or snapshot
   // state (elision telemetry is deliberately excluded from all three).
   if (did_work_) return false;
+  // Anything still in flight on an input wire needs a tick to be received,
+  // even though the push already raised the pending-wake flag (restored
+  // snapshots carry link contents without wake state). Every non-empty
+  // wire has its bit set.
+  if ((flit_wires_ | credit_wires_) != 0) return false;
   for (std::size_t p = 0; p < kNumPorts; ++p) {
-    // Anything still in flight on an input wire needs a tick to be
-    // received, even though the push already raised the pending-wake flag
-    // (restored snapshots carry link contents without wake state).
-    if (in_flit_[p] != nullptr && !in_flit_[p]->empty()) return false;
-    if (in_credit_[p] != nullptr && !in_credit_[p]->empty()) return false;
     // Occupied VCs all have their busy bit set (conservative superset), so
     // only set bits need inspecting. no_pending_work() below deliberately
     // keeps the full scan so traced runs cross-check this shortcut.
@@ -542,6 +545,10 @@ bool Router::filter_dead_flit(const Flit& f, std::size_t p, Cycle now) {
 }
 
 void Router::disconnect_port(Port p) {
+  if (in_flit_[idx(p)] != nullptr) in_flit_[idx(p)]->set_port_bit(nullptr, 0);
+  if (in_credit_[idx(p)] != nullptr) in_credit_[idx(p)]->set_port_bit(nullptr, 0);
+  flit_wires_ &= ~(1u << idx(p));
+  credit_wires_ &= ~(1u << idx(p));
   in_flit_[idx(p)] = nullptr;
   out_flit_[idx(p)] = nullptr;
   in_credit_[idx(p)] = nullptr;
@@ -696,9 +703,17 @@ void Router::visit(Ar& ar) {
     for (std::uint32_t v = 0; v < num_vcs_; ++v) ar(taken(p, v));
   }
   ar(va_rr_, sa_in_rr_, sa_out_rr_, degraded_);
-  // Restored VCs may hold arbitrary state; rebuild the occupancy mask
-  // pessimistically and let route_compute clean it up.
-  if constexpr (Ar::kLoading) busy_vcs_.fill(vc_mask_);
+  // Restored VCs and wires may hold arbitrary state; rebuild the occupancy
+  // and wire masks pessimistically and let the next tick clean them up.
+  if constexpr (Ar::kLoading) {
+    busy_vcs_.fill(vc_mask_);
+    flit_wires_ = 0;
+    credit_wires_ = 0;
+    for (std::size_t p = 0; p < kNumPorts; ++p) {
+      if (in_flit_[p] != nullptr) flit_wires_ |= 1u << p;
+      if (in_credit_[p] != nullptr) credit_wires_ |= 1u << p;
+    }
+  }
 }
 template void Router::visit(snap::Writer&);
 template void Router::visit(snap::Reader&);

@@ -70,15 +70,25 @@ class RouterExtension {
 class Router {
  public:
   Router(NodeId id, const MeshShape& mesh, const NocConfig& cfg, NocStats& stats);
+  // Connected input wires hold pointers to this router's wire masks.
+  Router(const Router&) = delete;
+  Router& operator=(const Router&) = delete;
 
   NodeId id() const { return id_; }
   const NocConfig& config() const { return cfg_; }
   const MeshShape& mesh() const { return mesh_; }
 
   /// Wiring (done by Network). Null links mean no neighbour (mesh edge).
-  void connect_in_flit(Port p, FlitLink* link) { in_flit_[idx(p)] = link; }
+  /// Input wires report pushes into this router's per-port wire masks.
+  void connect_in_flit(Port p, FlitLink* link) {
+    in_flit_[idx(p)] = link;
+    if (link != nullptr) link->set_port_bit(&flit_wires_, 1u << idx(p));
+  }
   void connect_out_flit(Port p, FlitLink* link) { out_flit_[idx(p)] = link; }
-  void connect_in_credit(Port p, CreditLink* link) { in_credit_[idx(p)] = link; }
+  void connect_in_credit(Port p, CreditLink* link) {
+    in_credit_[idx(p)] = link;
+    if (link != nullptr) link->set_port_bit(&credit_wires_, 1u << idx(p));
+  }
   void connect_out_credit(Port p, CreditLink* link) { out_credit_[idx(p)] = link; }
 
   void set_extension(RouterExtension* ext) { ext_ = ext; }
@@ -245,18 +255,16 @@ class Router {
   fault::FaultInjector* injector_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
 
-  /// A VC-allocation request with its sort keys precomputed at collection
-  /// time, so the allocator's sort never dereferences packets.
-  struct VaReq {
-    VcId id;
-    int prio = 0;          ///< priority_class of the head packet
-    std::uint32_t rr = 0;  ///< round-robin distance from va_rr_[out]
-  };
-
-  // Per-tick scratch, kept as members so the hot loop never reallocates.
+  /// Per-tick loser list, kept as a member so the hot loop never reallocates.
   std::vector<VcId> losers_scratch_;
-  std::array<std::vector<VaReq>, kNumPorts> va_requests_;
-  std::vector<VcId> sa_stalled_;
+
+  /// Per-port input wire masks: bit p set => in_flit_[p] / in_credit_[p]
+  /// may hold items. Set by every push on the wire, cleared by the receive
+  /// stages once they drain it, so they skip empty wires without touching
+  /// them. Derived state: never serialized; a restore sets the bit of every
+  /// connected wire.
+  std::uint32_t flit_wires_ = 0;
+  std::uint32_t credit_wires_ = 0;
 
   /// Per-port VC occupancy bitmask: bit v set => input_[p][v] *may* hold
   /// state (flits, a non-Idle stage, an engine shadow, credit debt). A
