@@ -1,15 +1,52 @@
 // Table 1 reproduction: per-algorithm compression/decompression latency,
 // hardware overhead, and measured compression ratio over the full PARSEC
-// value corpus (all 13 workloads' value mixes, uniformly sampled).
+// value corpus (all 13 workloads' value mixes, uniformly sampled). A second
+// table gives each implementation's host cost on that corpus: CPU ns per
+// block, which depends on the machine and is not part of the reproduction.
 //
 // Paper values for reference: FPC -/5cy 8% 1.5 | SFPC -/4cy 8% 1.33 |
 // BDI 1/1-5cy 2.3% 1.57 | SC2 6/8-14cy 1.5-3.9% 2.4 | C-Pack -/8cy - -.
+#include <time.h>
+
+#include <algorithm>
+#include <atomic>
+
 #include "bench_util.h"
 #include "compress/registry.h"
 #include "compress/sc2.h"
 #include "workload/value_synth.h"
 
 using namespace disco;
+
+namespace {
+
+/// CPU time of the calling thread, so algorithms timed on parallel workers
+/// do not bill each other.
+double thread_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e9 + static_cast<double>(ts.tv_nsec);
+}
+
+/// What the timed loops compute lands here, so none of it is optimized away.
+std::atomic<std::size_t> g_sink{0};
+
+/// Median over kPasses runs of fn(), in CPU ns per corpus block.
+template <typename Fn>
+double median_ns_per_block(std::size_t blocks, Fn&& fn) {
+  constexpr int kPasses = 3;
+  std::array<double, kPasses> ns{};
+  for (double& n : ns) {
+    const double t0 = thread_cpu_ns();
+    const std::size_t result = fn();
+    n = (thread_cpu_ns() - t0) / static_cast<double>(blocks);
+    g_sink += result;
+  }
+  std::sort(ns.begin(), ns.end());
+  return ns[kPasses / 2];
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   auto sweep_opt = bench::sweep_options(argc, argv, "table1");
@@ -32,10 +69,12 @@ int main(int argc, char** argv) {
       },
       sweep_opt);
 
-  // One task per algorithm: compress the whole corpus, record the row.
+  // One task per algorithm: compress the whole corpus, record the row, then
+  // time compress and decompress over the same corpus.
   const auto names = compress::algorithm_names();
   struct Row {
     std::string method, comp, decomp, overhead, ratio, compressible;
+    double compress_ns = 0, decompress_ns = 0;
   };
   std::vector<Row> rows(names.size());
   sim::run_indexed(
@@ -48,10 +87,13 @@ int main(int argc, char** argv) {
         }
         double bytes = 0;
         std::size_t compressible = 0;
+        std::vector<compress::Encoded> encoded;
+        encoded.reserve(corpus.size());
         for (const BlockBytes& b : corpus) {
-          const auto enc = algo->compress(b);
-          bytes += static_cast<double>(enc.size());
-          compressible += enc.size() < kBlockBytes ? 1 : 0;
+          encoded.push_back(algo->compress(b));
+          const std::size_t size = encoded.back().size();
+          bytes += static_cast<double>(size);
+          compressible += size < kBlockBytes ? 1 : 0;
         }
         const double ratio = static_cast<double>(kBlockBytes) *
                              static_cast<double>(corpus.size()) / bytes;
@@ -63,6 +105,18 @@ int main(int argc, char** argv) {
                    TablePrinter::fmt(ratio, 2),
                    TablePrinter::pct(static_cast<double>(compressible) /
                                      static_cast<double>(corpus.size()))};
+
+        rows[i].compress_ns = median_ns_per_block(corpus.size(), [&] {
+          std::size_t sum = 0;
+          for (const BlockBytes& b : corpus) sum += algo->compress(b).size();
+          return sum;
+        });
+        rows[i].decompress_ns = median_ns_per_block(corpus.size(), [&] {
+          std::size_t sum = 0;
+          for (const compress::Encoded& e : encoded)
+            sum += algo->decompress(e.bytes)[0];
+          return sum;
+        });
       },
       sweep_opt);
 
@@ -73,5 +127,13 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::printf("\ncorpus: %zu blocks across 13 PARSEC-like value mixes\n",
               corpus.size());
+
+  std::printf("\nhost cost (CPU ns per 64 B block, median of 3 passes over "
+              "the corpus; machine-dependent):\n");
+  TablePrinter cost({"Method", "Compress", "Decompress"});
+  for (const Row& r : rows)
+    cost.add_row({r.method, TablePrinter::fmt(r.compress_ns, 0),
+                  TablePrinter::fmt(r.decompress_ns, 0)});
+  cost.print(std::cout);
   return bench::exit_code_indexed();
 }
