@@ -295,6 +295,63 @@ TEST(SystemSnapshot, RestoredRunIsTraceIdenticalForNextKCycles) {
   EXPECT_EQ(sa.first_violation, sb.first_violation);
 }
 
+// Snapshot byte pins: an FNV-1a digest of a mid-measurement snapshot
+// payload for three small cells. The stream covers every L2 tag slot,
+// valid or not, so these fix the serialized layout of the cache arrays
+// (slot positions, invalid slots as one `valid = false` byte) as well as
+// the simulated state. A snapshot written by an older build restores only
+// while these hold. Update a digest only for an intended format or
+// behaviour change.
+struct SnapshotPin {
+  const char* profile;
+  Scheme scheme;
+  const char* algorithm;
+  std::uint64_t digest;
+};
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ULL;
+  return h;
+}
+
+void check_pin(const SnapshotPin& pin) {
+  ScratchDir dir(std::string("pin-") + pin.profile);
+  const auto& profile = workload::profile_by_name(pin.profile);
+  SystemConfig cfg;
+  cfg.scheme = pin.scheme;
+  cfg.algorithm = pin.algorithm;
+  cfg.seed = 5;
+
+  cmp::CmpSystem sys(cfg, profile);
+  sys.functional_warmup(3000);
+  sys.run(4000);
+  const std::string saved = dir.file("saved.bin");
+  sys.save_snapshot(saved, 1000, 0xD15C0);
+  const std::vector<std::uint8_t> bytes = snap::read_snapshot_file(saved);
+  EXPECT_EQ(fnv1a(bytes), pin.digest)
+      << std::hex << "0x" << fnv1a(bytes) << " (" << std::dec << bytes.size()
+      << " bytes)";
+
+  cmp::CmpSystem restored(cfg, profile);
+  EXPECT_EQ(restored.restore_snapshot(saved, 0xD15C0), 1000u);
+  const std::string resaved = dir.file("resaved.bin");
+  restored.save_snapshot(resaved, 1000, 0xD15C0);
+  EXPECT_EQ(snap::read_snapshot_file(resaved), bytes);
+}
+
+TEST(SystemSnapshot, PinnedBytesCannealDeltaDisco) {
+  check_pin({"canneal", Scheme::DISCO, "delta", 0xb33d0cd87f6c41aeULL});
+}
+
+TEST(SystemSnapshot, PinnedBytesBaselineRawStorage) {
+  check_pin({"dedup", Scheme::Baseline, "delta", 0x12f134ee94e5e794ULL});
+}
+
+TEST(SystemSnapshot, PinnedBytesSc2CompressedCache) {
+  check_pin({"fluidanimate", Scheme::CC, "sc2", 0x47b2b23721dc2dd3ULL});
+}
+
 TEST(SystemSnapshot, MismatchedDigestAndGeometryAreRejected) {
   ScratchDir dir("sys-reject");
   const auto& profile = workload::profile_by_name("canneal");
