@@ -1,7 +1,8 @@
 #include "cache/arrays.h"
 
 #include <algorithm>
-#include <span>
+#include <stdexcept>
+#include <utility>
 
 #include "common/snapshot.h"
 
@@ -48,8 +49,7 @@ L1Line& L1Array::install(Addr addr, const BlockBytes& data, L1State state, Cycle
       return line;
     }
   }
-  assert(false && "install without a free way (evict first)");
-  return lines_[base];
+  throw std::logic_error("L1Array::install without a free way (evict first)");
 }
 
 // ---------------------------------------------------------------------------
@@ -64,37 +64,37 @@ SegmentedArray::SegmentedArray(std::uint64_t size_bytes, std::uint32_t ways,
   assert(sets_ > 0 && (sets_ & (sets_ - 1)) == 0 && "set count must be a power of two");
   set_bits_ = 1;
   while ((1u << set_bits_) < sets_) ++set_bits_;
-  sets_storage_.resize(sets_);
-  for (auto& s : sets_storage_) s.resize(static_cast<std::size_t>(ways_) * tag_factor_);
-  used_segments_.assign(sets_, 0);
   slots_per_set_ = static_cast<std::size_t>(ways_) * tag_factor_;
-  tags_.assign(static_cast<std::size_t>(sets_) * slots_per_set_, kNoTag);
+  planes_.resize(slots_per_set_);
+  fps_.assign(static_cast<std::size_t>(sets_) * slots_per_set_, 0);
+  used_segments_.assign(sets_, 0);
+}
+
+std::size_t SegmentedArray::slot_of(std::size_t set, Addr addr) const {
+  const std::uint16_t fp = fingerprint(addr);
+  const std::uint16_t* fps = fps_of(set);
+  for (std::size_t i = 0; i < slots_per_set_; ++i) {
+    if (fps[i] != fp) continue;
+    const L2Line& line = planes_[i][set];
+    assert(line.valid && fingerprint(line.addr) == fp && "tag store out of sync");
+    if (line.addr == addr) return i;
+  }
+  return kNoSlot;
+}
+
+L2Line& SegmentedArray::line_at(std::size_t slot, std::size_t set) {
+  if (!planes_[slot]) planes_[slot] = std::make_unique<L2Line[]>(sets_);
+  return planes_[slot][set];
 }
 
 L2Line* SegmentedArray::lookup(Addr addr) {
   const std::size_t set = set_of(addr);
-  const Addr* tags = tags_.data() + set * slots_per_set_;
-  for (std::size_t i = 0; i < slots_per_set_; ++i) {
-    if (tags[i] == addr) {
-      L2Line& line = sets_storage_[set][i];
-      assert(line.valid && line.addr == addr && "tag store out of sync");
-      return &line;
-    }
-  }
-  return nullptr;
+  const std::size_t i = slot_of(set, addr);
+  return i == kNoSlot ? nullptr : &planes_[i][set];
 }
 
 const L2Line* SegmentedArray::lookup(Addr addr) const {
-  const std::size_t set = set_of(addr);
-  const Addr* tags = tags_.data() + set * slots_per_set_;
-  for (std::size_t i = 0; i < slots_per_set_; ++i) {
-    if (tags[i] == addr) {
-      const L2Line& line = sets_storage_[set][i];
-      assert(line.valid && line.addr == addr && "tag store out of sync");
-      return &line;
-    }
-  }
-  return nullptr;
+  return const_cast<SegmentedArray*>(this)->lookup(addr);
 }
 
 std::uint32_t SegmentedArray::free_segments(Addr addr) const {
@@ -102,11 +102,8 @@ std::uint32_t SegmentedArray::free_segments(Addr addr) const {
 }
 
 bool SegmentedArray::has_free_tag(Addr addr) const {
-  const Addr* tags = tags_.data() + set_of(addr) * slots_per_set_;
-  for (std::size_t i = 0; i < slots_per_set_; ++i) {
-    if (tags[i] == kNoTag) return true;
-  }
-  return false;
+  const std::uint16_t* fps = fps_of(set_of(addr));
+  return std::find(fps, fps + slots_per_set_, 0) != fps + slots_per_set_;
 }
 
 bool SegmentedArray::fits(Addr addr, std::uint32_t segments) const {
@@ -117,11 +114,16 @@ L2Line* SegmentedArray::lru_victim(Addr addr, Addr exclude) {
   // Inclusion-victim protection: evicting a line with live L1 copies
   // invalidates hot L1 data (L1 hits do not refresh L2 recency), so prefer
   // LRU among lines with no L1 presence; fall back to any non-busy line.
+  // Slots are walked in order, so ties go to the lowest slot.
+  const std::size_t set = set_of(addr);
+  const std::uint16_t* fps = fps_of(set);
   L2Line* lru_uncached = nullptr;
   L2Line* lru_any = nullptr;
-  for (L2Line& line : sets_storage_[set_of(addr)]) {
-    if (!line.valid || line.busy) continue;
-    if (line.addr == exclude) continue;
+  for (std::size_t i = 0; i < slots_per_set_; ++i) {
+    if (fps[i] == 0) continue;
+    L2Line& line = planes_[i][set];
+    assert(line.valid && fingerprint(line.addr) == fps[i] && "tag store out of sync");
+    if (line.busy || line.addr == exclude) continue;
     if (lru_any == nullptr || line.lru < lru_any->lru) lru_any = &line;
     if (line.dir.kind == DirInfo::Kind::Uncached &&
         (lru_uncached == nullptr || line.lru < lru_uncached->lru)) {
@@ -135,35 +137,31 @@ L2Line& SegmentedArray::install(Addr addr, std::uint32_t segments, Cycle now) {
   assert(lookup(addr) == nullptr && "double install");
   const std::size_t set = set_of(addr);
   assert(used_segments_[set] + segments <= segment_capacity());
-  for (std::size_t i = 0; i < slots_per_set_; ++i) {
-    L2Line& line = sets_storage_[set][i];
-    if (line.valid) continue;
-    line = L2Line{};
-    line.addr = addr;
-    line.valid = true;
-    line.segments = segments;
-    line.lru = now;
-    used_segments_[set] += segments;
-    tags_[set * slots_per_set_ + i] = addr;
-    return line;
-  }
-  assert(false && "install without a free tag (evict first)");
-  return sets_storage_[set].front();
+  std::uint16_t* fps = fps_of(set);
+  const std::size_t i = static_cast<std::size_t>(std::find(fps, fps + slots_per_set_, 0) - fps);
+  if (i == slots_per_set_)
+    throw std::logic_error("SegmentedArray::install without a free tag (evict first)");
+  L2Line& line = line_at(i, set);
+  line = L2Line{};
+  line.addr = addr;
+  line.valid = true;
+  line.segments = segments;
+  line.lru = now;
+  used_segments_[set] += segments;
+  fps[i] = fingerprint(addr);
+  return line;
 }
 
 void SegmentedArray::erase(Addr addr) {
   const std::size_t set = set_of(addr);
-  for (std::size_t i = 0; i < slots_per_set_; ++i) {
-    L2Line& line = sets_storage_[set][i];
-    if (line.valid && line.addr == addr) {
-      assert(used_segments_[set] >= line.segments);
-      used_segments_[set] -= line.segments;
-      line = L2Line{};
-      tags_[set * slots_per_set_ + i] = kNoTag;
-      return;
-    }
-  }
-  assert(false && "erase of absent line");
+  const std::size_t i = slot_of(set, addr);
+  assert(i != kNoSlot && "erase of absent line");
+  if (i == kNoSlot) return;
+  L2Line& line = planes_[i][set];
+  assert(used_segments_[set] >= line.segments);
+  used_segments_[set] -= line.segments;
+  line = L2Line{};
+  fps_of(set)[i] = 0;
 }
 
 void SegmentedArray::resize(L2Line& line, std::uint32_t new_segments) {
@@ -174,10 +172,8 @@ void SegmentedArray::resize(L2Line& line, std::uint32_t new_segments) {
 }
 
 std::uint64_t SegmentedArray::valid_lines() const {
-  std::uint64_t n = 0;
-  for (const auto& set : sets_storage_)
-    for (const auto& line : set) n += line.valid ? 1 : 0;
-  return n;
+  return static_cast<std::uint64_t>(
+      fps_.size() - static_cast<std::size_t>(std::count(fps_.begin(), fps_.end(), 0)));
 }
 
 std::uint64_t SegmentedArray::used_segments() const {
@@ -186,22 +182,37 @@ std::uint64_t SegmentedArray::used_segments() const {
   return n;
 }
 
+std::size_t SegmentedArray::planes_allocated() const {
+  return static_cast<std::size_t>(
+      std::count_if(planes_.begin(), planes_.end(), [](const auto& p) { return p != nullptr; }));
+}
+
 template <class Ar>
 void SegmentedArray::visit(Ar& ar) {
   ar.expect(sets_, "L2 array geometry");
   ar.expect(ways_, "L2 array geometry");
   ar.expect(tag_factor_, "L2 array geometry");
-  for (auto& set : sets_storage_) ar.each(set);
-  ar.each(used_segments_);
-  if constexpr (Ar::kLoading) {
-    // Rebuild the compact tag store from the restored lines.
-    for (std::size_t set = 0; set < sets_; ++set) {
-      for (std::size_t i = 0; i < slots_per_set_; ++i) {
-        const L2Line& line = sets_storage_[set][i];
-        tags_[set * slots_per_set_ + i] = line.valid ? line.addr : kNoTag;
+  // Every slot of every set, set-major: an empty slot is the default
+  // (invalid) line whether or not its plane exists, and restore allocates
+  // only the planes a valid line lands in.
+  for (std::size_t set = 0; set < sets_; ++set) {
+    std::uint16_t* fps = fps_of(set);
+    for (std::size_t i = 0; i < slots_per_set_; ++i) {
+      if constexpr (Ar::kLoading) {
+        L2Line line;
+        ar(line);
+        const std::uint16_t fp = line.valid ? fingerprint(line.addr) : 0;
+        if (fp != 0 || fps[i] != 0) line_at(i, set) = std::move(line);
+        fps[i] = fp;
+      } else if (fps[i] == 0) {
+        L2Line empty;
+        ar(empty);
+      } else {
+        ar(planes_[i][set]);
       }
     }
   }
+  ar.each(used_segments_);
 }
 template void SegmentedArray::visit(snap::Writer&);
 template void SegmentedArray::visit(snap::Reader&);

@@ -13,6 +13,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -56,7 +57,8 @@ class L1Array {
   /// Least-recently-used valid line of addr's set (eviction candidate), or
   /// nullptr if the set has a free way.
   L1Line* victim_for(Addr addr);
-  /// Install into a free way of addr's set (victim must be gone already).
+  /// Install into a free way of addr's set (victim must be gone already);
+  /// throws std::logic_error if the set is full.
   L1Line& install(Addr addr, const BlockBytes& data, L1State state, Cycle now);
 
   std::uint32_t sets() const { return sets_; }
@@ -150,6 +152,8 @@ class SegmentedArray {
   /// every line is busy (caller must retry later).
   L2Line* lru_victim(Addr addr, Addr exclude);
 
+  /// Install into the first free tag slot of addr's set; throws
+  /// std::logic_error if there is none (evict first).
   L2Line& install(Addr addr, std::uint32_t segments, Cycle now);
   void erase(Addr addr);
 
@@ -171,9 +175,19 @@ class SegmentedArray {
   /// Occupancy diagnostics: valid lines and used segments over the array.
   std::uint64_t valid_lines() const;
   std::uint64_t used_segments() const;
+  /// Line planes allocated so far (at most ways * tag_factor).
+  std::size_t planes_allocated() const;
 
   static std::uint32_t segments_for(std::size_t bytes) {
     return static_cast<std::uint32_t>((bytes + kFlitBytes - 1) / kFlitBytes);
+  }
+
+  /// 16-bit tag fingerprint of a block address, never 0 (0 marks an empty
+  /// slot). Distinct addresses may share one; a hit is confirmed against
+  /// the line's addr.
+  static std::uint16_t fingerprint(Addr addr) {
+    const auto h = static_cast<std::uint16_t>((addr * 0x9E3779B97F4A7C15ULL) >> 48);
+    return h != 0 ? h : 1;
   }
 
   /// Snapshot: geometry-checked; tag-slot positions are preserved (install
@@ -182,26 +196,33 @@ class SegmentedArray {
   void visit(Ar& ar);
 
  private:
-  std::vector<L2Line>& set_lines(std::size_t set) { return sets_storage_[set]; }
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
-  /// Sentinel for an empty tag slot. Real tags are block-aligned addresses,
-  /// so all-ones can never collide with a valid line.
-  static constexpr Addr kNoTag = ~Addr{0};
+  /// Slot holding addr in `set`, or kNoSlot.
+  std::size_t slot_of(std::size_t set, Addr addr) const;
+  std::uint16_t* fps_of(std::size_t set) { return fps_.data() + set * slots_per_set_; }
+  const std::uint16_t* fps_of(std::size_t set) const { return fps_.data() + set * slots_per_set_; }
+  /// Line `slot` of `set`, allocating its plane on first use.
+  L2Line& line_at(std::size_t slot, std::size_t set);
 
   std::uint32_t sets_;
   std::uint32_t ways_;
   std::uint32_t tag_factor_;
   std::uint32_t index_shift_;
   std::uint32_t set_bits_ = 1;
-  std::vector<std::vector<L2Line>> sets_storage_;
-  /// Compact tag store mirroring sets_storage_: tags_[set * slots + i] is
-  /// line i's addr when valid, kNoTag otherwise. lookup() probes this flat
-  /// array instead of striding over the fat L2Line objects (data blocks,
-  /// directory state, optional compressed images), which dominated the
-  /// cache-side profile. Kept in sync by install/erase/restore — the only
-  /// places a line's identity ever changes.
-  std::vector<Addr> tags_;
   std::size_t slots_per_set_ = 0;  ///< ways_ * tag_factor_
+  /// Slot-major line storage: planes_[slot][set]. A plane is allocated by
+  /// the first install into its slot and never moves or shrinks, so line
+  /// references stay valid for the line's life. install takes the first
+  /// free slot, so a bank holds only as many planes as its fullest set
+  /// has needed.
+  std::vector<std::unique_ptr<L2Line[]>> planes_;
+  /// fps_[set * slots_per_set_ + slot] is the fingerprint of the line in
+  /// that slot, 0 when the slot is empty. A probe scans a set's
+  /// fingerprints (32 slots = 64 bytes) and reads a line only on a
+  /// fingerprint match. Kept in sync by install/erase/restore, the only
+  /// places a line's identity changes.
+  std::vector<std::uint16_t> fps_;
   std::vector<std::uint32_t> used_segments_;  // per set
 };
 

@@ -2,8 +2,13 @@
 // compressed L2 array (decoupled tags, segment accounting, victim policy).
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+#include <vector>
+
 #include "cache/arrays.h"
 #include "common/rng.h"
+#include "common/snapshot.h"
 
 namespace disco::cache {
 namespace {
@@ -35,6 +40,14 @@ TEST(L1Array, VictimNullWhenFreeWayExists) {
   L1Array a(32 * 1024, 4);
   a.install(0, BlockBytes{}, L1State::E, 1);
   EXPECT_EQ(a.victim_for(0), nullptr);
+}
+
+TEST(L1Array, InstallWithoutFreeWayThrows) {
+  L1Array a(32 * 1024, 4);
+  const Addr stride = 128 * 64;
+  for (int i = 0; i < 4; ++i) a.install(i * stride, BlockBytes{}, L1State::S, 1);
+  EXPECT_THROW(a.install(4 * stride, BlockBytes{}, L1State::S, 2), std::logic_error);
+  for (int i = 0; i < 4; ++i) EXPECT_NE(a.lookup(i * stride), nullptr);
 }
 
 // set_of masks with sets - 1 instead of dividing; on a power-of-two set
@@ -168,6 +181,116 @@ TEST(SegmentedArray, SegmentsForRounding) {
   EXPECT_EQ(SegmentedArray::segments_for(17), 3u);
   EXPECT_EQ(SegmentedArray::segments_for(64), 8u);
   EXPECT_EQ(SegmentedArray::segments_for(65), 9u);
+}
+
+// A one-set bank (8 ways x 64 B) with tag_factor 4: 32 tag slots, so the
+// whole set's fingerprints are one scan.
+SegmentedArray one_set_array() { return SegmentedArray(8 * kBlockBytes, 8, 4); }
+
+/// Fills a one-set array's 32 slots with 1-segment lines; returns the
+/// addresses in slot order.
+std::vector<Addr> fill_one_set(SegmentedArray& a, Cycle lru) {
+  std::vector<Addr> addrs;
+  for (Addr i = 0; i < 32; ++i) {
+    addrs.push_back((i * 7919 + 3) * kBlockBytes);
+    a.install(addrs.back(), 1, lru);
+  }
+  return addrs;
+}
+
+TEST(SegmentedArray, InstallWithoutFreeTagThrows) {
+  SegmentedArray a = one_set_array();
+  const std::vector<Addr> addrs = fill_one_set(a, 1);
+  EXPECT_FALSE(a.has_free_tag(0));
+  EXPECT_THROW(a.install(1ULL << 40, 1, 2), std::logic_error);
+  EXPECT_EQ(a.valid_lines(), 32u);
+  for (const Addr addr : addrs) EXPECT_NE(a.lookup(addr), nullptr);
+}
+
+// 16-bit fingerprints collide: with 32 resident lines, about one absent
+// probe in 2,000 matches some slot's fingerprint and must be rejected by
+// the addr confirm.
+TEST(SegmentedArray, AbsentProbesMissThroughFingerprintCollisions) {
+  SegmentedArray a = one_set_array();
+  const std::vector<Addr> addrs = fill_one_set(a, 1);
+  std::set<Addr> resident(addrs.begin(), addrs.end());
+  std::set<std::uint16_t> fps;
+  for (const Addr addr : addrs) fps.insert(SegmentedArray::fingerprint(addr));
+  Rng rng(0xF1);
+  int collisions = 0;
+  for (int i = 0; i < 200000; ++i) {
+    const Addr addr = (rng.next_u64() >> 8) * kBlockBytes;
+    if (resident.count(addr) != 0) continue;
+    collisions += fps.count(SegmentedArray::fingerprint(addr)) != 0 ? 1 : 0;
+    ASSERT_EQ(a.lookup(addr), nullptr) << std::hex << addr;
+  }
+  EXPECT_GT(collisions, 20) << "the probes must exercise fingerprint false hits";
+  for (const Addr addr : addrs) ASSERT_NE(a.lookup(addr), nullptr);
+}
+
+TEST(SegmentedArray, PlanesAreAllocatedOnFirstUse) {
+  SegmentedArray a(256 * 1024, 8, 4);
+  EXPECT_EQ(a.planes_allocated(), 0u);
+  a.install(0, 8, 1);
+  a.install(kBlockBytes, 8, 1);
+  EXPECT_EQ(a.planes_allocated(), 1u) << "both lines take slot 0 of their sets";
+  a.erase(0);
+  a.erase(kBlockBytes);
+  EXPECT_EQ(a.planes_allocated(), 1u) << "planes are freed only with the array";
+}
+
+TEST(SegmentedArray, LoneLineInLastSlotSurvivesRestore) {
+  SegmentedArray a = one_set_array();
+  const std::vector<Addr> addrs = fill_one_set(a, 1);
+  for (std::size_t i = 0; i + 1 < addrs.size(); ++i) a.erase(addrs[i]);
+  L2Line& line = *a.lookup(addrs.back());
+  line.dirty = true;
+  line.lru = 42;
+  line.data[5] = 0xAB;
+  line.stored = compress::Encoded{{1, 2, 3}, 1};
+  line.dir.kind = DirInfo::Kind::Shared;
+  line.dir.add_sharer(9);
+  ASSERT_EQ(a.planes_allocated(), 32u);
+
+  snap::Writer saved;
+  saved(a);
+  SegmentedArray b = one_set_array();
+  snap::Reader r(saved.data());
+  r(b);
+  EXPECT_NO_THROW(r.expect_end());
+
+  EXPECT_EQ(b.planes_allocated(), 1u) << "restore allocates only slot 31's plane";
+  EXPECT_EQ(b.valid_lines(), 1u);
+  EXPECT_EQ(b.used_segments(), 1u);
+  const L2Line* got = b.lookup(addrs.back());
+  ASSERT_NE(got, nullptr);
+  EXPECT_TRUE(got->dirty);
+  EXPECT_EQ(got->lru, 42u);
+  EXPECT_EQ(got->data[5], 0xAB);
+  ASSERT_TRUE(got->stored.has_value());
+  EXPECT_EQ(got->stored->bytes, (std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_TRUE(got->dir.is_sharer(9));
+  for (std::size_t i = 0; i + 1 < addrs.size(); ++i) EXPECT_EQ(b.lookup(addrs[i]), nullptr);
+
+  snap::Writer resaved;
+  resaved(b);
+  EXPECT_EQ(resaved.data(), saved.data()) << "slot 31 must stay slot 31";
+}
+
+TEST(SegmentedArray, LruTiesResolveInSlotOrderAcrossPlanes) {
+  SegmentedArray a = one_set_array();
+  const std::vector<Addr> addrs = fill_one_set(a, 7);
+  EXPECT_EQ(a.lru_victim(0, ~Addr{0})->addr, addrs[0]) << "all tied: slot 0";
+  for (const std::size_t slot : {29u, 5u, 17u}) a.lookup(addrs[slot])->lru = 3;
+  EXPECT_EQ(a.lru_victim(0, ~Addr{0})->addr, addrs[5]);
+  a.lookup(addrs[5])->busy = true;
+  EXPECT_EQ(a.lru_victim(0, ~Addr{0})->addr, addrs[17]);
+  EXPECT_EQ(a.lru_victim(0, addrs[17])->addr, addrs[29]);
+  a.lookup(addrs[17])->dir.kind = DirInfo::Kind::Shared;
+  EXPECT_EQ(a.lru_victim(0, ~Addr{0})->addr, addrs[29]) << "uncached lines first";
+  a.erase(addrs[0]);
+  a.install(addrs[0], 1, 3);
+  EXPECT_EQ(a.lru_victim(0, ~Addr{0})->addr, addrs[0]) << "reinstalled into slot 0";
 }
 
 TEST(DirInfo, SharerBitmask) {
