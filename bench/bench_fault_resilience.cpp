@@ -71,18 +71,18 @@ int main(int argc, char** argv) {
   std::uint64_t total_silent = 0;
   bool all_rows = true;
   for (std::size_t ri = 0; ri < rates.size(); ++ri) {
-    sim::FaultSummary agg;
+    sim::CellResult agg;
     double lat = 0, lat_clean = 0;
     std::size_t rows = 0;
     for (std::size_t w = 0; w < profiles.size(); ++w) {
       const auto rs = bench::grid_row(sweep, w * rates.size(), rates.size());
       if (rs.empty()) continue;
-      const sim::FaultSummary& f = rs[ri]->fault;
-      agg.link_bit_flips += f.link_bit_flips;
-      agg.llc_bit_flips += f.llc_bit_flips;
-      agg.flit_drops += f.flit_drops;
-      agg.flit_duplicates += f.flit_duplicates;
-      agg.engine_faults += f.engine_faults;
+      const sim::CellResult& f = *rs[ri];
+      agg.fault.link_bit_flips += f.fault.link_bit_flips;
+      agg.fault.llc_bit_flips += f.fault.llc_bit_flips;
+      agg.fault.flit_drops += f.fault.flit_drops;
+      agg.fault.flit_duplicates += f.fault.flit_duplicates;
+      agg.fault.engine_faults += f.fault.engine_faults;
       agg.corruptions_detected += f.corruptions_detected;
       agg.silent_corruptions += f.silent_corruptions;
       agg.flit_loss_timeouts += f.flit_loss_timeouts;
@@ -109,8 +109,9 @@ int main(int argc, char** argv) {
                      : 100.0;
     char rate_s[32];
     std::snprintf(rate_s, sizeof rate_s, "%g", rates[ri]);
-    t.add_row({rate_s, std::to_string(agg.payload_faults() + agg.flit_drops +
-                                      agg.flit_duplicates),
+    t.add_row({rate_s, std::to_string(agg.fault.payload_faults() +
+                                      agg.fault.flit_drops +
+                                      agg.fault.flit_duplicates),
                std::to_string(agg.corruptions_detected),
                std::to_string(agg.retransmissions),
                TablePrinter::fmt(recovered, 2),
@@ -153,13 +154,13 @@ int main(int argc, char** argv) {
   const std::size_t hk = kills.size() + 1;
   bool all_hard_rows = true;
   for (std::size_t k = 0; k < hk; ++k) {
-    sim::FaultSummary agg;
+    sim::CellResult agg;
     double lat = 0, lat_clean = 0, nj = 0, nj_clean = 0;
     std::size_t rows = 0;
     for (std::size_t w = 0; w < profiles.size(); ++w) {
       const auto rs = bench::grid_row(hard_sweep, w * hk, hk);
       if (rs.empty()) continue;
-      const sim::FaultSummary& f = rs[k]->fault;
+      const sim::CellResult& f = *rs[k];
       agg.reroutes += f.reroutes;
       agg.severed_packets += f.severed_packets;
       agg.synth_completions += f.synth_completions;

@@ -60,14 +60,34 @@ struct CacheStats {
     return total ? static_cast<double>(l1_misses) / static_cast<double>(total) : 0.0;
   }
 
-  template <class Ar>
-  void visit(Ar& ar) {
-    ar(nuca_latency, nuca_latency_hist, dram_latency, miss_latency,
-       miss_latency_hist, l1_hits, l1_misses, l1_evictions, l1_writebacks,
-       l2_hits, l2_misses, l2_evictions, l2_fills, bank_compressions,
-       bank_decompressions, invalidations_sent, recalls_sent, dram_reads,
-       dram_writes, l1_array_reads, l1_array_writes, l2_array_reads,
-       l2_array_writes, stored_line_bytes);
+  /// The one field list: snapshot archives skip the labels, the cell JSON
+  /// and the wire codec (sim/experiment.h) use them as keys.
+  template <class V>
+  void visit(V& v) {
+    v("nuca_latency", nuca_latency);
+    v("nuca_latency_hist", nuca_latency_hist);
+    v("dram_latency", dram_latency);
+    v("miss_latency", miss_latency);
+    v("miss_latency_hist", miss_latency_hist);
+    v("l1_hits", l1_hits);
+    v("l1_misses", l1_misses);
+    v("l1_evictions", l1_evictions);
+    v("l1_writebacks", l1_writebacks);
+    v("l2_hits", l2_hits);
+    v("l2_misses", l2_misses);
+    v("l2_evictions", l2_evictions);
+    v("l2_fills", l2_fills);
+    v("bank_compressions", bank_compressions);
+    v("bank_decompressions", bank_decompressions);
+    v("invalidations_sent", invalidations_sent);
+    v("recalls_sent", recalls_sent);
+    v("dram_reads", dram_reads);
+    v("dram_writes", dram_writes);
+    v("l1_array_reads", l1_array_reads);
+    v("l1_array_writes", l1_array_writes);
+    v("l2_array_reads", l2_array_reads);
+    v("l2_array_writes", l2_array_writes);
+    v("stored_line_bytes", stored_line_bytes);
   }
 };
 

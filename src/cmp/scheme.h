@@ -18,13 +18,8 @@ struct SchemeSetup {
 };
 
 inline SchemeSetup make_scheme_setup(Scheme scheme,
-                                     const compress::Algorithm& algo,
-                                     const CompressionTimingConfig& timing = {}) {
-  compress::LatencyModel lat = algo.latency();
-  if (timing.override_algorithm) {
-    lat.comp_cycles = timing.comp_cycles;
-    lat.decomp_cycles = timing.decomp_cycles;
-  }
+                                     const compress::Algorithm& algo) {
+  const compress::LatencyModel lat = algo.latency();
   SchemeSetup s;
   switch (scheme) {
     case Scheme::Baseline:

@@ -77,7 +77,7 @@ CmpSystem::CmpSystem(const SystemConfig& cfg,
         cfg_.fault, splitmix64(cfg_.seed, 0xFA17C0DEULL));
   }
 
-  SchemeSetup setup = make_scheme_setup(cfg_.scheme, *algo_, cfg_.timing);
+  SchemeSetup setup = make_scheme_setup(cfg_.scheme, *algo_);
   setup.bank.injector = injector_.get();
 
   // The low-priority rule for compressible-but-uncompressed packets
@@ -87,12 +87,7 @@ CmpSystem::CmpSystem(const SystemConfig& cfg,
 
   noc::Network::ExtensionFactory factory;
   if (setup.use_disco_units) {
-    compress::LatencyModel lat = algo_->latency();
-    if (cfg_.timing.override_algorithm) {
-      lat.comp_cycles = cfg_.timing.comp_cycles;
-      lat.decomp_cycles = cfg_.timing.decomp_cycles;
-    }
-    factory = [this, lat](noc::Router& r) {
+    factory = [this, lat = algo_->latency()](noc::Router& r) {
       return std::make_unique<core::DiscoUnit>(r, cfg_.disco, *algo_, lat,
                                                noc_stats_, injector_.get());
     };

@@ -89,15 +89,6 @@ struct MemConfig {
   std::uint32_t num_controllers = 1;
 };
 
-/// Compression timing. By default every scheme uses the algorithm's own
-/// Table-1 latencies; setting `override_algorithm` forces these values
-/// instead (used by latency-sensitivity ablations).
-struct CompressionTimingConfig {
-  bool override_algorithm = false;
-  std::uint32_t comp_cycles = 1;
-  std::uint32_t decomp_cycles = 3;
-};
-
 /// Per-block integrity checksum carried in the packet header when fault
 /// injection is enabled. CRC-32 catches every realistic corruption; the
 /// 8-bit XOR fold is the cheap-hardware alternative (detects any single-bit
@@ -195,7 +186,6 @@ struct SystemConfig {
   L1Config l1;
   L2Config l2;
   MemConfig mem;
-  CompressionTimingConfig timing;
   FaultConfig fault;
   TraceConfig trace;
   Scheme scheme = Scheme::DISCO;

@@ -27,8 +27,13 @@ class Accumulator {
   double max() const { return count_ ? max_ : 0.0; }
   void reset() { *this = Accumulator{}; }
 
-  template <class Ar>
-  void visit(Ar& ar) { ar(count_, sum_, min_, max_); }
+  template <class V>
+  void visit(V& v) {
+    v("count", count_);
+    v("sum", sum_);
+    v("min", min_);
+    v("max", max_);
+  }
 
  private:
   std::uint64_t count_ = 0;
@@ -58,8 +63,11 @@ class Histogram {
   /// histogram reports that sample's bucket for every q.
   std::uint64_t approx_quantile(double q) const;
 
-  template <class Ar>
-  void visit(Ar& ar) { ar(buckets_, acc_); }
+  template <class V>
+  void visit(V& v) {
+    v("buckets", buckets_);
+    v("summary", acc_);
+  }
 
  private:
   static constexpr std::size_t kBuckets = 24;

@@ -68,22 +68,57 @@ struct NocStats {
   Accumulator packet_latency[kNumVNets];  ///< inject->eject per vnet
   Histogram queueing_cycles;              ///< per-packet idle cycles
 
-  template <class Ar>
-  void visit(Ar& ar) {
-    ar(buffer_writes, buffer_reads, crossbar_traversals, link_flits, alloc_ops,
-       credits_sent, inflight_compressions, inflight_decompressions,
-       source_compressions, compression_aborts, decompression_aborts,
-       engine_starts, ni_compressions, ni_decompressions,
-       exposed_decomp_cycles, exposed_comp_cycles, hidden_decomp_ops,
-       crc_checks, corruptions_detected, silent_corruptions,
-       flit_loss_timeouts, nacks_sent, retransmissions, retransmit_deliveries,
-       backoff_cycles, duplicate_flits_dropped, duplicate_retransmissions,
-       unrecovered_deliveries, engine_decode_errors, engines_quarantined,
-       links_killed, routers_killed, engines_hard_failed, banks_killed,
-       unreachable_drops, dead_component_drops, flits_destroyed,
-       severed_packets, reroutes, bypass_retransmits, synth_completions,
-       packets_injected, packets_ejected, flits_injected, sa_idle_losses,
-       packet_latency, queueing_cycles);
+  /// The one field list: snapshot archives skip the labels, the cell JSON
+  /// and the wire codec (sim/experiment.h) use them as keys.
+  template <class V>
+  void visit(V& v) {
+    v("buffer_writes", buffer_writes);
+    v("buffer_reads", buffer_reads);
+    v("crossbar_traversals", crossbar_traversals);
+    v("link_flits", link_flits);
+    v("alloc_ops", alloc_ops);
+    v("credits_sent", credits_sent);
+    v("inflight_compressions", inflight_compressions);
+    v("inflight_decompressions", inflight_decompressions);
+    v("source_compressions", source_compressions);
+    v("compression_aborts", compression_aborts);
+    v("decompression_aborts", decompression_aborts);
+    v("engine_starts", engine_starts);
+    v("ni_compressions", ni_compressions);
+    v("ni_decompressions", ni_decompressions);
+    v("exposed_decomp_cycles", exposed_decomp_cycles);
+    v("exposed_comp_cycles", exposed_comp_cycles);
+    v("hidden_decomp_ops", hidden_decomp_ops);
+    v("crc_checks", crc_checks);
+    v("corruptions_detected", corruptions_detected);
+    v("silent_corruptions", silent_corruptions);
+    v("flit_loss_timeouts", flit_loss_timeouts);
+    v("nacks_sent", nacks_sent);
+    v("retransmissions", retransmissions);
+    v("retransmit_deliveries", retransmit_deliveries);
+    v("backoff_cycles", backoff_cycles);
+    v("duplicate_flits_dropped", duplicate_flits_dropped);
+    v("duplicate_retransmissions", duplicate_retransmissions);
+    v("unrecovered_deliveries", unrecovered_deliveries);
+    v("engine_decode_errors", engine_decode_errors);
+    v("engines_quarantined", engines_quarantined);
+    v("links_killed", links_killed);
+    v("routers_killed", routers_killed);
+    v("engines_hard_failed", engines_hard_failed);
+    v("banks_killed", banks_killed);
+    v("unreachable_drops", unreachable_drops);
+    v("dead_component_drops", dead_component_drops);
+    v("flits_destroyed", flits_destroyed);
+    v("severed_packets", severed_packets);
+    v("reroutes", reroutes);
+    v("bypass_retransmits", bypass_retransmits);
+    v("synth_completions", synth_completions);
+    v("packets_injected", packets_injected);
+    v("packets_ejected", packets_ejected);
+    v("flits_injected", flits_injected);
+    v("sa_idle_losses", sa_idle_losses);
+    v("packet_latency", packet_latency);
+    v("queueing_cycles", queueing_cycles);
   }
 
   double avg_packet_latency() const {
@@ -94,6 +129,12 @@ struct NocStats {
       n += acc.count();
     }
     return n ? sum / static_cast<double>(n) : 0.0;
+  }
+
+  /// Components lost in the phase (the x-axis of the degradation tables:
+  /// latency/energy vs. dead components).
+  std::uint64_t components_killed() const {
+    return links_killed + routers_killed + engines_hard_failed + banks_killed;
   }
 };
 

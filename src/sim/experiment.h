@@ -11,94 +11,36 @@
 
 namespace disco::sim {
 
-/// Fault-injection and recovery counters for one cell (all zero — and
-/// `enabled` false — when the cell ran without an injector). The injected
-/// faults, by site, are the injector's own counters.
+/// Fault-injection gates and injector counters for one cell (all zero, and
+/// `enabled` false, when the cell ran without an injector). Detection,
+/// recovery and degradation counters are NocStats fields of the result.
 struct FaultSummary : fault::FaultCounters {
   bool enabled = false;
-  // Detection / recovery (from NocStats).
-  std::uint64_t crc_checks = 0;
-  std::uint64_t corruptions_detected = 0;
-  std::uint64_t silent_corruptions = 0;
-  std::uint64_t flit_loss_timeouts = 0;
-  std::uint64_t nacks_sent = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t retransmit_deliveries = 0;
-  std::uint64_t backoff_cycles = 0;
-  std::uint64_t duplicate_flits_dropped = 0;
-  std::uint64_t duplicate_retransmissions = 0;
-  std::uint64_t unrecovered_deliveries = 0;
-  std::uint64_t engine_decode_errors = 0;
-  std::uint64_t engines_quarantined = 0;
-
-  // Permanent (hard) faults + graceful degradation. `hard_enabled` is true
-  // when the cell ran with a hard-fault schedule (--hard-fault /
-  // --hard-fault-rate); the counters come from NocStats and the system.
+  /// True when the cell ran with a hard-fault schedule (--hard-fault /
+  /// --hard-fault-rate).
   bool hard_enabled = false;
   std::uint64_t hard_faults_applied = 0;  ///< whole run, survives phase resets
-  std::uint64_t links_killed = 0;
-  std::uint64_t routers_killed = 0;
-  std::uint64_t engines_hard_failed = 0;
-  std::uint64_t banks_killed = 0;
-  std::uint64_t unreachable_drops = 0;
-  std::uint64_t dead_component_drops = 0;
-  std::uint64_t flits_destroyed = 0;
-  std::uint64_t severed_packets = 0;
-  std::uint64_t reroutes = 0;
-  std::uint64_t bypass_retransmits = 0;
-  std::uint64_t synth_completions = 0;
-
-  /// Components lost over the whole run (the x-axis of the degradation
-  /// tables: latency/energy vs. dead components).
-  std::uint64_t components_killed() const {
-    return links_killed + routers_killed + engines_hard_failed + banks_killed;
-  }
 
   /// Part of the CellResult field list: the `fault` and `hard_fault`
   /// objects.
   template <class V>
   void visit(V& v) {
-    v.object("fault", enabled, [&] {
-      FaultCounters::visit(v);
-      v("crc_checks", crc_checks);
-      v("corruptions_detected", corruptions_detected);
-      v("silent_corruptions", silent_corruptions);
-      v("flit_loss_timeouts", flit_loss_timeouts);
-      v("nacks_sent", nacks_sent);
-      v("retransmissions", retransmissions);
-      v("retransmit_deliveries", retransmit_deliveries);
-      v("backoff_cycles", backoff_cycles);
-      v("duplicate_flits_dropped", duplicate_flits_dropped);
-      v("duplicate_retransmissions", duplicate_retransmissions);
-      v("unrecovered_deliveries", unrecovered_deliveries);
-      v("engine_decode_errors", engine_decode_errors);
-      v("engines_quarantined", engines_quarantined);
-    });
-    v.object("hard_fault", hard_enabled, [&] {
-      v("applied", hard_faults_applied);
-      v("links_killed", links_killed);
-      v("routers_killed", routers_killed);
-      v("engines_hard_failed", engines_hard_failed);
-      v("banks_killed", banks_killed);
-      v("unreachable_drops", unreachable_drops);
-      v("dead_component_drops", dead_component_drops);
-      v("flits_destroyed", flits_destroyed);
-      v("severed_packets", severed_packets);
-      v("reroutes", reroutes);
-      v("bypass_retransmits", bypass_retransmits);
-      v("synth_completions", synth_completions);
-    });
+    v.object("fault", enabled, [&] { FaultCounters::visit(v); });
+    v.object("hard_fault", hard_enabled,
+             [&] { v("applied", hard_faults_applied); });
   }
 };
 
-struct CellResult {
+/// One cell's result. The measurement phase's NoC and cache counters are
+/// its two bases, so every counter is declared once (in noc/noc_stats.h and
+/// cache/stats.h) and reaches the JSON as the `noc` and `cache` objects.
+struct CellResult : noc::NocStats, cache::CacheStats {
   std::string workload;
   std::string algorithm;
   Scheme scheme = Scheme::Baseline;
 
   Cycle measured_cycles = 0;
   std::uint64_t core_ops = 0;
-  std::uint64_t l1_misses = 0;
 
   /// The Fig. 5/6/8 metric (pre-normalization): average NUCA data access
   /// latency of L1 misses served on chip (NoC + bank), in cycles.
@@ -106,26 +48,9 @@ struct CellResult {
   /// All L1 misses including DRAM-served ones.
   double avg_miss_latency = 0;
   double avg_dram_latency = 0;
-  double l2_miss_rate = 0;
-  double avg_packet_latency = 0;
-  double avg_stored_ratio = 0;  ///< compression ratio of resident L2 lines
-
-  std::uint64_t link_flits = 0;
-  std::uint64_t inflight_compressions = 0;
-  std::uint64_t inflight_decompressions = 0;
-  std::uint64_t source_compressions = 0;
-  std::uint64_t compression_aborts = 0;
-  std::uint64_t decompression_aborts = 0;
-  std::uint64_t hidden_decomp_ops = 0;
-  std::uint64_t exposed_decomp_cycles = 0;
-  std::uint64_t exposed_comp_cycles = 0;
-  std::uint64_t ni_compressions = 0;
-  std::uint64_t ni_decompressions = 0;
-  std::uint64_t engine_starts = 0;
-  std::uint64_t sa_idle_losses = 0;
-  std::uint64_t l2_hits = 0;
-  std::uint64_t l2_misses = 0;
-  std::uint64_t l2_fills = 0;
+  double l2_miss_rate = 0;        ///< hides CacheStats::l2_miss_rate()
+  double avg_packet_latency = 0;  ///< hides NocStats::avg_packet_latency()
+  double avg_stored_ratio = 0;    ///< compression ratio of resident L2 lines
 
   energy::EnergyBreakdown energy;
   FaultSummary fault;
@@ -138,7 +63,9 @@ struct CellResult {
   /// The one CellResult field list. The wire codec (sim/wire.h), the JSON
   /// writer (sim/json_export.h) and the export test all walk it. A visitor
   /// `v` provides:
-  ///   v(key, field)                a result field
+  ///   v(key, field)                a result field: a string, number or
+  ///                                Scheme, a C array of fields, or a type
+  ///                                with its own labeled `visit` list
   ///   v.object(key, fields)        a nested object
   ///   v.object(key, gate, fields)  a nested object the JSON carries only
   ///                                when `gate` is set
@@ -151,29 +78,14 @@ struct CellResult {
     v("scheme", scheme);
     v("measured_cycles", measured_cycles);
     v("core_ops", core_ops);
-    v("l1_misses", l1_misses);
     v("avg_nuca_latency", avg_nuca_latency);
     v("avg_miss_latency", avg_miss_latency);
     v("avg_dram_latency", avg_dram_latency);
     v("l2_miss_rate", l2_miss_rate);
     v("avg_packet_latency", avg_packet_latency);
     v("avg_stored_ratio", avg_stored_ratio);
-    v("link_flits", link_flits);
-    v("inflight_compressions", inflight_compressions);
-    v("inflight_decompressions", inflight_decompressions);
-    v("source_compressions", source_compressions);
-    v("compression_aborts", compression_aborts);
-    v("decompression_aborts", decompression_aborts);
-    v("hidden_decomp_ops", hidden_decomp_ops);
-    v("exposed_decomp_cycles", exposed_decomp_cycles);
-    v("exposed_comp_cycles", exposed_comp_cycles);
-    v("ni_compressions", ni_compressions);
-    v("ni_decompressions", ni_decompressions);
-    v("engine_starts", engine_starts);
-    v("sa_idle_losses", sa_idle_losses);
-    v("l2_hits", l2_hits);
-    v("l2_misses", l2_misses);
-    v("l2_fills", l2_fills);
+    v("noc", static_cast<noc::NocStats&>(*this));
+    v("cache", static_cast<cache::CacheStats&>(*this));
     v.object("energy", [&] {
       v("noc_dynamic_nj", energy.noc_dynamic_nj);
       v("noc_leakage_nj", energy.noc_leakage_nj);
@@ -237,6 +149,13 @@ struct RunOptions {
 std::uint64_t cell_digest(const SystemConfig& cfg,
                           const workload::BenchmarkProfile& profile,
                           const RunOptions& opt);
+
+/// The result of `sys` right after `measure_cycles` of measurement: its
+/// NoC and cache counters, the derived means, energy, fault counters,
+/// invariant verdict and trace text.
+CellResult extract_result(const cmp::CmpSystem& sys,
+                          const workload::BenchmarkProfile& profile,
+                          Cycle measure_cycles);
 
 CellResult run_cell(const SystemConfig& cfg,
                     const workload::BenchmarkProfile& profile,

@@ -7,39 +7,23 @@
 namespace disco::sim {
 namespace {
 
-/// Walks CellResult::visit into one JSON object. Numbers use the stream's
-/// formatting; gated objects (fault, hard_fault, invariants) appear only
-/// when their gate is set, so plain runs keep the output of older builds.
+/// Walks CellResult::visit into one JSON object: labeled field lists
+/// (NocStats, CacheStats, Accumulator, Histogram) become nested objects and
+/// C arrays JSON arrays. Numbers use the stream's formatting; gated objects
+/// (fault, hard_fault, invariants) appear only when their gate is set.
 class JsonWriter {
  public:
   explicit JsonWriter(std::ostream& os) : os_(os) {}
 
-  void operator()(const char* name, const std::string& v) {
+  template <class T>
+  void operator()(const char* name, T& v) {
     key(name);
-    std::string quoted;
-    wire::append_json_string(quoted, v);
-    os_ << quoted;
-  }
-  void operator()(const char* name, std::uint64_t v) {
-    key(name);
-    os_ << v;
-  }
-  void operator()(const char* name, double v) {
-    key(name);
-    os_ << v;
-  }
-  void operator()(const char* name, Scheme v) {
-    key(name);
-    os_ << '"' << to_string(v) << '"';
+    value(v);
   }
   template <class F>
   void object(const char* name, F&& fields) {
     key(name);
-    os_ << '{';
-    first_ = true;
-    fields();
-    os_ << '}';
-    first_ = false;
+    open_object(fields);
   }
   template <class F>
   void object(const char* name, bool gate, F&& fields) {
@@ -53,6 +37,36 @@ class JsonWriter {
     if (!first_) os_ << ',';
     first_ = false;
     os_ << '"' << name << "\":";
+  }
+  void value(const std::string& v) {
+    std::string quoted;
+    wire::append_json_string(quoted, v);
+    os_ << quoted;
+  }
+  void value(std::uint64_t v) { os_ << v; }
+  void value(double v) { os_ << v; }
+  void value(Scheme v) { os_ << '"' << to_string(v) << '"'; }
+  template <class T>
+    requires requires(T& t, JsonWriter& w) { t.visit(w); }
+  void value(T& v) {
+    open_object([&] { v.visit(*this); });
+  }
+  template <class T, std::size_t N>
+  void value(T (&a)[N]) {
+    os_ << '[';
+    for (std::size_t i = 0; i < N; ++i) {
+      if (i > 0) os_ << ',';
+      value(a[i]);
+    }
+    os_ << ']';
+  }
+  template <class F>
+  void open_object(F&& fields) {
+    os_ << '{';
+    first_ = true;
+    fields();
+    os_ << '}';
+    first_ = false;
   }
 
   std::ostream& os_;

@@ -78,9 +78,8 @@ std::vector<SweepCell> prepare_cells(const std::vector<SweepCell>& cells,
     SweepCell& c = prepared[i];
     if (c.group == SweepCell::kAuto) c.group = i;
     if (c.seed_group == SweepCell::kAuto) c.seed_group = c.group;
-    if (opt.reseed_cells)
-      c.cfg.seed = splitmix64(opt.base_seed,
-                              static_cast<std::uint64_t>(c.seed_group));
+    c.cfg.seed =
+        splitmix64(opt.base_seed, static_cast<std::uint64_t>(c.seed_group));
     if (opt.trace.active()) {
       c.cfg.trace = opt.trace;
       if (!opt.trace.out_path.empty())

@@ -99,8 +99,6 @@ struct SweepOptions {
   unsigned threads = 0;
   /// Per-cell seeds derive from this (see SweepCell::seed_group).
   std::uint64_t base_seed = 1;
-  /// When false, cells keep the seed already in their SystemConfig.
-  bool reseed_cells = true;
   /// Run only cells whose group satisfies group % shard_count == shard_index;
   /// the rest are recorded as Skipped.
   unsigned shard_index = 0;
@@ -174,7 +172,7 @@ struct SweepCellOutcome {
 struct SweepResult {
   std::vector<SweepCellOutcome> cells;  ///< input order, one per input cell
   std::size_t completed = 0;
-  std::size_t failed = 0;   ///< Failed + TimedOut + Crashed
+  std::size_t failed = 0;   ///< Failed + TimedOut + Crashed + ResourceExhausted
   std::size_t crashed = 0;  ///< the Crashed subset of `failed`
   std::size_t skipped = 0;  ///< not in this shard
   /// A SIGINT/SIGTERM shutdown cut the sweep short; partial results and the

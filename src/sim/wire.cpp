@@ -139,94 +139,118 @@ struct Scanner {
 
 // --- CellResult codec ---------------------------------------------------------
 //
-// Both walk CellResult::visit. Keys of nested objects are flattened to
-// "object.key"; a gate travels as "object.enabled"; every member travels
-// whatever its gate.
+// Both walk CellResult::visit. Keys of nested objects, labeled field lists
+// and array elements are flattened to "object.key", "noc.packet_latency.1.
+// count"; a gate travels as "object.enabled"; every member travels whatever
+// its gate.
 
-struct Encoder {
-  std::string out;
+/// The flattening both share: nested objects, labeled field lists and C
+/// arrays extend the key prefix.
+template <class Self>
+struct Flattener {
   std::string prefix;
 
-  void key(const char* name) {
+  template <class F>
+  void nest(std::string_view name, F&& fields) {
+    const std::size_t outer = prefix.size();
+    prefix.append(name).push_back('.');
+    fields();
+    prefix.resize(outer);
+  }
+  template <class T>
+    requires requires(T& t, Self& self) { t.visit(self); }
+  void operator()(std::string_view name, T& v) {
+    nest(name, [&] { v.visit(static_cast<Self&>(*this)); });
+  }
+  template <class T, std::size_t N>
+  void operator()(std::string_view name, T (&a)[N]) {
+    nest(name, [&] {
+      for (std::size_t i = 0; i < N; ++i)
+        static_cast<Self&>(*this)(std::to_string(i), a[i]);
+    });
+  }
+  template <class F>
+  void object(std::string_view name, F&& fields) {
+    nest(name, fields);
+  }
+};
+
+struct Encoder : Flattener<Encoder> {
+  using Flattener::object;
+  using Flattener::operator();
+  std::string out;
+
+  void key(std::string_view name) {
     out.push_back(out.empty() ? '{' : ',');
-    append_json_string(out, prefix + name);
+    append_json_string(out, prefix + std::string(name));
     out.push_back(':');
   }
-  void num(const char* name, std::uint64_t v) {
+  void num(std::string_view name, std::uint64_t v) {
     key(name);
     out += std::to_string(v);
   }
-  void operator()(const char* name, const std::string& v) {
+  void operator()(std::string_view name, const std::string& v) {
     key(name);
     append_json_string(out, v);
   }
-  void operator()(const char* name, std::uint64_t v) { num(name, v); }
+  void operator()(std::string_view name, std::uint64_t v) { num(name, v); }
   // Bit pattern, not decimal text: exact round trip by construction.
-  void operator()(const char* name, double v) {
+  void operator()(std::string_view name, double v) {
     num(name, std::bit_cast<std::uint64_t>(v));
   }
-  void operator()(const char* name, Scheme v) {
+  void operator()(std::string_view name, Scheme v) {
     num(name, static_cast<std::uint64_t>(v));
   }
   template <class F>
-  void object(const char* name, F&& fields) {
-    prefix = std::string(name) + ".";
-    fields();
-    prefix.clear();
-  }
-  template <class F>
-  void object(const char* name, bool gate, F&& fields) {
-    object(name, [&] {
+  void object(std::string_view name, bool gate, F&& fields) {
+    nest(name, [&] {
       num("enabled", gate ? 1 : 0);
       fields();
     });
   }
-  void computed(const char*, double) {}
-  void transport(const char* name, const std::string& v) { (*this)(name, v); }
+  void computed(std::string_view, double) {}
+  void transport(std::string_view name, const std::string& v) { (*this)(name, v); }
 };
 
-struct Decoder {
+struct Decoder : Flattener<Decoder> {
+  using Flattener::object;
+  using Flattener::operator();
   const Value& obj;
-  std::string prefix;
 
-  const Value& get(const char* name, Value::Kind kind) const {
-    const std::string key = prefix + name;
+  explicit Decoder(const Value& o) : obj(o) {}
+
+  const Value& get(std::string_view name, Value::Kind kind) const {
+    const std::string key = prefix + std::string(name);
     const Value* v = obj.find(key);
     if (v == nullptr) fail("missing field " + key);
     if (v->kind != kind) fail("wrong kind for field " + key);
     return *v;
   }
-  std::uint64_t num(const char* name) const {
+  std::uint64_t num(std::string_view name) const {
     return get(name, Value::Kind::Num).num;
   }
-  void operator()(const char* name, std::string& v) const {
+  void operator()(std::string_view name, std::string& v) const {
     v = get(name, Value::Kind::Str).str;
   }
-  void operator()(const char* name, std::uint64_t& v) const { v = num(name); }
-  void operator()(const char* name, double& v) const {
+  void operator()(std::string_view name, std::uint64_t& v) const { v = num(name); }
+  void operator()(std::string_view name, double& v) const {
     v = std::bit_cast<double>(num(name));
   }
-  void operator()(const char* name, Scheme& v) const {
+  void operator()(std::string_view name, Scheme& v) const {
     const std::uint64_t n = num(name);
     if (n > static_cast<std::uint64_t>(Scheme::Ideal))
       fail("scheme value out of range");
     v = static_cast<Scheme>(n);
   }
   template <class F>
-  void object(const char* name, F&& fields) {
-    prefix = std::string(name) + ".";
-    fields();
-    prefix.clear();
-  }
-  template <class F>
-  void object(const char* name, bool& gate, F&& fields) {
-    object(name, [&] {
+  void object(std::string_view name, bool& gate, F&& fields) {
+    nest(name, [&] {
       gate = num("enabled") != 0;
       fields();
     });
   }
-  void computed(const char*, double) const {}
-  void transport(const char* name, std::string& v) const { (*this)(name, v); }
+  void computed(std::string_view, double) const {}
+  void transport(std::string_view name, std::string& v) const { (*this)(name, v); }
 };
 
 }  // namespace
@@ -291,7 +315,7 @@ std::string encode_result(const CellResult& r) {
 CellResult decode_result(const Value& obj) {
   if (obj.kind != Value::Kind::Obj) fail("result is not an object");
   CellResult r;
-  Decoder dec{obj, {}};
+  Decoder dec(obj);
   r.visit(dec);
   return r;
 }

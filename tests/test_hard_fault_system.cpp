@@ -115,7 +115,7 @@ TEST(HardFaultSweep, AggregateJsonIsThreadCountInvariant) {
       << "hard-fault schedules must not depend on the thread count";
   for (const auto& cell : serial.cells) {
     EXPECT_TRUE(cell.result.fault.hard_enabled);
-    EXPECT_EQ(cell.result.fault.silent_corruptions, 0u);
+    EXPECT_EQ(cell.result.silent_corruptions, 0u);
   }
   EXPECT_GT(serial.cells[0].result.fault.hard_faults_applied, 0u);
   EXPECT_NE(as_json(serial).find("\"hard_fault\""), std::string::npos);
@@ -160,7 +160,7 @@ TEST(HardFaultSweep, DegradedTraceIsThreadCountInvariantAndInvariantClean) {
     EXPECT_TRUE(ra.invariants.clean())
         << "cell " << i << ": " << ra.invariants.first_violation;
     EXPECT_EQ(ra.fault.hard_faults_applied, 2u);
-    EXPECT_EQ(ra.fault.silent_corruptions, 0u);
+    EXPECT_EQ(ra.silent_corruptions, 0u);
   }
 }
 
@@ -195,8 +195,8 @@ TEST(HardFaultSweep, ArmedButIdleScheduleIsMetricNeutral) {
   EXPECT_EQ(plain.energy.subsystem_nj(), armed.energy.subsystem_nj());
   EXPECT_TRUE(armed.fault.hard_enabled);
   EXPECT_EQ(armed.fault.hard_faults_applied, 0u);
-  EXPECT_EQ(armed.fault.reroutes, 0u);
-  EXPECT_EQ(armed.fault.components_killed(), 0u);
+  EXPECT_EQ(armed.reroutes, 0u);
+  EXPECT_EQ(armed.components_killed(), 0u);
   // The soft-fault-only cell's JSON carries no hard_fault object at all.
   std::ostringstream plain_os;
   sim::write_json(plain_os, plain);

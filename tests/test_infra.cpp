@@ -147,17 +147,6 @@ TEST(SchemeSetup, WiringMatchesDesignTable) {
   EXPECT_FALSE(ideal.use_disco_units);
 }
 
-TEST(SchemeSetup, TimingOverrideApplies) {
-  auto algo = compress::make_algorithm("sc2");
-  CompressionTimingConfig timing;
-  timing.override_algorithm = true;
-  timing.comp_cycles = 0;
-  timing.decomp_cycles = 0;
-  const auto cnc = cmp::make_scheme_setup(Scheme::CNC, *algo, timing);
-  EXPECT_EQ(cnc.ni.comp_cycles, 0u);
-  EXPECT_EQ(cnc.bank.read_decomp_cycles, 0u);
-}
-
 TEST(Types, ToStringCoversEnums) {
   EXPECT_STREQ(to_string(Scheme::DISCO), "DISCO");
   EXPECT_STREQ(to_string(UnitKind::MemCtrl), "MemCtrl");

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "cmp/system.h"
@@ -126,7 +127,7 @@ TEST(WireFormat, RoundTripIsBitExact) {
   r.l2_miss_rate = -0.0;
   r.energy.dram_nj = 6.02214076e23;
   r.fault.enabled = true;
-  r.fault.crc_checks = 42;
+  r.crc_checks = 42;
   r.invariants.enabled = true;
   r.invariants.first_violation = "cycle 7: credit pool underflow";
   r.trace_text = "line1\nline2\n";
@@ -144,40 +145,62 @@ TEST(WireFormat, RoundTripIsBitExact) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(d.energy.dram_nj),
             std::bit_cast<std::uint64_t>(r.energy.dram_nj));
   EXPECT_TRUE(d.fault.enabled);
-  EXPECT_EQ(d.fault.crc_checks, 42u);
+  EXPECT_EQ(d.crc_checks, 42u);
   EXPECT_EQ(d.invariants.first_violation, r.invariants.first_violation);
   EXPECT_EQ(d.trace_text, r.trace_text);
   // Re-encoding the decoded result reproduces the exact bytes.
   EXPECT_EQ(wire::encode_result(d), encoded);
 }
 
-/// Walks CellResult::visit recording every key with a printable bit image
-/// of its value (a gate records "on"/"off", a plain object nothing).
+/// Walks CellResult::visit recording every key, as its dotted path (the
+/// wire key), with a printable bit image of its value (a gate records
+/// "on"/"off", a plain object or labeled field list nothing).
 struct FieldRecorder {
   std::vector<std::pair<std::string, std::string>> fields;
+  std::string prefix;
 
-  void operator()(const char* key, const std::string& v) {
-    fields.emplace_back(key, v);
-  }
-  void operator()(const char* key, std::uint64_t v) {
-    fields.emplace_back(key, std::to_string(v));
-  }
-  void operator()(const char* key, double v) {
-    fields.emplace_back(key, std::to_string(std::bit_cast<std::uint64_t>(v)));
-  }
-  void operator()(const char* key, Scheme v) { fields.emplace_back(key, to_string(v)); }
-  template <class F>
-  void object(const char* key, F&& f) {
-    fields.emplace_back(key, "");
-    f();
+  void record(std::string_view key, std::string value) {
+    fields.emplace_back(prefix + std::string(key), std::move(value));
   }
   template <class F>
-  void object(const char* key, bool gate, F&& f) {
-    fields.emplace_back(key, gate ? "on" : "off");
+  void nest(std::string_view key, F&& f) {
+    const std::size_t outer = prefix.size();
+    prefix.append(key).push_back('.');
     f();
+    prefix.resize(outer);
   }
-  void computed(const char* key, double v) { (*this)(key, v); }
-  void transport(const char* key, const std::string& v) { (*this)(key, v); }
+  void operator()(std::string_view key, const std::string& v) { record(key, v); }
+  void operator()(std::string_view key, std::uint64_t v) {
+    record(key, std::to_string(v));
+  }
+  void operator()(std::string_view key, double v) {
+    record(key, std::to_string(std::bit_cast<std::uint64_t>(v)));
+  }
+  void operator()(std::string_view key, Scheme v) { record(key, to_string(v)); }
+  template <class T>
+    requires requires(T& t, FieldRecorder& r) { t.visit(r); }
+  void operator()(std::string_view key, T& v) {
+    object(key, [&] { v.visit(*this); });
+  }
+  template <class T, std::size_t N>
+  void operator()(std::string_view key, T (&a)[N]) {
+    record(key, "");
+    nest(key, [&] {
+      for (std::size_t i = 0; i < N; ++i) (*this)(std::to_string(i), a[i]);
+    });
+  }
+  template <class F>
+  void object(std::string_view key, F&& f) {
+    record(key, "");
+    nest(key, f);
+  }
+  template <class F>
+  void object(std::string_view key, bool gate, F&& f) {
+    record(key, gate ? "on" : "off");
+    nest(key, f);
+  }
+  void computed(std::string_view key, double v) { (*this)(key, v); }
+  void transport(std::string_view key, const std::string& v) { (*this)(key, v); }
 };
 
 /// Gives every field of a result a distinct non-default value and sets
@@ -189,6 +212,15 @@ struct FieldFiller {
   void operator()(const char*, std::uint64_t& v) { v = next++; }
   void operator()(const char*, double& v) { v = static_cast<double>(next++) / 3.0; }
   void operator()(const char*, Scheme& v) { v = Scheme::DISCO; }
+  template <class T>
+    requires requires(T& t, FieldFiller& f) { t.visit(f); }
+  void operator()(const char*, T& v) {
+    v.visit(*this);
+  }
+  template <class T, std::size_t N>
+  void operator()(const char* key, T (&a)[N]) {
+    for (T& e : a) (*this)(key, e);
+  }
   template <class F>
   void object(const char*, F&& f) { f(); }
   template <class F>
@@ -200,6 +232,19 @@ struct FieldFiller {
   void transport(const char* key, std::string& v) { (*this)(key, v); }
 };
 
+/// Whether `json` holds the dotted `path` as nested keys: each named
+/// component is found as a key after its parent's (array indices skipped).
+bool json_has_path(const std::string& json, const std::string& path) {
+  std::size_t at = 0;
+  std::istringstream parts(path);
+  for (std::string part; std::getline(parts, part, '.');) {
+    if (std::all_of(part.begin(), part.end(), ::isdigit)) continue;
+    at = json.find("\"" + part + "\":", at);
+    if (at == std::string::npos) return false;
+  }
+  return true;
+}
+
 TEST(WireFormat, EveryResultFieldReachesJsonAndWire) {
   CellResult r;
   FieldFiller fill;
@@ -207,11 +252,25 @@ TEST(WireFormat, EveryResultFieldReachesJsonAndWire) {
   FieldRecorder fields;
   r.visit(fields);
 
+  // Every NocStats and CacheStats field is on the list, per-vnet latency
+  // and histograms included.
+  for (const char* path :
+       {"noc.buffer_writes", "noc.crossbar_traversals", "noc.crc_checks",
+        "noc.synth_completions", "noc.packet_latency.2.sum",
+        "noc.queueing_cycles.buckets.23", "noc.queueing_cycles.summary.max",
+        "cache.l1_array_reads", "cache.nuca_latency_hist.buckets.0",
+        "cache.stored_line_bytes.count", "fault.engine_faults",
+        "hard_fault.applied"}) {
+    EXPECT_TRUE(std::any_of(fields.fields.begin(), fields.fields.end(),
+                            [&](const auto& f) { return f.first == path; }))
+        << path << " is not on the field list";
+  }
+
   std::ostringstream json;
   write_json(json, r);
   for (const auto& [key, value] : fields.fields) {
     if (key == "trace_text") continue;  // wire-only by design
-    EXPECT_NE(json.str().find("\"" + key + "\":"), std::string::npos)
+    EXPECT_TRUE(json_has_path(json.str(), key))
         << key << " never reaches the JSON";
   }
 
@@ -219,6 +278,37 @@ TEST(WireFormat, EveryResultFieldReachesJsonAndWire) {
   FieldRecorder decoded;
   d.visit(decoded);
   EXPECT_EQ(decoded.fields, fields.fields);
+}
+
+TEST(WireFormat, RunCellCarriesEveryNocAndCacheCounter) {
+  SystemConfig cfg;
+  cfg.scheme = Scheme::DISCO;
+  const auto& profile = workload::profile_by_name("canneal");
+  const RunOptions opt = tiny_run();
+  CellResult r = run_cell(cfg, profile, opt);
+
+  // The same phases, driven directly.
+  cmp::CmpSystem sys(cfg, profile);
+  sys.functional_warmup(opt.warmup_ops_per_core);
+  sys.run(opt.warmup_cycles);
+  sys.reset_stats();
+  sys.run(opt.measure_cycles);
+  noc::NocStats ns = sys.noc_stats();
+  cache::CacheStats cs = sys.cache_stats();
+  FieldRecorder want;
+  want("noc", ns);
+  want("cache", cs);
+
+  FieldRecorder all;
+  r.visit(all);
+  std::vector<std::pair<std::string, std::string>> got;
+  for (const auto& f : all.fields)
+    if (f.first.starts_with("noc") || f.first.starts_with("cache"))
+      got.push_back(f);
+  EXPECT_EQ(got, want.fields);
+  EXPECT_GT(r.link_flits, 0u);
+  EXPECT_GT(r.nuca_latency.count(), 0u);
+  EXPECT_GT(r.inflight_compressions + r.inflight_decompressions, 0u);
 }
 
 TEST(WireFormat, TopologyViolationsReachTheJson) {
@@ -777,6 +867,102 @@ TEST(ManifestHardening, CorruptedEntryIsDroppedNotFatal) {
   const SweepResult done = run_sweep(cells, resume);
   EXPECT_TRUE(done.all_ok());
   EXPECT_EQ(as_json(done), reference);
+}
+
+/// A manifest value back as JSON text (wire::Value has no writer).
+std::string to_json(const wire::Value& v) {
+  std::string out;
+  switch (v.kind) {
+    case wire::Value::Kind::Num: return std::to_string(v.num);
+    case wire::Value::Kind::Str: wire::append_json_string(out, v.str); return out;
+    case wire::Value::Kind::Obj: break;
+  }
+  for (const auto& [key, member] : v.obj) {
+    out += out.empty() ? "{" : ",";
+    wire::append_json_string(out, key);
+    out += ":" + to_json(member);
+  }
+  return out + "}";
+}
+
+/// Rewrite a journaled result in the layout of builds that copied counters
+/// into CellResult by name: 17 NoC/cache counters flat at the top level,
+/// 24 NoC counters under "fault." and "hard_fault.", the rest absent.
+wire::Value flat_layout(const wire::Value& result) {
+  static const std::set<std::string> top = {
+      "l1_misses", "link_flits", "inflight_compressions",
+      "inflight_decompressions", "source_compressions", "compression_aborts",
+      "decompression_aborts", "hidden_decomp_ops", "exposed_decomp_cycles",
+      "exposed_comp_cycles", "ni_compressions", "ni_decompressions",
+      "engine_starts", "sa_idle_losses", "l2_hits", "l2_misses", "l2_fills"};
+  static const std::set<std::string> fault = {
+      "crc_checks", "corruptions_detected", "silent_corruptions",
+      "flit_loss_timeouts", "nacks_sent", "retransmissions",
+      "retransmit_deliveries", "backoff_cycles", "duplicate_flits_dropped",
+      "duplicate_retransmissions", "unrecovered_deliveries",
+      "engine_decode_errors", "engines_quarantined"};
+  static const std::set<std::string> hard = {
+      "links_killed", "routers_killed", "engines_hard_failed", "banks_killed",
+      "unreachable_drops", "dead_component_drops", "flits_destroyed",
+      "severed_packets", "reroutes", "bypass_retransmits", "synth_completions"};
+  wire::Value out;
+  out.kind = wire::Value::Kind::Obj;
+  for (const auto& [key, v] : result.obj) {
+    const auto dot = key.find('.');
+    const std::string object = key.substr(0, dot);
+    const std::string name = dot == std::string::npos ? "" : key.substr(dot + 1);
+    if (object != "noc" && object != "cache") out.obj.emplace_back(key, v);
+    else if (top.count(name)) out.obj.emplace_back(name, v);
+    else if (fault.count(name)) out.obj.emplace_back("fault." + name, v);
+    else if (hard.count(name)) out.obj.emplace_back("hard_fault." + name, v);
+  }
+  return out;
+}
+
+TEST(ManifestHardening, FlatLayoutEntryFromOlderBuildIsRerun) {
+  auto cells = small_grid();
+  cells.resize(2);
+  ScratchDir dir("manflat");
+  SweepOptions opt = quiet(1);
+  opt.supervisor.isolate = true;
+  opt.supervisor.checkpoint_dir = dir.str();
+  ASSERT_TRUE(run_sweep(cells, opt).all_ok());
+
+  std::vector<std::string> lines;
+  {
+    std::ifstream f(dir.manifest());
+    for (std::string line; std::getline(f, line);) lines.push_back(line);
+  }
+  bool rewrote = false;
+  for (std::string& line : lines) {
+    wire::Value v = wire::parse_object(line);
+    if (v.find("result") == nullptr || v.num_or("cell", 99) != 0) continue;
+    for (auto& [key, member] : v.obj)
+      if (key == "result") member = flat_layout(member);
+    line = to_json(v);
+    rewrote = true;
+  }
+  ASSERT_TRUE(rewrote);
+  {
+    std::ofstream f(dir.manifest(), std::ios::trunc);
+    for (const std::string& line : lines) f << line << '\n';
+  }
+
+  const Manifest m = load_manifest(dir.manifest());
+  ASSERT_EQ(m.entries.size(), 1u)
+      << "the flat-layout entry is dropped; the current one survives";
+  EXPECT_EQ(m.entries[0].cell, 1u);
+
+  const std::string reference = as_json(run_sweep(cells, quiet(1)));
+  SweepOptions resume = quiet(1);
+  resume.supervisor.isolate = true;
+  resume.supervisor.resume_manifest = dir.manifest();
+  resume.supervisor.checkpoint_dir = dir.str();
+  const SweepResult done = run_sweep(cells, resume);
+  EXPECT_TRUE(done.all_ok());
+  EXPECT_EQ(as_json(done), reference);
+  EXPECT_EQ(load_manifest(dir.manifest()).entries.size(), 2u)
+      << "the rerun journals cell 0 again in the current layout";
 }
 
 }  // namespace

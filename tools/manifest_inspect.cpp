@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   for (const auto& e : m.entries) {
     ++by_status[to_string(e.status)];
     ++by_outcome[outcome_of(e)];
-    if (e.has_result) kills_absorbed += e.result.fault.components_killed();
+    if (e.has_result) kills_absorbed += e.result.components_killed();
     if (e.snap_saved_cycles > 0) {
       snap_saved_total += e.snap_saved_cycles;
       ++snap_resumed_cells;
