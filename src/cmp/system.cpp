@@ -274,30 +274,33 @@ void CmpSystem::functional_warmup(std::uint64_t ops_per_core) {
 }
 
 void CmpSystem::tick() {
+  step(/*with_cores=*/true);
+  if ((cycle_ & 0xFF) == 0) check_cancel();
+  if (cfg_.progress_watchdog_cycles > 0) check_progress();
+}
+
+void CmpSystem::step(bool with_cores) {
   ++cycle_;
   if (next_hard_fault_ < hard_schedule_.size()) fire_hard_faults();
   network_->tick(cycle_);
-  if (!any_node_dead_) {
-    for (auto& l1 : l1s_) l1->tick(cycle_);
-    for (auto& l2 : l2s_) l2->tick(cycle_);
-    for (auto& mem : mems_) mem->tick(cycle_);
-    for (auto& core : cores_) core->tick(cycle_);
-  } else {
-    const std::uint32_t n = cfg_.noc.num_nodes();
-    for (NodeId i = 0; i < n; ++i) {
-      if (network_->node_dead(i)) continue;
-      l1s_[i]->tick(cycle_);
-      l2s_[i]->tick(cycle_);
-    }
-    for (std::size_t i = 0; i < mems_.size(); ++i)
-      if (!network_->node_dead(mem_nodes_[i])) mems_[i]->tick(cycle_);
+  // Dead tiles are skipped; every NI still sees its L1's injections before
+  // its L2 bank's within the cycle.
+  const auto live = [this](NodeId n) {
+    return !any_node_dead_ || !network_->node_dead(n);
+  };
+  const std::uint32_t n = cfg_.noc.num_nodes();
+  for (NodeId i = 0; i < n; ++i)
+    if (live(i)) l1s_[i]->tick(cycle_);
+  for (NodeId i = 0; i < n; ++i)
+    if (live(i)) l2s_[i]->tick(cycle_);
+  for (std::size_t i = 0; i < mems_.size(); ++i)
+    if (live(mem_nodes_[i])) mems_[i]->tick(cycle_);
+  if (with_cores) {
     for (NodeId i = 0; i < n; ++i)
-      if (!network_->node_dead(i)) cores_[i]->tick(cycle_);
+      if (live(i)) cores_[i]->tick(cycle_);
   }
   if (checker_ != nullptr)
     checker_->end_of_cycle(cycle_, network_->inflight_flits());
-  if ((cycle_ & 0xFF) == 0) check_cancel();
-  if (cfg_.progress_watchdog_cycles > 0) check_progress();
 }
 
 void CmpSystem::check_cancel() const {
@@ -394,24 +397,9 @@ void CmpSystem::run(Cycle cycles) {
 }
 
 bool CmpSystem::drain(Cycle max_cycles) {
-  const std::uint32_t n = cfg_.noc.num_nodes();
   for (Cycle i = 0; i < max_cycles; ++i) {
-    ++cycle_;
-    if (next_hard_fault_ < hard_schedule_.size()) fire_hard_faults();
-    network_->tick(cycle_);
-    for (NodeId j = 0; j < n; ++j) {
-      if (any_node_dead_ && network_->node_dead(j)) continue;
-      l1s_[j]->tick(cycle_);
-      l2s_[j]->tick(cycle_);
-    }
-    for (std::size_t j = 0; j < mems_.size(); ++j)
-      if (!(any_node_dead_ && network_->node_dead(mem_nodes_[j])))
-        mems_[j]->tick(cycle_);
-    // No core ticks: stop injecting new work.
-    if (checker_ != nullptr)
-      checker_->end_of_cycle(cycle_, network_->inflight_flits());
-    const bool quiet = network_->quiescent() && !work_outstanding();
-    if (quiet) return true;
+    step(/*with_cores=*/false);  // no core ticks: stop injecting new work
+    if (network_->quiescent() && !work_outstanding()) return true;
   }
   return false;
 }

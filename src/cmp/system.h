@@ -160,6 +160,9 @@ class CmpSystem {
   void visit_body(Ar& ar);
 
   void tick();
+  /// Advance one cycle: hard faults due, the network, then the live tiles'
+  /// L1s, L2 banks, memory controllers and (`with_cores`) cores.
+  void step(bool with_cores);
   void check_cancel() const;
   void check_progress();
   bool work_outstanding() const;

@@ -186,33 +186,14 @@ void DiscoUnit::on_shadow_departed(Cycle now, const VcId& v) {
     if (!eng.busy || !(eng.vc == v)) continue;
     // Mis-predicted stall: the port freed up and the scheduler sent the
     // shadow packet; invalidate the flits under process (non-blocking op).
-    ++(eng.decompress ? stats_.decompression_aborts : stats_.compression_aborts);
-    ++window_aborts_;
-    if (auto* t = router_.tracer())
-      t->emit(now, router_.id(),
-              eng.decompress ? trace::Event::DecompAbort
-                             : trace::Event::CompAbort,
-              static_cast<std::uint8_t>(eng.vc.port), eng.vc.vc, eng.pkt->id,
-              0);
-    release(eng, now);
+    abort(eng, now);
     return;
   }
 }
 
 void DiscoUnit::on_hard_fault(Cycle now) {
   for (Engine& eng : engines_) {
-    if (eng.busy) {
-      ++(eng.decompress ? stats_.decompression_aborts
-                        : stats_.compression_aborts);
-      ++window_aborts_;
-      if (auto* t = router_.tracer())
-        t->emit(now, router_.id(),
-                eng.decompress ? trace::Event::DecompAbort
-                               : trace::Event::CompAbort,
-                static_cast<std::uint8_t>(eng.vc.port), eng.vc.vc,
-                eng.pkt->id, 0);
-      release(eng, now);
-    }
+    if (eng.busy) abort(eng, now);
     eng.quarantined = true;
   }
 }
@@ -224,15 +205,7 @@ void DiscoUnit::tick(Cycle now) {
     VirtualChannel& ch = router_.vc(eng.vc);
     if (ch.head_packet() != eng.pkt || ch.sent_flits != 0) {
       // The shadow left between allocation and completion; treat as abort.
-      ++(eng.decompress ? stats_.decompression_aborts : stats_.compression_aborts);
-      ++window_aborts_;
-      if (auto* t = router_.tracer())
-        t->emit(now, router_.id(),
-                eng.decompress ? trace::Event::DecompAbort
-                               : trace::Event::CompAbort,
-                static_cast<std::uint8_t>(eng.vc.port), eng.vc.vc,
-                eng.pkt->id, 0);
-      release(eng, now);
+      abort(eng, now);
       continue;
     }
     if (eng.awaiting_residency && !ch.whole_packet_resident()) {
@@ -249,39 +222,34 @@ void DiscoUnit::complete(Engine& eng, Cycle now) {
   const std::uint32_t old_count = pkt->flit_count();
 
   if (eng.decompress) {
-    if (fault_mode()) {
-      // Hardened decode path: a corrupted stream must not crash the engine.
-      // On failure the packet continues compressed (the ejecting NI detects
-      // and recovers) and the engine books an error towards quarantine.
-      const FaultConfig& fc = fi_->config();
-      const std::optional<BlockBytes> dec = algo_.try_decompress(
-          std::span<const std::uint8_t>(pkt->encoded->bytes));
-      bool valid = dec.has_value();
-      if (valid && pkt->crc_valid &&
-          fault::checksum(std::span<const std::uint8_t>(*dec), fc.crc) !=
-              pkt->payload_crc) {
-        valid = false;
+    const bool fault = fault_mode();
+    const fault::DecodeCheck check = fault::checked_decode(
+        algo_, std::span<const std::uint8_t>(pkt->encoded->bytes), pkt->data,
+        pkt->crc_valid ? std::optional(pkt->payload_crc) : std::nullopt,
+        fault ? fi_->config().crc : CrcMode::Crc32);
+    assert((fault || check == fault::DecodeCheck::Ok) &&
+           "lossy de/compression in flight");
+    if (check == fault::DecodeCheck::Rejected) {
+      // A corrupted stream must not crash the engine: the packet continues
+      // compressed (the ejecting NI detects and recovers) and the engine
+      // books an error towards quarantine.
+      ++stats_.engine_decode_errors;
+      ++eng.errors;
+      if (!eng.quarantined &&
+          eng.errors >= fi_->config().engine_quarantine_threshold) {
+        eng.quarantined = true;
+        ++stats_.engines_quarantined;
       }
-      if (!valid) {
-        ++stats_.engine_decode_errors;
-        ++eng.errors;
-        if (!eng.quarantined && eng.errors >= fc.engine_quarantine_threshold) {
-          eng.quarantined = true;
-          ++stats_.engines_quarantined;
-        }
-        ++window_completions_;
-        if (auto* t = router_.tracer())
-          t->emit(now, router_.id(), trace::Event::DecompFinish,
-                  static_cast<std::uint8_t>(eng.vc.port), eng.vc.vc, pkt->id,
-                  0);
-        release(eng, now);
-        return;
-      }
-      if (*dec != pkt->data) ++stats_.silent_corruptions;  // oracle only
-      pkt->encoded.reset();
-    } else {
-      pkt->apply_decompression(algo_);
+      ++window_completions_;
+      if (auto* t = router_.tracer())
+        t->emit(now, router_.id(), trace::Event::DecompFinish,
+                static_cast<std::uint8_t>(eng.vc.port), eng.vc.vc, pkt->id, 0);
+      release(eng, now);
+      return;
     }
+    if (check == fault::DecodeCheck::SilentlyWrong)
+      ++stats_.silent_corruptions;  // oracle only
+    pkt->encoded.reset();
     pkt->decompressed_in_network = true;
     const bool ok = router_.rebuild_head_packet(eng.vc, old_count, now);
     assert(ok && "decompression rebuild must succeed for a resident shadow");
@@ -334,6 +302,17 @@ void DiscoUnit::adapt_thresholds(Cycle now) {
     cd_th_ = std::max(cd_th_ * 0.75, 0.25);
   }
   window_aborts_ = window_completions_ = window_rejections_ = 0;
+}
+
+void DiscoUnit::abort(Engine& eng, Cycle now) {
+  ++(eng.decompress ? stats_.decompression_aborts : stats_.compression_aborts);
+  ++window_aborts_;
+  if (auto* t = router_.tracer())
+    t->emit(now, router_.id(),
+            eng.decompress ? trace::Event::DecompAbort
+                           : trace::Event::CompAbort,
+            static_cast<std::uint8_t>(eng.vc.port), eng.vc.vc, eng.pkt->id, 0);
+  release(eng, now);
 }
 
 void DiscoUnit::release(Engine& eng, Cycle now) {

@@ -92,6 +92,9 @@ class DiscoUnit final : public noc::RouterExtension {
   bool fault_mode() const { return fi_ != nullptr && fi_->enabled(); }
   void start(Engine& eng, const Candidate& cand, Cycle now);
   void complete(Engine& eng, Cycle now);
+  /// The shadow departed or the engine died mid-operation: count the abort,
+  /// trace it and release the engine.
+  void abort(Engine& eng, Cycle now);
   void release(Engine& eng, Cycle now);
   void adapt_thresholds(Cycle now);
   template <class Ar>

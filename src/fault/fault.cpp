@@ -40,6 +40,17 @@ std::uint32_t checksum(std::span<const std::uint8_t> bytes, CrcMode mode) {
                                 : static_cast<std::uint32_t>(fold8(bytes));
 }
 
+DecodeCheck checked_decode(const compress::Algorithm& algo,
+                           std::span<const std::uint8_t> wire,
+                           const BlockBytes& truth,
+                           std::optional<std::uint32_t> crc, CrcMode mode) {
+  const std::optional<BlockBytes> dec = algo.try_decompress(wire);
+  if (!dec) return DecodeCheck::Rejected;
+  if (crc && checksum(std::span<const std::uint8_t>(*dec), mode) != *crc)
+    return DecodeCheck::Rejected;
+  return *dec == truth ? DecodeCheck::Ok : DecodeCheck::SilentlyWrong;
+}
+
 namespace {
 
 [[noreturn]] void spec_error(const std::string& token, const std::string& why) {

@@ -9,12 +9,14 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/config.h"
 #include "common/rng.h"
+#include "compress/algorithm.h"
 
 namespace disco::fault {
 
@@ -42,6 +44,22 @@ std::vector<HardFaultEvent> build_hard_fault_schedule(
 /// Checksum over a raw 64B block, selected by FaultConfig::crc. Fold8 is
 /// zero-extended so both modes fit the same 32-bit header field.
 std::uint32_t checksum(std::span<const std::uint8_t> bytes, CrcMode mode);
+
+/// Verdict of checked_decode.
+enum class DecodeCheck : std::uint8_t {
+  Ok,             ///< decodes to the ground truth
+  Rejected,       ///< malformed stream, or the decoded block fails its checksum
+  SilentlyWrong,  ///< passes every check the hardware has, yet differs from the truth
+};
+
+/// Decode a block's compressed wire form as a receiver would, check the
+/// result against `crc` (the checksum stamped at injection, computed with
+/// `mode`) when one was stamped, then against the ground truth `truth`: the
+/// simulator's oracle, which no hardware has.
+DecodeCheck checked_decode(const compress::Algorithm& algo,
+                           std::span<const std::uint8_t> wire,
+                           const BlockBytes& truth,
+                           std::optional<std::uint32_t> crc, CrcMode mode);
 
 /// IEEE CRC-32 (reflected, poly 0xEDB88320).
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);

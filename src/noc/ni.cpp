@@ -25,10 +25,7 @@ void NetworkInterface::inject(PacketPtr pkt, Cycle now, Cycle extra_delay) {
   Cycle ready = now + extra_delay;
   bool codec_ok = !bypass_;
   if (degraded_ && topo_ != nullptr && pkt->has_data &&
-      !topo_->engine_alive(pkt->dst) &&
-      (policy_.decompress_on_eject_all ||
-       (policy_.decompress_for_raw_consumers &&
-        pkt->dst_unit != UnitKind::L2Bank))) {
+      !topo_->engine_alive(pkt->dst) && consumer_decodes(*pkt)) {
     // The destination NI can no longer decode: this block must travel (and
     // stay) raw end to end, so in-network engines must leave it alone too.
     pkt->compressible = false;
@@ -101,6 +98,12 @@ void NetworkInterface::pump_credits(Cycle now) {
   }
 }
 
+bool NetworkInterface::consumer_decodes(const Packet& pkt) const {
+  return policy_.decompress_on_eject_all ||
+         (policy_.decompress_for_raw_consumers &&
+          pkt.dst_unit != UnitKind::L2Bank);
+}
+
 void NetworkInterface::pump_ejection(Cycle now) {
   if (from_router_ == nullptr) return;
   Flit f;
@@ -108,81 +111,47 @@ void NetworkInterface::pump_ejection(Cycle now) {
     if (tracer_ != nullptr)
       tracer_->emit(now, node_, trace::Event::NiFlitEject, 0, f.vc_tag,
                     f.pkt->id, static_cast<std::int64_t>(f.seq));
-    if (fault_mode()) {
-      const bool dup = injector_->should_duplicate_flit();
-      process_ejected_flit(f, now);
-      if (dup) process_ejected_flit(f, now);  // exercises the dedup path
-    } else {
-      Reassembly& r = reassembly_[f.pkt->id];
-      if (++r.have == f.pkt->flit_count()) {
-        PacketPtr pkt = f.pkt;
-        reassembly_.erase(pkt->id);
-        if (tracer_ != nullptr)
-          tracer_->emit(now, node_, trace::Event::NiReassembled, 0, 0, pkt->id,
-                        static_cast<std::int64_t>(pkt->flit_count()));
-        finish_ejection(std::move(pkt), now);
-      }
-    }
+    const bool dup = fault_mode() && injector_->should_duplicate_flit();
+    reassemble(f, now);
+    if (dup) reassemble(f, now);  // exercises the dedup path
   }
 }
 
-void NetworkInterface::process_ejected_flit(const Flit& f, Cycle now) {
+void NetworkInterface::reassemble(const Flit& f, Cycle now) {
   const PacketId id = f.pkt->id;
-  if (completed_.count(id) > 0) {
+  const bool fault = fault_mode();
+  if (fault && completed_.count(id) > 0) {
     ++stats_.duplicate_flits_dropped;
     return;
   }
   Reassembly& r = reassembly_[id];
-  if (r.pkt == nullptr) {
-    r.pkt = f.pkt;
-    r.first = now;
+  if (fault) {
+    // Flit dedup and the loss-timeout clock; fault-free entries stay bare.
+    if (r.pkt == nullptr) {
+      r.pkt = f.pkt;
+      r.first = now;
+    }
+    const std::uint64_t bit = 1ULL << (f.seq & 63U);
+    if (r.seen_mask & bit) {
+      ++stats_.duplicate_flits_dropped;
+      return;
+    }
+    r.seen_mask |= bit;
   }
-  const std::uint64_t bit = 1ULL << (f.seq & 63U);
-  if (r.seen_mask & bit) {
-    ++stats_.duplicate_flits_dropped;
-    return;
-  }
-  r.seen_mask |= bit;
-  ++r.have;
-  if (r.have < f.pkt->flit_count()) return;
-  PacketPtr pkt = r.pkt;
+  if (++r.have < f.pkt->flit_count()) return;
+  PacketPtr pkt = f.pkt;
   reassembly_.erase(id);
-  completed_.insert(id);
+  if (fault) completed_.insert(id);
   if (tracer_ != nullptr)
     tracer_->emit(now, node_, trace::Event::NiReassembled, 0, 0, pkt->id,
                   static_cast<std::int64_t>(pkt->flit_count()));
-  finish_ejection_fault(std::move(pkt), now);
+  finish_ejection(std::move(pkt), now);
 }
 
 void NetworkInterface::finish_ejection(PacketPtr pkt, Cycle now) {
-  Cycle deliver_at = now;
-  if (pkt->compressed()) {
-    const bool raw_consumer = pkt->dst_unit != UnitKind::L2Bank;
-    const bool must_decompress =
-        policy_.decompress_on_eject_all ||
-        (policy_.decompress_for_raw_consumers && raw_consumer);
-    if (must_decompress) {
-      assert(policy_.algo != nullptr);
-      pkt->apply_decompression(*policy_.algo);
-      ++stats_.ni_decompressions;
-      stats_.exposed_decomp_cycles += policy_.decomp_cycles;
-      deliver_at += policy_.decomp_cycles;
-    }
-  } else if (pkt->has_data && pkt->was_compressed &&
-             pkt->dst_unit != UnitKind::L2Bank) {
-    // A once-compressed packet arriving raw at a consumer: the in-network
-    // decompression latency was fully hidden by queuing time.
-    ++stats_.hidden_decomp_ops;
-  }
-  delivery_.push_back({std::move(pkt), deliver_at});
-}
-
-void NetworkInterface::finish_ejection_fault(PacketPtr pkt, Cycle now) {
-  const FaultConfig& fc = injector_->config();
-  if (bypass_ && pkt->has_data && pkt->compressed() &&
-      (policy_.decompress_on_eject_all ||
-       (policy_.decompress_for_raw_consumers &&
-        pkt->dst_unit != UnitKind::L2Bank))) {
+  const bool fault = fault_mode();
+  const bool decode_here = pkt->compressed() && consumer_decodes(*pkt);
+  if (fault && bypass_ && decode_here) {
     // A compressed block reached a consumer whose decoder is dead (it was
     // in flight when the engine failed): ask the source for a raw copy.
     if (pkt->retransmit_of != 0 && parked_.count(pkt->retransmit_of) == 0) {
@@ -193,80 +162,74 @@ void NetworkInterface::finish_ejection_fault(PacketPtr pkt, Cycle now) {
     park_and_nack(std::move(pkt), now);
     return;
   }
-  if (pkt->has_data) {
-    // End-to-end verification: non-throwing decode + payload checksum. The
-    // `dec != pkt->data` comparison is the simulator's oracle — a mismatch
-    // the checksum failed to catch is a silent corruption.
-    ++stats_.crc_checks;
-    bool ok = true;
-    if (pkt->compressed()) {
-      assert(policy_.algo != nullptr);
-      const std::optional<BlockBytes> dec = policy_.algo->try_decompress(
-          std::span<const std::uint8_t>(pkt->encoded->bytes));
-      if (!dec) {
-        ok = false;
-      } else if (pkt->crc_valid &&
-                 fault::checksum(std::span<const std::uint8_t>(*dec), fc.crc) !=
-                     pkt->payload_crc) {
-        ok = false;
-      } else if (*dec != pkt->data) {
-        ++stats_.silent_corruptions;
+  // Fault mode verifies every data packet end to end; a fault-free NI
+  // decodes only what its consumer needs raw, and that decode must be exact.
+  fault::DecodeCheck check = fault::DecodeCheck::Ok;
+  if (pkt->compressed() && (fault || decode_here)) {
+    assert(policy_.algo != nullptr);
+    check = fault::checked_decode(
+        *policy_.algo, std::span<const std::uint8_t>(pkt->encoded->bytes),
+        pkt->data,
+        pkt->crc_valid ? std::optional(pkt->payload_crc) : std::nullopt,
+        fault ? injector_->config().crc : CrcMode::Crc32);
+  }
+  assert((fault || check == fault::DecodeCheck::Ok) &&
+         "lossy de/compression in flight");
+  if (fault) {
+    if (pkt->has_data) {
+      ++stats_.crc_checks;
+      if (check == fault::DecodeCheck::SilentlyWrong)
+        ++stats_.silent_corruptions;  // oracle only
+      const bool ok =
+          pkt->compressed()
+              ? check != fault::DecodeCheck::Rejected
+              : !pkt->crc_valid ||
+                    fault::checksum(std::span<const std::uint8_t>(pkt->data),
+                                    injector_->config().crc) == pkt->payload_crc;
+      if (!ok) {
+        ++stats_.corruptions_detected;
+        if (pkt->retransmit_of != 0 &&
+            parked_.count(pkt->retransmit_of) == 0) {
+          // A corrupted clone for an already-resolved packet: drop it.
+          ++stats_.duplicate_retransmissions;
+          return;
+        }
+        park_and_nack(std::move(pkt), now);
+        return;
       }
-    } else if (pkt->crc_valid &&
-               fault::checksum(std::span<const std::uint8_t>(pkt->data),
-                               fc.crc) != pkt->payload_crc) {
-      ok = false;
     }
-
-    if (!ok) {
-      ++stats_.corruptions_detected;
-      if (pkt->retransmit_of != 0 && parked_.count(pkt->retransmit_of) == 0) {
-        // A corrupted clone for an already-resolved packet: drop it.
+    // Retransmission bookkeeping applies to every packet, not just
+    // data-bearing ones: a severed/lost request (GetM, acks, ...) is
+    // recovered by the same NACK-clone machinery, and a late second clone of
+    // it must be dropped here or the consumer services the transaction twice.
+    if (pkt->retransmit_of != 0) {
+      // A good clone resolves the parked original (or is a late duplicate).
+      const PacketId oid = pkt->retransmit_of;
+      if (parked_.erase(oid) == 0) {
         ++stats_.duplicate_retransmissions;
         return;
       }
-      park_and_nack(std::move(pkt), now);
-      return;
+      reassembly_.erase(oid);
+      completed_.insert(oid);
+      forget_clones_of(oid);
+      ++stats_.retransmit_deliveries;
+    } else {
+      // A parked original that completed intact after all (spurious loss
+      // timeout): deliver it; the clone will arrive as a duplicate.
+      parked_.erase(pkt->id);
     }
   }
 
-  // Retransmission bookkeeping applies to every packet, not just data-bearing
-  // ones: a severed/lost request (GetM, acks, ...) is recovered by the same
-  // NACK-clone machinery, and a late second clone of it must be dropped here
-  // or the consumer services the transaction twice.
-  if (pkt->retransmit_of != 0) {
-    // A good clone resolves the parked original (or is a late duplicate).
-    const PacketId oid = pkt->retransmit_of;
-    if (parked_.erase(oid) == 0) {
-      ++stats_.duplicate_retransmissions;
-      return;
-    }
-    reassembly_.erase(oid);
-    completed_.insert(oid);
-    forget_clones_of(oid);
-    ++stats_.retransmit_deliveries;
-  } else {
-    // A parked original that completed intact after all (spurious loss
-    // timeout): deliver it; the clone will arrive as a duplicate.
-    parked_.erase(pkt->id);
-  }
-
-  // Decompression policy — same timing semantics as the non-fault path, but
-  // the decode already happened (and was verified) above.
   Cycle deliver_at = now;
-  if (pkt->compressed()) {
-    const bool raw_consumer = pkt->dst_unit != UnitKind::L2Bank;
-    const bool must_decompress =
-        policy_.decompress_on_eject_all ||
-        (policy_.decompress_for_raw_consumers && raw_consumer);
-    if (must_decompress) {
-      pkt->encoded.reset();
-      ++stats_.ni_decompressions;
-      stats_.exposed_decomp_cycles += policy_.decomp_cycles;
-      deliver_at += policy_.decomp_cycles;
-    }
-  } else if (pkt->has_data && pkt->was_compressed &&
+  if (decode_here) {
+    pkt->encoded.reset();
+    ++stats_.ni_decompressions;
+    stats_.exposed_decomp_cycles += policy_.decomp_cycles;
+    deliver_at += policy_.decomp_cycles;
+  } else if (!pkt->compressed() && pkt->has_data && pkt->was_compressed &&
              pkt->dst_unit != UnitKind::L2Bank) {
+    // A once-compressed packet arriving raw at a consumer: the in-network
+    // decompression latency was fully hidden by queuing time.
     ++stats_.hidden_decomp_ops;
   }
   delivery_.push_back({std::move(pkt), deliver_at});

@@ -214,11 +214,15 @@ class NetworkInterface {
   void pump_delivery(Cycle now);
   void pump_injection(Cycle now);
   void pump_source_compression(Cycle now);
+  /// The consumer of `pkt` needs raw data, so this NI decodes it at ejection.
+  bool consumer_decodes(const Packet& pkt) const;
+  /// Count one ejected flit towards its packet; fault mode drops duplicates.
+  void reassemble(const Flit& f, Cycle now);
+  /// A packet is complete: fault mode verifies it (and may park it for a
+  /// retransmission), then the consumer's decode, if any, and delivery.
   void finish_ejection(PacketPtr pkt, Cycle now);
 
   // --- integrity / recovery (fault mode only) ---
-  void process_ejected_flit(const Flit& f, Cycle now);
-  void finish_ejection_fault(PacketPtr pkt, Cycle now);
   void park_and_nack(PacketPtr pkt, Cycle now);
   void send_nack(PacketId oid, Parked& parked, Cycle now);
 

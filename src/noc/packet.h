@@ -132,15 +132,6 @@ struct Packet {
     was_compressed = true;
   }
 
-  /// Apply decompression: verifies losslessness against the ground truth.
-  void apply_decompression(const compress::Algorithm& algo) {
-    assert(has_data && compressed());
-    [[maybe_unused]] const BlockBytes out = algo.decompress(
-        std::span<const std::uint8_t>(encoded->bytes));
-    assert(out == data && "lossy de/compression in flight");
-    encoded.reset();
-  }
-
   // --- pool bookkeeping (managed by PacketPool / PacketPtr; never
   // serialized). A plain non-atomic refcount: a simulation cell lives
   // entirely on one thread, so packets never cross threads.

@@ -61,8 +61,8 @@ TEST_F(DiscoNetFixture, HotspotTrafficTriggersInNetworkCompression) {
   ASSERT_TRUE(run_until_quiescent(*net_, clock_, 60000));
   EXPECT_EQ(stats_.packets_ejected, 30u * 16u);
   EXPECT_GT(stats_.engine_starts, 0u) << "idling packets must reach the engines";
-  // Every packet must arrive with ground-truth data intact (asserted inside
-  // apply_decompression as well).
+  // Every packet must arrive with ground-truth data intact (every decode
+  // asserts it against the ground truth as well).
   for (const auto& a : sinks_[12].arrivals) {
     EXPECT_FALSE(a.pkt->compressed()) << "raw consumer got a compressed block";
   }
