@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "bench_util.h"
+#include "cmp/scheme.h"
 #include "compress/registry.h"
 #include "disco/unit.h"
 #include "noc/network.h"
@@ -37,23 +38,16 @@ double run_point(FlowControl fc, bool with_disco, double rate,
   auto algo = compress::make_algorithm("delta");
   DiscoConfig dcfg;
 
-  noc::NiPolicy policy;
-  policy.algo = algo.get();
-  policy.decompress_for_raw_consumers = true;
-  policy.decomp_cycles = algo->latency().decomp_cycles;
-  if (with_disco) {
-    policy.compress_when_source_queued = true;
-    policy.comp_cycles = algo->latency().comp_cycles;
-  }
-
+  const cmp::SchemeSetup setup = cmp::make_scheme_setup(
+      with_disco ? Scheme::DISCO : Scheme::Baseline, *algo);
   noc::Network::ExtensionFactory factory;
-  if (with_disco) {
+  if (setup.use_disco_units) {
     factory = [&](noc::Router& r) {
       return std::make_unique<core::DiscoUnit>(r, dcfg, *algo, algo->latency(),
                                                stats);
     };
   }
-  noc::Network net(cfg, policy, stats, factory);
+  noc::Network net(cfg, setup.ni, stats, factory);
   std::vector<CountingSink> sinks(cfg.num_nodes());
   for (NodeId n = 0; n < cfg.num_nodes(); ++n)
     net.register_sink(n, UnitKind::Core, &sinks[n]);
@@ -64,18 +58,8 @@ double run_point(FlowControl fc, bool with_disco, double rate,
   if (tc.active()) {
     tracer = std::make_unique<trace::Tracer>(tc);
     if (tc.check_invariants) {
-      trace::InvariantParams p;
-      p.nodes = cfg.num_nodes();
-      p.ports = noc::kNumPorts;
-      p.local_port = static_cast<std::uint32_t>(noc::Port::Local);
-      p.num_vcs = cfg.num_vcs();
-      p.vc_depth = cfg.vc_depth_flits;
-      p.max_hops = (cfg.mesh_cols - 1) + (cfg.mesh_rows - 1);
-      p.block_flits = 1 + static_cast<std::uint32_t>(kBlockBytes / kFlitBytes);
-      p.gamma = dcfg.gamma;
-      p.alpha = dcfg.alpha;
-      p.beta = dcfg.beta;
-      checker = std::make_unique<trace::InvariantChecker>(p);
+      checker = std::make_unique<trace::InvariantChecker>(
+          noc::invariant_params(cfg, dcfg));
       tracer->set_checker(checker.get());
     }
     net.set_tracer(tracer.get());

@@ -77,10 +77,9 @@ inline void check_algorithm_or_exit(const char* prog, const std::string& name) {
 inline void print_banner(const char* title, const SystemConfig& cfg) {
   std::printf("=== %s ===\n", title);
   std::printf("system: %s\n", cfg.summary().c_str());
-  std::printf("router: %u-stage pipeline, wormhole, %u-flit VCs | L1 32KB/4-way"
+  std::printf("router: 3-stage pipeline, wormhole, %u-flit VCs | L1 32KB/4-way"
               " | L2 %u-way NUCA, 4-cycle hit | DRAM %u cycles\n\n",
-              cfg.noc.router_pipeline_stages, cfg.noc.vc_depth_flits,
-              cfg.l2.ways, cfg.mem.access_latency);
+              cfg.noc.vc_depth_flits, cfg.l2.ways, cfg.mem.access_latency);
 }
 
 /// Shorthand for the 13 PARSEC-like workloads.

@@ -10,6 +10,7 @@
 #include <iostream>
 #include <memory>
 
+#include "cmp/scheme.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "compress/registry.h"
@@ -43,19 +44,16 @@ Result run(const std::string& pattern, double rate, bool with_disco) {
   auto algo = compress::make_algorithm("delta");
   DiscoConfig dcfg;  // default thresholds
 
-  noc::NiPolicy policy;
-  policy.algo = algo.get();
-  policy.decompress_for_raw_consumers = true;
-  policy.decomp_cycles = algo->latency().decomp_cycles;
-
+  const cmp::SchemeSetup setup = cmp::make_scheme_setup(
+      with_disco ? Scheme::DISCO : Scheme::Baseline, *algo);
   noc::Network::ExtensionFactory factory;
-  if (with_disco) {
+  if (setup.use_disco_units) {
     factory = [&](noc::Router& r) {
       return std::make_unique<core::DiscoUnit>(r, dcfg, *algo, algo->latency(),
                                                stats);
     };
   }
-  noc::Network net(cfg, policy, stats, factory);
+  noc::Network net(cfg, setup.ni, stats, factory);
   std::vector<CountingSink> sinks(cfg.num_nodes());
   for (NodeId node = 0; node < cfg.num_nodes(); ++node)
     net.register_sink(node, UnitKind::Core, &sinks[node]);

@@ -102,18 +102,8 @@ CmpSystem::CmpSystem(const SystemConfig& cfg,
   if (cfg_.trace.active()) {
     tracer_ = std::make_unique<trace::Tracer>(cfg_.trace);
     if (cfg_.trace.check_invariants) {
-      trace::InvariantParams p;
-      p.nodes = n;
-      p.ports = noc::kNumPorts;
-      p.local_port = static_cast<std::uint32_t>(noc::Port::Local);
-      p.num_vcs = cfg_.noc.num_vcs();
-      p.vc_depth = cfg_.noc.vc_depth_flits;
-      p.max_hops = (cfg_.noc.mesh_cols - 1) + (cfg_.noc.mesh_rows - 1);
-      p.block_flits = 1 + static_cast<std::uint32_t>(kBlockBytes / kFlitBytes);
-      p.gamma = cfg_.disco.gamma;
-      p.alpha = cfg_.disco.alpha;
-      p.beta = cfg_.disco.beta;
-      checker_ = std::make_unique<trace::InvariantChecker>(p);
+      checker_ = std::make_unique<trace::InvariantChecker>(
+          noc::invariant_params(cfg_.noc, cfg_.disco));
       tracer_->set_checker(checker_.get());
     }
     network_->set_tracer(tracer_.get());

@@ -24,7 +24,6 @@ struct NocConfig {
   std::uint32_t mesh_rows = 4;
   std::uint32_t vcs_per_vnet = 2;
   std::uint32_t vc_depth_flits = 8;
-  std::uint32_t router_pipeline_stages = 3;  // BW/RC -> VA/SA -> ST
   FlowControl flow_control = FlowControl::Wormhole;
   /// Section 3.3B: compressible-but-uncompressed packets get lowest priority.
   bool deprioritize_compressible = true;

@@ -419,4 +419,20 @@ void Network::visit(Ar& ar) {
 template void Network::visit(snap::Writer&);
 template void Network::visit(snap::Reader&);
 
+trace::InvariantParams invariant_params(const NocConfig& cfg,
+                                        const DiscoConfig& disco) {
+  trace::InvariantParams p;
+  p.nodes = cfg.num_nodes();
+  p.ports = kNumPorts;
+  p.local_port = static_cast<std::uint32_t>(Port::Local);
+  p.num_vcs = cfg.num_vcs();
+  p.vc_depth = cfg.vc_depth_flits;
+  p.max_hops = (cfg.mesh_cols - 1) + (cfg.mesh_rows - 1);
+  p.block_flits = 1 + static_cast<std::uint32_t>(kBlockBytes / kFlitBytes);
+  p.gamma = disco.gamma;
+  p.alpha = disco.alpha;
+  p.beta = disco.beta;
+  return p;
+}
+
 }  // namespace disco::noc

@@ -12,6 +12,7 @@
 #include "noc/ni.h"
 #include "noc/router.h"
 #include "noc/topology.h"
+#include "trace/invariants.h"
 
 namespace disco::noc {
 
@@ -173,5 +174,10 @@ class Network {
   /// Original ids already routed through the unreachable handler.
   std::unordered_set<PacketId> resolved_;
 };
+
+/// Invariant-checker parameters for a mesh built from `cfg` whose
+/// confidence events use the Eq. 1/2 coefficients of `disco`.
+trace::InvariantParams invariant_params(const NocConfig& cfg,
+                                        const DiscoConfig& disco);
 
 }  // namespace disco::noc

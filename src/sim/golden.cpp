@@ -63,18 +63,7 @@ GoldenRun run_network_scenario(const NocConfig& cfg, const DiscoConfig& dcfg,
     net.register_sink(n, UnitKind::Core, &sinks[n]);
 
   trace::Tracer tracer(tc);
-  trace::InvariantParams p;
-  p.nodes = cfg.num_nodes();
-  p.ports = noc::kNumPorts;
-  p.local_port = static_cast<std::uint32_t>(noc::Port::Local);
-  p.num_vcs = cfg.num_vcs();
-  p.vc_depth = cfg.vc_depth_flits;
-  p.max_hops = (cfg.mesh_cols - 1) + (cfg.mesh_rows - 1);
-  p.block_flits = 1 + static_cast<std::uint32_t>(kBlockBytes / kFlitBytes);
-  p.gamma = dcfg.gamma;
-  p.alpha = dcfg.alpha;
-  p.beta = dcfg.beta;
-  trace::InvariantChecker checker(p);
+  trace::InvariantChecker checker(noc::invariant_params(cfg, dcfg));
   tracer.set_checker(&checker);
   net.set_tracer(&tracer);
 

@@ -283,21 +283,6 @@ void run_indexed(std::size_t count, const std::function<void(std::size_t)>& fn,
 SweepOptions parse_sweep_flags(int argc, char** argv,
                                std::vector<std::string>& positional) {
   SweepOptions opt;
-  // Debug fault hooks are also settable from the environment so CI can break
-  // a child without touching every bench's argv plumbing.
-  if (const char* e = std::getenv("DISCO_DEBUG_CRASH_CELL"))
-    opt.supervisor.debug_crash_cell = std::atoi(e);
-  if (const char* e = std::getenv("DISCO_DEBUG_HANG_CELL"))
-    opt.supervisor.debug_hang_cell = std::atoi(e);
-  if (const char* e = std::getenv("DISCO_DEBUG_THROW_CELL"))
-    opt.supervisor.debug_throw_cell = std::atoi(e);
-  if (const char* e = std::getenv("DISCO_DEBUG_CRASH_ATTEMPTS"))
-    opt.supervisor.debug_crash_attempts =
-        static_cast<unsigned>(std::strtoul(e, nullptr, 10));
-  if (const char* e = std::getenv("DISCO_DEBUG_KILL_CELL"))
-    opt.supervisor.debug_kill_cell = std::atoi(e);
-  if (const char* e = std::getenv("DISCO_DEBUG_KILL_CYCLE"))
-    opt.supervisor.debug_kill_cycle = std::strtoull(e, nullptr, 10);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {

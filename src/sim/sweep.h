@@ -215,9 +215,7 @@ void install_interrupt_handlers();
 /// `positional` in order. Exits with a usage message on malformed flags, on
 /// flags that cannot take effect (--snapshot-interval-cycles without
 /// --checkpoint-dir, --debug-kill-cell without --snapshot-interval-cycles)
-/// or on --help. The DISCO_DEBUG_{CRASH,HANG,THROW,KILL}_CELL,
-/// DISCO_DEBUG_KILL_CYCLE and DISCO_DEBUG_CRASH_ATTEMPTS environment
-/// variables seed the corresponding debug hooks.
+/// or on --help.
 SweepOptions parse_sweep_flags(int argc, char** argv,
                                std::vector<std::string>& positional);
 

@@ -18,6 +18,7 @@
 #include "cache/l1_cache.h"
 #include "cache/l2_bank.h"
 #include "cache/mem_ctrl.h"
+#include "cmp/scheme.h"
 #include "common/rng.h"
 #include "compress/registry.h"
 #include "disco/unit.h"
@@ -85,36 +86,16 @@ class MiniCmp {
     cfg_.l2.total_size_bytes = 256ULL * 1024 * nodes_side * nodes_side;
     algo_ = compress::make_algorithm(algo_name);
 
-    L2BankPolicy bank;
-    noc::NiPolicy ni;
-    const auto lat = algo_->latency();
-    switch (scheme) {
-      case Scheme::Baseline:
-        break;
-      case Scheme::CC:
-        bank = {true, lat.decomp_cycles, false, lat.comp_cycles};
-        break;
-      case Scheme::CNC:
-        bank = {true, lat.decomp_cycles, false, lat.comp_cycles};
-        ni = {algo_.get(), true, true, false, false, lat.comp_cycles,
-              lat.decomp_cycles};
-        break;
-      case Scheme::DISCO:
-      case Scheme::Ideal:
-        bank = {true, 0, true, lat.comp_cycles};
-        ni = {algo_.get(), false, false, true, true, lat.comp_cycles,
-              lat.decomp_cycles};
-        break;
-    }
-
+    const cmp::SchemeSetup setup = cmp::make_scheme_setup(scheme, *algo_);
     noc::Network::ExtensionFactory factory;
-    if (scheme == Scheme::DISCO) {
+    if (setup.use_disco_units) {
       factory = [this](noc::Router& r) {
         return std::make_unique<core::DiscoUnit>(r, cfg_.disco, *algo_,
                                                  algo_->latency(), noc_stats_);
       };
     }
-    net_ = std::make_unique<noc::Network>(cfg_.noc, ni, noc_stats_, factory);
+    net_ = std::make_unique<noc::Network>(cfg_.noc, setup.ni, noc_stats_,
+                                          factory);
 
     const std::uint32_t n = cfg_.noc.num_nodes();
     auto home = [n](Addr a) { return static_cast<NodeId>((a / kBlockBytes) % n); };
@@ -127,7 +108,7 @@ class MiniCmp {
                                                home, stats_));
       net_->register_sink(node, UnitKind::Core, l1s_.back().get());
       l2s_.push_back(std::make_unique<L2Bank>(
-          node, cfg_.l2, bank, algo_.get(), cfg_.l2_bank_size_bytes(), shift,
+          node, cfg_.l2, setup.bank, algo_.get(), cfg_.l2_bank_size_bytes(), shift,
           net_->ni(node), mem_node, stats_));
       net_->register_sink(node, UnitKind::L2Bank, l2s_.back().get());
     }

@@ -153,18 +153,7 @@ PinRun run_pin(const PinCase& c) {
   tc.check_invariants = true;
   tc.ring_capacity = 1ULL << 24;
   trace::Tracer tracer(tc);
-  trace::InvariantParams ip;
-  ip.nodes = cfg.num_nodes();
-  ip.ports = kNumPorts;
-  ip.local_port = static_cast<std::uint32_t>(Port::Local);
-  ip.num_vcs = cfg.num_vcs();
-  ip.vc_depth = cfg.vc_depth_flits;
-  ip.max_hops = (cfg.mesh_cols - 1) + (cfg.mesh_rows - 1);
-  ip.block_flits = 1 + static_cast<std::uint32_t>(kBlockBytes / kFlitBytes);
-  ip.gamma = dcfg.gamma;
-  ip.alpha = dcfg.alpha;
-  ip.beta = dcfg.beta;
-  trace::InvariantChecker checker(ip);
+  trace::InvariantChecker checker(invariant_params(cfg, dcfg));
   tracer.set_checker(&checker);
   net.set_tracer(&tracer);
 
