@@ -139,13 +139,12 @@ void NetworkInterface::reassemble(const Flit& f, Cycle now) {
     r.seen_mask |= bit;
   }
   if (++r.have < f.pkt->flit_count()) return;
-  PacketPtr pkt = f.pkt;
   reassembly_.erase(id);
   if (fault) completed_.insert(id);
   if (tracer_ != nullptr)
-    tracer_->emit(now, node_, trace::Event::NiReassembled, 0, 0, pkt->id,
-                  static_cast<std::int64_t>(pkt->flit_count()));
-  finish_ejection(std::move(pkt), now);
+    tracer_->emit(now, node_, trace::Event::NiReassembled, 0, 0, id,
+                  static_cast<std::int64_t>(f.pkt->flit_count()));
+  finish_ejection(f.pkt, now);
 }
 
 void NetworkInterface::finish_ejection(PacketPtr pkt, Cycle now) {
