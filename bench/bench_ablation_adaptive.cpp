@@ -56,10 +56,6 @@ int main(int argc, char** argv) {
     }
   }
   t.print(std::cout);
-  std::printf("\nreading: the adaptive controller raises thresholds when the "
-              "abort rate shows hasty decisions and lowers them when engines "
-              "starve, tracking the congestion level the paper says the best "
-              "static setting depends on.\n");
   bench::print_sweep_summary(sweep);
   return bench::exit_code(sweep);
 }

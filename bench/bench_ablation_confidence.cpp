@@ -74,10 +74,6 @@ int main(int argc, char** argv) {
                        : "-"});
   }
   t.print(std::cout);
-  std::printf("\nreading: low thresholds compress eagerly but waste engine "
-              "energy on aborted hasty decisions; high thresholds forgo "
-              "hiding entirely (the paper's 'trained empirically' point sits "
-              "between).\n");
   bench::print_sweep_summary(sweep);
   return bench::exit_code(sweep);
 }

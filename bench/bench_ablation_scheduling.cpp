@@ -49,9 +49,6 @@ int main(int argc, char** argv) {
                                  r_off.avg_nuca_latency)});
   }
   t.print(std::cout);
-  std::printf("\nreading: the rule trades a little raw-packet progress for "
-              "more compression opportunities; it pays off when traffic is "
-              "heavy enough that compression actually fires.\n");
   bench::print_sweep_summary(sweep);
   return bench::exit_code(sweep);
 }

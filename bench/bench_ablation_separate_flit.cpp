@@ -52,10 +52,6 @@ int main(int argc, char** argv) {
                               r_whole.decompression_aborts)});
   }
   t.print(std::cout);
-  std::printf("\nreading: whole-packet compression requires the full packet "
-              "resident in one VC (rare for streaming 8-flit packets); the "
-              "separate mode starts earlier and completes more operations "
-              "(paper: 'which is adopted in DISCO').\n");
   bench::print_sweep_summary(sweep);
   return bench::exit_code(sweep);
 }

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/snapshot.h"
-
 namespace disco::cache {
 
 // ---------------------------------------------------------------------------
@@ -186,35 +184,5 @@ std::size_t SegmentedArray::planes_allocated() const {
   return static_cast<std::size_t>(
       std::count_if(planes_.begin(), planes_.end(), [](const auto& p) { return p != nullptr; }));
 }
-
-template <class Ar>
-void SegmentedArray::visit(Ar& ar) {
-  ar.expect(sets_, "L2 array geometry");
-  ar.expect(ways_, "L2 array geometry");
-  ar.expect(tag_factor_, "L2 array geometry");
-  // Every slot of every set, set-major: an empty slot is the default
-  // (invalid) line whether or not its plane exists, and restore allocates
-  // only the planes a valid line lands in.
-  for (std::size_t set = 0; set < sets_; ++set) {
-    std::uint16_t* fps = fps_of(set);
-    for (std::size_t i = 0; i < slots_per_set_; ++i) {
-      if constexpr (Ar::kLoading) {
-        L2Line line;
-        ar(line);
-        const std::uint16_t fp = line.valid ? fingerprint(line.addr) : 0;
-        if (fp != 0 || fps[i] != 0) line_at(i, set) = std::move(line);
-        fps[i] = fp;
-      } else if (fps[i] == 0) {
-        L2Line empty;
-        ar(empty);
-      } else {
-        ar(planes_[i][set]);
-      }
-    }
-  }
-  ar.each(used_segments_);
-}
-template void SegmentedArray::visit(snap::Writer&);
-template void SegmentedArray::visit(snap::Reader&);
 
 }  // namespace disco::cache

@@ -34,19 +34,6 @@ struct L1Line {
   Cycle lru = 0;
 
   bool valid() const { return state != L1State::I; }
-
-  /// Only a valid line carries content; an invalid slot restores to the
-  /// default line.
-  template <class Ar>
-  void visit(Ar& ar) {
-    bool present = valid();
-    ar(present);
-    if (!present) {
-      if constexpr (Ar::kLoading) *this = L1Line{};
-      return;
-    }
-    ar(addr, state, data, lru);
-  }
 };
 
 class L1Array {
@@ -66,14 +53,6 @@ class L1Array {
   /// sets_ is a power of two (asserted at construction), so the modulo is
   /// a mask: a runtime `%` on a 64-bit value compiles to a divide.
   std::size_t set_of(Addr addr) const { return (addr / kBlockBytes) & (sets_ - 1); }
-
-  /// Snapshot: geometry-checked, then every line.
-  template <class Ar>
-  void visit(Ar& ar) {
-    ar.expect(sets_, "L1 array geometry");
-    ar.expect(ways_, "L1 array geometry");
-    ar.each(lines_);
-  }
 
  private:
   std::uint32_t sets_;
@@ -95,9 +74,6 @@ struct DirInfo {
   void remove_sharer(NodeId n) { sharers &= ~(1ULL << n); }
   bool is_sharer(NodeId n) const { return (sharers >> n) & 1ULL; }
   std::uint32_t sharer_count() const { return static_cast<std::uint32_t>(__builtin_popcountll(sharers)); }
-
-  template <class Ar>
-  void visit(Ar& ar) { ar(kind, sharers, owner); }
 };
 
 struct L2Line {
@@ -111,18 +87,6 @@ struct L2Line {
   /// Compressed image when the bank stores compressed (absent => raw).
   std::optional<compress::Encoded> stored;
   DirInfo dir;
-
-  /// Only a valid line carries content; an invalid slot restores to the
-  /// default line.
-  template <class Ar>
-  void visit(Ar& ar) {
-    ar(valid);
-    if (!valid) {
-      if constexpr (Ar::kLoading) *this = L2Line{};
-      return;
-    }
-    ar(addr, dirty, busy, segments, lru, data, stored, dir);
-  }
 };
 
 class SegmentedArray {
@@ -190,11 +154,6 @@ class SegmentedArray {
     return h != 0 ? h : 1;
   }
 
-  /// Snapshot: geometry-checked; tag-slot positions are preserved (install
-  /// picks the first free way, so slot order is architectural).
-  template <class Ar>
-  void visit(Ar& ar);
-
  private:
   static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
@@ -220,8 +179,8 @@ class SegmentedArray {
   /// fps_[set * slots_per_set_ + slot] is the fingerprint of the line in
   /// that slot, 0 when the slot is empty. A probe scans a set's
   /// fingerprints (32 slots = 64 bytes) and reads a line only on a
-  /// fingerprint match. Kept in sync by install/erase/restore, the only
-  /// places a line's identity changes.
+  /// fingerprint match. Kept in sync by install/erase, the only places a
+  /// line's identity changes.
   std::vector<std::uint16_t> fps_;
   std::vector<std::uint32_t> used_segments_;  // per set
 };

@@ -2,12 +2,9 @@
 // packets scheduled for injection at a future cycle, drained into the NI by
 // the controller's tick.
 //
-// Implemented as an explicit binary heap (vector + std::push_heap/pop_heap)
-// rather than std::priority_queue so checkpointing can walk the entries: the
-// snapshot serializes a (when, seq)-sorted copy — a canonical form that is
-// byte-identical regardless of the heap's internal layout — and restore
-// rebuilds the heap from it. Pop order depends only on the (when, seq) total
-// order, so the restored queue drains exactly like the original.
+// An explicit binary heap (vector + std::push_heap/pop_heap) ordered by
+// (when, seq): pop order depends only on that total order, never on the
+// heap's internal layout.
 #pragma once
 
 #include <algorithm>
@@ -49,21 +46,6 @@ class DelayedInjector {
     }
   }
 
-  template <class Ar>
-  void visit(Ar& ar) {
-    std::vector<Entry> sorted;
-    if constexpr (!Ar::kLoading) {
-      sorted = queue_;
-      std::sort(sorted.begin(), sorted.end(),
-                [](const Entry& a, const Entry& b) { return Entry::later(b, a); });
-    }
-    ar(sorted, seq_);
-    if constexpr (Ar::kLoading) {
-      queue_ = std::move(sorted);
-      std::make_heap(queue_.begin(), queue_.end(), Entry::later);
-    }
-  }
-
  private:
   struct Entry {
     Cycle when;
@@ -76,9 +58,6 @@ class DelayedInjector {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
-
-    template <class Ar>
-    void visit(Ar& ar) { ar(when, seq, pkt); }
   };
   noc::NetworkInterface& ni_;
   std::vector<Entry> queue_;

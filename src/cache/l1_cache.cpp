@@ -5,8 +5,6 @@
 #include <cstring>
 #include <span>
 
-#include "noc/snapshot.h"
-
 namespace disco::cache {
 
 L1Cache::L1Cache(NodeId node, const L1Config& cfg, noc::NetworkInterface& ni,
@@ -318,15 +316,5 @@ std::optional<BlockBytes> L1Cache::warm_invalidate(Addr blk) {
   if (dirty) return line->data;
   return std::nullopt;
 }
-
-// ---------------------------------------------------------------------------
-// Checkpoint/restore
-
-template <class Ar>
-void L1Cache::visit(Ar& ar) {
-  ar(array_, out_, mshrs_, evict_buffer_);
-}
-template void L1Cache::visit(snap::Writer&);
-template void L1Cache::visit(snap::Reader&);
 
 }  // namespace disco::cache

@@ -67,11 +67,6 @@ class L1Cache final : public noc::PacketSink {
   /// Test hook: peek at a cached line.
   const L1Line* peek(Addr addr) { return array_.lookup(addr); }
 
-  /// Checkpoint/restore of the full controller state (array, outbound
-  /// queue, MSHRs, eviction buffer). Maps serialize sorted by address.
-  template <class Ar>
-  void visit(Ar& ar);
-
   // --- functional-warmup API (no timing, no messages; used only before
   // the timing phase to pre-populate cache and directory state) ---
   struct WarmVictim {
@@ -92,9 +87,6 @@ class L1Cache final : public noc::PacketSink {
     bool is_store;
     std::uint64_t store_value;
     Addr addr;  ///< full (word-granularity) address for the store target
-
-    template <class Ar>
-    void visit(Ar& ar) { ar(op_id, is_store, store_value, addr); }
   };
   struct Mshr {
     enum class Kind { IS, IM, SM } kind;
@@ -102,16 +94,10 @@ class L1Cache final : public noc::PacketSink {
     bool inv_pending = false;     ///< Inv overtook the DataS grant
     bool recall_pending = false;  ///< Recall overtook the DataE/M grant
     Cycle issued = 0;
-
-    template <class Ar>
-    void visit(Ar& ar) { ar(kind, waiters, inv_pending, recall_pending, issued); }
   };
   struct EvictEntry {
     BlockBytes data{};
     bool dirty = false;
-
-    template <class Ar>
-    void visit(Ar& ar) { ar(data, dirty); }
   };
 
   void send(Msg m, Addr addr, NodeId dst_node, UnitKind dst_unit, Cycle now,

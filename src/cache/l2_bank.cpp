@@ -4,8 +4,6 @@
 #include <cassert>
 #include <span>
 
-#include "noc/snapshot.h"
-
 namespace disco::cache {
 
 L2Bank::L2Bank(NodeId node, const L2Config& cfg, L2BankPolicy policy,
@@ -586,15 +584,5 @@ void L2Bank::warm_update(L2Line& line, const BlockBytes& data, bool dirty,
   line.dirty = line.dirty || dirty;
   line.lru = now;
 }
-
-// ---------------------------------------------------------------------------
-// Checkpoint/restore
-
-template <class Ar>
-void L2Bank::visit(Ar& ar) {
-  ar(array_, out_, txns_, replay_, space_waiters_);
-}
-template void L2Bank::visit(snap::Writer&);
-template void L2Bank::visit(snap::Reader&);
 
 }  // namespace disco::cache

@@ -76,12 +76,6 @@ class L2Bank final : public noc::PacketSink {
   /// Diagnostic dump of in-flight transactions (one line each).
   void dump_transactions(std::FILE* out) const;
 
-  /// Checkpoint/restore of the full bank state (segmented array, outbound
-  /// queue, transaction table, replay/space-wait queues). The transaction
-  /// table serializes sorted by address.
-  template <class Ar>
-  void visit(Ar& ar);
-
   // --- functional-warmup API (no timing, no messages) ---
   /// Callback invoked for lines functionally evicted to make room; the
   /// system invalidates their L1 copies and writes dirty data to DRAM.
@@ -116,12 +110,6 @@ class L2Bank final : public noc::PacketSink {
 
     enum class After { None, InstallFill, UpdateThenGrant, AbsorbPut };
     After after_space = After::None;
-
-    template <class Ar>
-    void visit(Ar& ar) {
-      ar(kind, phase, addr, req, queue, pending_acks, parent, data, have_data,
-         data_dirty, filled_from_mem, wire, after_space);
-    }
   };
 
   // --- message handlers ---

@@ -39,16 +39,6 @@ class MemCtrl final : public noc::PacketSink {
   const BlockBytes& read_block(Addr addr);
   void write_block(Addr addr, const BlockBytes& data);
 
-  /// Snapshot. The backing store serializes sorted by address (blocks never
-  /// touched are never materialized, so the map holds exactly the touched
-  /// set — deterministic across runs).
-  template <class Ar>
-  void visit(Ar& ar) {
-    ar(out_);
-    ar.each(bank_free_at_, "DRAM bank-count");
-    ar(store_);
-  }
-
  private:
   std::size_t bank_of(Addr addr) const {
     // Skip the NUCA-interleave bits so DRAM banks stay decorrelated from

@@ -60,8 +60,8 @@ struct CacheStats {
     return total ? static_cast<double>(l1_misses) / static_cast<double>(total) : 0.0;
   }
 
-  /// The one field list: snapshot archives skip the labels, the cell JSON
-  /// and the wire codec (sim/experiment.h) use them as keys.
+  /// The one field list: the cell JSON and the wire codec
+  /// (sim/experiment.h) use the labels as keys; snap::Writer skips them.
   template <class V>
   void visit(V& v) {
     v("nuca_latency", nuca_latency);

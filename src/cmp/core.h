@@ -38,14 +38,6 @@ class Core {
     window_stalls_ = blocked_stalls_ = 0;
   }
 
-  /// Snapshot: the core's issue state and counters (the trace generator's
-  /// stream position rides along).
-  template <class Ar>
-  void visit(Ar& ar) {
-    ar(gen_, pending_, gap_left_, outstanding_, inflight_ids_, next_op_id_,
-       ops_, loads_, stores_, stalls_, window_stalls_, blocked_stalls_);
-  }
-
  private:
   NodeId node_;
   cache::L1Cache& l1_;

@@ -15,6 +15,12 @@ struct SchemeSetup {
   noc::NiPolicy ni;
   cache::L2BankPolicy bank;
   bool use_disco_units = false;
+  /// Whether the scheme schedules compressible-but-uncompressed packets at
+  /// low priority (section 3.3B). The rule exists to create compression
+  /// opportunities, so it is part of DISCO's policy, not the baselines'.
+  /// The router reads NocConfig::deprioritize_compressible: a system applies
+  /// this with `&=`, so a config that turns the rule off keeps it off.
+  bool deprioritize_compressible = false;
 };
 
 inline SchemeSetup make_scheme_setup(Scheme scheme,
@@ -48,6 +54,7 @@ inline SchemeSetup make_scheme_setup(Scheme scheme,
       s.ni.comp_cycles = lat.comp_cycles;
       s.ni.decomp_cycles = lat.decomp_cycles;
       s.use_disco_units = true;
+      s.deprioritize_compressible = true;
       break;
     case Scheme::Ideal:
       // Compression everywhere at zero latency: the normalization basis.

@@ -3,10 +3,7 @@
 #include <cassert>
 #include <fstream>
 #include <limits>
-#include <span>
 #include <sstream>
-
-#include "noc/snapshot.h"
 
 #include "common/interrupt.h"
 #include "fault/fault.h"
@@ -79,11 +76,7 @@ CmpSystem::CmpSystem(const SystemConfig& cfg,
 
   SchemeSetup setup = make_scheme_setup(cfg_.scheme, *algo_);
   setup.bank.injector = injector_.get();
-
-  // The low-priority rule for compressible-but-uncompressed packets
-  // (section 3.3B) exists to create compression opportunities; it is part
-  // of DISCO's scheduling policy, not of the baselines'.
-  if (cfg_.scheme != Scheme::DISCO) cfg_.noc.deprioritize_compressible = false;
+  cfg_.noc.deprioritize_compressible &= setup.deprioritize_compressible;
 
   noc::Network::ExtensionFactory factory;
   if (setup.use_disco_units) {
@@ -549,65 +542,6 @@ std::uint64_t CmpSystem::total_stall_cycles() const {
   std::uint64_t n = 0;
   for (const auto& core : cores_) n += core->stall_cycles();
   return n;
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint/restore
-
-template <class Ar>
-void CmpSystem::visit_header(Ar& ar, std::uint64_t digest,
-                             std::uint64_t& measured_done) {
-  ar.expect(digest, "cell digest");
-  ar(measured_done, cycle_, next_hard_fault_);
-  if (next_hard_fault_ > hard_schedule_.size())
-    throw snap::SnapshotError("snapshot: hard-fault cursor out of range");
-  ar(hard_faults_applied_, any_node_dead_, last_progress_sig_,
-     activity_sig_at_progress_, last_progress_cycle_);
-}
-
-template <class Ar>
-void CmpSystem::visit_body(Ar& ar) {
-  ar(noc_stats_, cache_stats_);
-  ar.expect(injector_ != nullptr, "fault-injector presence");
-  if (injector_ != nullptr) ar(*injector_);
-  ar.expect(tracer_ != nullptr, "tracer presence");
-  if (tracer_ != nullptr) ar(*tracer_);
-  ar.expect(checker_ != nullptr, "invariant-checker presence");
-  if (checker_ != nullptr) ar(*checker_);
-  ar(*network_);
-  ar.each(l1s_);
-  ar.each(l2s_);
-  ar.each(mems_);
-  ar.each(cores_);
-}
-
-void CmpSystem::save_snapshot(const std::string& path,
-                              std::uint64_t measured_done,
-                              std::uint64_t digest) const {
-  // Saving only reads; the field lists are non-const to serve restore too.
-  auto& self = const_cast<CmpSystem&>(*this);
-  snap::Writer payload;
-  self.visit_header(payload, digest, measured_done);
-  noc::PacketTable table;
-  snap::Writer body;
-  body.packets = &table;
-  self.visit_body(body);
-  table.save_table(payload);
-  payload.append(body);
-  snap::write_snapshot_file(path, payload.data());
-}
-
-std::uint64_t CmpSystem::restore_snapshot(const std::string& path,
-                                          std::uint64_t digest) {
-  const std::vector<std::uint8_t> payload = snap::read_snapshot_file(path);
-  snap::Reader r{std::span<const std::uint8_t>(payload)};
-  std::uint64_t measured_done = 0;
-  visit_header(r, digest, measured_done);
-  noc::PacketTable table;
-  table.load_table(r);
-  visit_body(r);
-  r.expect_end();
-  return measured_done;
 }
 
 }  // namespace disco::cmp

@@ -126,23 +126,6 @@ class CmpSystem {
   std::uint64_t total_core_ops() const;
   std::uint64_t total_stall_cycles() const;
 
-  /// Serialize the entire simulation state (cores, caches, memory, NoC,
-  /// DISCO units, fault/workload RNG streams, tracer and checker) to `path`
-  /// atomically (tmp + fsync + rename). `digest` identifies the (config,
-  /// seed, workload, phase-parameter) cell this snapshot belongs to;
-  /// `measured_done` is the caller's progress cursor (cycles of the
-  /// measurement phase already simulated). A run restored from the file
-  /// replays bit-exactly: byte-identical metrics, traces and invariant
-  /// summaries versus the uninterrupted run.
-  void save_snapshot(const std::string& path, std::uint64_t measured_done,
-                     std::uint64_t digest) const;
-  /// Restore from `path`, validating the envelope checksum/version and the
-  /// cell `digest`. Returns the saved `measured_done`. Throws
-  /// snap::SnapshotError on any mismatch or corruption (callers fall back
-  /// to a from-zero run). Must be called on a freshly constructed system
-  /// (same config and profile), before any warmup or timing simulation.
-  std::uint64_t restore_snapshot(const std::string& path, std::uint64_t digest);
-
   NodeId home_of(Addr addr) const {
     return static_cast<NodeId>((addr / kBlockBytes) % cfg_.noc.num_nodes());
   }
@@ -152,13 +135,6 @@ class CmpSystem {
   ~CmpSystem();
 
  private:
-  /// Snapshot field lists. The header precedes the packet table; the body,
-  /// whose packet references fill the table, follows it.
-  template <class Ar>
-  void visit_header(Ar& ar, std::uint64_t digest, std::uint64_t& measured_done);
-  template <class Ar>
-  void visit_body(Ar& ar);
-
   void tick();
   /// Advance one cycle: hard faults due, the network, then the live tiles'
   /// L1s, L2 banks, memory controllers and (`with_cores`) cores.

@@ -33,11 +33,11 @@ struct NocConfig {
 };
 
 /// DISCO arbitrator + engine knobs (section 3.2, Eq. 1 and Eq. 2). The
-/// coefficients/thresholds are "trained empirically" in the paper; defaults
-/// here come from the sweep in bench_ablation_confidence.
+/// paper trains the coefficients and thresholds empirically on NoC traces
+/// and does not publish them. The defaults below are hand-picked and not yet
+/// backed by any measurement: bench_ablation_confidence sweeps the
+/// thresholds, and its best rows so far are CCth=2 and engines off.
 struct DiscoConfig {
-  // Defaults come from the training sweep in bench_ablation_confidence
-  // (the paper's "trained empirically on NoC traces" step).
   double gamma = 1.0;    ///< local-pressure coefficient for compression (Eq.1)
   double alpha = 1.0;    ///< local-pressure coefficient for decompression (Eq.2)
   double beta = 2.0;     ///< distance coefficient for decompression (Eq.2)
@@ -137,7 +137,7 @@ struct FaultConfig {
   std::uint32_t engine_stall_cycles = 16;       ///< extra latency of a stalled engine
   std::uint32_t engine_quarantine_threshold = 4;///< decode errors before self-quarantine
   std::uint32_t max_retries = 4;                ///< retransmissions per corrupted block
-  std::uint32_t retry_backoff_base = 16;        ///< cycles; doubles per retry
+  std::uint32_t retransmit_backoff_base = 16;   ///< cycles; doubles per retry
   std::uint32_t reassembly_timeout_cycles = 512;///< incomplete packet -> assume flit loss
   std::uint32_t nack_retry_interval = 1024;     ///< re-NACK a parked block after this long
 

@@ -62,11 +62,6 @@ class Rng {
   /// Bernoulli trial with probability p.
   bool chance(double p) { return next_double() < p; }
 
-  /// Snapshot of the generator state: a restored Rng continues the exact
-  /// stream the saved one would have produced.
-  template <class Ar>
-  void visit(Ar& ar) { ar(state_); }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

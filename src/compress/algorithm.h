@@ -33,9 +33,6 @@ struct Encoded {
   std::vector<std::uint8_t> bytes;
   std::size_t overhead_bytes = 0;
   std::size_t size() const { return bytes.size() + overhead_bytes; }
-
-  template <class Ar>
-  void visit(Ar& ar) { ar(bytes, overhead_bytes); }
 };
 
 class Algorithm {

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "noc/snapshot.h"
-
 namespace disco::core {
 
 using noc::VcId;
@@ -329,15 +327,5 @@ void DiscoUnit::release(Engine& eng, Cycle now) {
   eng.errors = errors;
   eng.quarantined = quarantined;
 }
-
-template <class Ar>
-void DiscoUnit::fields(Ar& ar) {
-  ar.each(engines_, "DISCO engine-count");
-  ar(cc_th_, cd_th_, window_aborts_, window_completions_, window_rejections_,
-     next_adapt_);
-}
-
-void DiscoUnit::visit(snap::Writer& w) { fields(w); }
-void DiscoUnit::visit(snap::Reader& r) { fields(r); }
 
 }  // namespace disco::core

@@ -16,6 +16,7 @@
 
 #include "common/config.h"
 #include "common/rng.h"
+#include "common/snapshot.h"
 #include "compress/algorithm.h"
 
 namespace disco::fault {
@@ -62,7 +63,7 @@ DecodeCheck checked_decode(const compress::Algorithm& algo,
                            std::optional<std::uint32_t> crc, CrcMode mode);
 
 /// IEEE CRC-32 (reflected, poly 0xEDB88320).
-std::uint32_t crc32(std::span<const std::uint8_t> bytes);
+using snap::crc32;
 
 /// 8-bit XOR fold: catches any single-bit flip, may miss multi-bit patterns.
 std::uint8_t fold8(std::span<const std::uint8_t> bytes);
@@ -86,8 +87,7 @@ struct FaultCounters {
     return link_bit_flips + llc_bit_flips + engine_faults;
   }
 
-  /// Named field list: the injector's snapshot and the result export
-  /// (sim::FaultSummary) both walk it.
+  /// Named field list: the result export (sim::FaultSummary) walks it.
   template <class V>
   void visit(V& v) {
     v("link_bit_flips", link_bit_flips);
@@ -152,11 +152,6 @@ class FaultInjector {
     ++counters_.engine_stalls;
     return true;
   }
-
-  /// Snapshot: the RNG stream position and the fault counters are the
-  /// whole mutable state.
-  template <class Ar>
-  void visit(Ar& ar) { ar(rng_, counters_); }
 
  private:
   void flip_random_bit(std::vector<std::uint8_t>& bytes) {

@@ -67,17 +67,10 @@ class PipelinedChannel {
   /// checks: a sleeping consumer must have nothing ready).
   Cycle front_ready() const { return queue_.empty() ? 0 : queue_.front().ready; }
 
-  /// Snapshot: every in-flight entry with its absolute ready cycle.
-  template <class Ar>
-  void visit(Ar& ar) { ar(queue_); }
-
  private:
   struct Entry {
     Cycle ready;
     T item;
-
-    template <class Ar>
-    void visit(Ar& ar) { ar(ready, item); }
   };
   Ring<Entry> queue_;
   std::uint8_t* wake_ = nullptr;  ///< consumer's pending-wake flag (optional)
@@ -105,9 +98,6 @@ class FlitLink {
   }
   Cycle front_ready() const { return chan_.front_ready(); }
 
-  template <class Ar>
-  void visit(Ar& ar) { ar(chan_, last_push_); }
-
  private:
   PipelinedChannel<Flit> chan_;
   Cycle last_push_ = static_cast<Cycle>(-1);
@@ -116,9 +106,6 @@ class FlitLink {
 /// Credit wire: each event returns one buffer slot of one VC.
 struct Credit {
   std::uint8_t vc = 0;
-
-  template <class Ar>
-  void visit(Ar& ar) { ar(vc); }
 };
 
 using CreditLink = PipelinedChannel<Credit>;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "noc/snapshot.h"
-
 namespace disco::noc {
 namespace {
 
@@ -382,42 +380,6 @@ void Network::finish_topology_kill(std::vector<PacketPtr> severed, Cycle now,
   // sleep decisions made under the old topology.
   wake_all();
 }
-
-// --- checkpoint/restore -----------------------------------------------------
-
-template <class Ar>
-void Network::visit(Ar& ar) {
-  ar(topo_, degraded_);
-  ar.each(node_dead_, "network geometry");
-  ar(condemned_, resolved_);
-  ar.each(routers_);
-  ar.each(nis_);
-  ar.each(extensions_);
-  ar.each(flit_links_, "network link-count");
-  ar.each(credit_links_, "network link-count");
-  if constexpr (!Ar::kLoading) return;
-
-  // Re-apply the structural wiring effects of every kill recorded in the
-  // restored topology: this process was constructed fully connected, but
-  // the saved one had the dead wires severed.
-  const std::uint32_t n = mesh_.num_nodes();
-  for (NodeId i = 0; i < n; ++i) {
-    for (Port dir : {Port::North, Port::South, Port::East, Port::West}) {
-      if (mesh_.neighbor(i, dir) == kInvalidNode) continue;
-      if (!topo_.link_alive(i, dir)) routers_[i]->disconnect_port(dir);
-    }
-    if (node_dead_[i]) {
-      routers_[i]->disconnect_port(Port::Local);
-      nis_[i]->disconnect();
-    }
-  }
-
-  // Wake flags are process-local, not simulated state: the restored link
-  // contents were pushed before this process existed, so re-arm everyone.
-  wake_all();
-}
-template void Network::visit(snap::Writer&);
-template void Network::visit(snap::Reader&);
 
 trace::InvariantParams invariant_params(const NocConfig& cfg,
                                         const DiscoConfig& disco) {

@@ -96,13 +96,12 @@ class Network {
   void tick(Cycle now);
 
   /// Idle elision: force every live component to tick on the next cycle.
-  /// Called after any out-of-band state mutation (hard-fault kills,
-  /// snapshot restore) whose wake pushes predate the wiring of the flags.
+  /// Called after any out-of-band state mutation (hard-fault kills) whose
+  /// wake pushes predate the wiring of the flags.
   void wake_all();
 
   /// Idle elision telemetry: component ticks skipped so far (not part of
-  /// the simulated state — never serialized, never exported, so resumed
-  /// and uninterrupted runs stay result-identical while elision differs).
+  /// the simulated state, never exported).
   std::uint64_t router_ticks_elided() const { return router_ticks_elided_; }
   std::uint64_t ni_ticks_elided() const { return ni_ticks_elided_; }
 
@@ -113,14 +112,6 @@ class Network {
   /// (call only when quiescent(); verifies credit conservation across all
   /// in-flight compressions/expansions of the run).
   bool credits_quiescent() const;
-
-  /// Snapshot of the whole network: topology, routers, NIs, extensions,
-  /// every link's in-flight contents, and the hard-fault bookkeeping.
-  /// Restore re-applies the structural disconnections implied by the
-  /// restored topology (dead routers/links have their wires severed exactly
-  /// as the kill path left them).
-  template <class Ar>
-  void visit(Ar& ar);
 
  private:
   void note_doomed(const PacketPtr& pkt, Cycle now);
@@ -155,7 +146,7 @@ class Network {
   // unable to sleep after its previous tick. Flags are latched — copied to
   // run_ and cleared — for ALL components before ANY component ticks, so a
   // push made during cycle t (visible at t+1) can never be consumed by the
-  // same cycle's latch and lost. Not simulated state: never serialized.
+  // same cycle's latch and lost. Not simulated state.
   std::vector<std::uint8_t> pending_wake_;
   std::vector<std::uint8_t> stay_awake_;
   std::vector<std::uint8_t> run_;  ///< this cycle's latched flags (scratch)

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "noc/packet_pool.h"
-#include "noc/snapshot.h"
 
 namespace disco::noc {
 
@@ -292,7 +291,7 @@ void NetworkInterface::handle_nack(const PacketPtr& nack, Cycle now) {
   clone->retry = nack->retry;
   clone->retransmit_of = ref->retransmit_of != 0 ? ref->retransmit_of : ref->id;
   clone->created = now;
-  const Cycle backoff = static_cast<Cycle>(fc.retry_backoff_base)
+  const Cycle backoff = static_cast<Cycle>(fc.retransmit_backoff_base)
                         << (nack->retry - 1);
   stats_.backoff_cycles += backoff;
   ++stats_.retransmissions;
@@ -304,9 +303,7 @@ void NetworkInterface::scan_recovery(Cycle now) {
   // Both passes have side effects whose order is observable (ctrl-id minting,
   // delivery_ append order), so they walk the tables in sorted key order:
   // unordered_map iteration order is an implementation detail that must not
-  // leak into the simulated schedule (it would also break the snapshot
-  // determinism guarantee, since a restored process rebuilds the hash tables
-  // with a different internal layout).
+  // leak into the simulated schedule.
   std::vector<PacketId> keys;
   keys.reserve(reassembly_.size());
   for (const auto& [id, r] : reassembly_) keys.push_back(id);
@@ -595,16 +592,5 @@ void NetworkInterface::collect_dead_orphans(std::vector<PacketPtr>& out) {
   parked_.clear();
   std::fill(vc_taken_.begin(), vc_taken_.end(), false);
 }
-
-template <class Ar>
-void NetworkInterface::visit(Ar& ar) {
-  ar(inject_q_, active_);
-  ar.each(vc_credits_, "NI VC geometry");
-  ar.each(vc_taken_);
-  ar(rr_vnet_, reassembly_, delivery_, parked_, completed_, ctrl_seq_,
-     clone_seq_, proto_seq_, degraded_, bypass_);
-}
-template void NetworkInterface::visit(snap::Writer&);
-template void NetworkInterface::visit(snap::Reader&);
 
 }  // namespace disco::noc

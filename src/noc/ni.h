@@ -158,34 +158,20 @@ class NetworkInterface {
             credits_in_->front_ready() > now);
   }
 
-  /// Snapshot of all mutable NI state (inject queues, active sends,
-  /// credits, reassembly/recovery/dedup tables, id counters, mode flags).
-  template <class Ar>
-  void visit(Ar& ar);
-
  private:
   struct PendingInject {
     PacketPtr pkt;
     Cycle ready_at;
     Cycle queued_at = 0;
-
-    template <class Ar>
-    void visit(Ar& ar) { ar(pkt, ready_at, queued_at); }
   };
   struct ActiveSend {
     PacketPtr pkt;
     std::uint8_t vc = 0;
     std::uint32_t next_seq = 0;
-
-    template <class Ar>
-    void visit(Ar& ar) { ar(pkt, vc, next_seq); }
   };
   struct PendingDeliver {
     PacketPtr pkt;
     Cycle deliver_at;
-
-    template <class Ar>
-    void visit(Ar& ar) { ar(pkt, deliver_at); }
   };
   struct Reassembly {
     PacketPtr pkt;                  ///< fault mode only
@@ -193,18 +179,12 @@ class NetworkInterface {
     std::uint32_t have = 0;
     Cycle first = 0;
     bool nacked = false;            ///< a loss timeout already fired
-
-    template <class Ar>
-    void visit(Ar& ar) { ar(pkt, seen_mask, have, first, nacked); }
   };
   /// A corrupted or flit-lossy packet awaiting a raw retransmission.
   struct Parked {
     PacketPtr pkt;
     std::uint32_t retries = 0;
     Cycle last_nack = 0;
-
-    template <class Ar>
-    void visit(Ar& ar) { ar(pkt, retries, last_nack); }
   };
 
   bool fault_mode() const { return injector_ != nullptr && injector_->enabled(); }

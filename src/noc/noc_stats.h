@@ -68,8 +68,8 @@ struct NocStats {
   Accumulator packet_latency[kNumVNets];  ///< inject->eject per vnet
   Histogram queueing_cycles;              ///< per-packet idle cycles
 
-  /// The one field list: snapshot archives skip the labels, the cell JSON
-  /// and the wire codec (sim/experiment.h) use them as keys.
+  /// The one field list: the cell JSON and the wire codec
+  /// (sim/experiment.h) use the labels as keys; snap::Writer skips them.
   template <class V>
   void visit(V& v) {
     v("buffer_writes", buffer_writes);

@@ -102,17 +102,6 @@ struct Packet {
 
   bool compressed() const { return encoded.has_value(); }
 
-  /// Snapshot field list (common/snapshot.h); the pool bookkeeping below is
-  /// process-local and never saved.
-  template <class Ar>
-  void visit(Ar& ar) {
-    ar(id, src, dst, src_unit, dst_unit, vnet, proto_msg, addr, has_data,
-       compressible, critical, comp_failed, was_compressed, from_dram,
-       decompressed_in_network, data, encoded, payload_crc, crc_valid, retry,
-       retransmit_of, nack_for, nack_ref, route_phase, route_epoch, created,
-       injected, ejected, hops, idle_cycles);
-  }
-
   std::size_t payload_bytes() const {
     if (!has_data) return 0;
     return compressed() ? encoded->size() : kBlockBytes;
@@ -132,8 +121,8 @@ struct Packet {
     was_compressed = true;
   }
 
-  // --- pool bookkeeping (managed by PacketPool / PacketPtr; never
-  // serialized). A plain non-atomic refcount: a simulation cell lives
+  // --- pool bookkeeping (managed by PacketPool / PacketPtr). A plain
+  // non-atomic refcount: a simulation cell lives
   // entirely on one thread, so packets never cross threads.
   std::uint32_t pool_refs_ = 0;
   std::uint32_t pool_slot_ = 0;
@@ -226,9 +215,6 @@ struct Flit {
 
   bool is_head() const { return seq == 0; }
   bool is_tail() const { return seq + 1 == pkt->flit_count(); }
-
-  template <class Ar>
-  void visit(Ar& ar) { ar(pkt, seq, vc_tag, arrival); }
 };
 
 }  // namespace disco::noc

@@ -4,8 +4,6 @@
 #include <bit>
 #include <cassert>
 
-#include "noc/snapshot.h"
-
 namespace disco::noc {
 namespace {
 
@@ -475,13 +473,12 @@ bool Router::can_sleep() const {
   // Fast path: a tick that received or forwarded anything left state behind
   // that the scan below would find anyway (non-empty buffers, active VCs).
   // Saying "no" without scanning is always safe — the only cost is at most
-  // one extra awake no-op tick, which touches no stats, traces or snapshot
-  // state (elision telemetry is deliberately excluded from all three).
+  // one extra awake no-op tick, which touches no stats or traces (elision
+  // telemetry is deliberately excluded from both).
   if (did_work_) return false;
   // Anything still in flight on an input wire needs a tick to be received,
-  // even though the push already raised the pending-wake flag (restored
-  // snapshots carry link contents without wake state). Every non-empty
-  // wire has its bit set.
+  // even though the push already raised the pending-wake flag. Every
+  // non-empty wire has its bit set.
   if ((flit_wires_ | credit_wires_) != 0) return false;
   for (std::size_t p = 0; p < kNumPorts; ++p) {
     // Occupied VCs all have their busy bit set (conservative superset), so
@@ -694,28 +691,5 @@ bool Router::credits_quiescent() const {
   }
   return true;
 }
-
-template <class Ar>
-void Router::visit(Ar& ar) {
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    for (std::uint32_t v = 0; v < num_vcs_; ++v) ar(in_vc(p, v));
-    for (std::uint32_t v = 0; v < num_vcs_; ++v) ar(credit(p, v));
-    for (std::uint32_t v = 0; v < num_vcs_; ++v) ar(taken(p, v));
-  }
-  ar(va_rr_, sa_in_rr_, sa_out_rr_, degraded_);
-  // Restored VCs and wires may hold arbitrary state; rebuild the occupancy
-  // and wire masks pessimistically and let the next tick clean them up.
-  if constexpr (Ar::kLoading) {
-    busy_vcs_.fill(vc_mask_);
-    flit_wires_ = 0;
-    credit_wires_ = 0;
-    for (std::size_t p = 0; p < kNumPorts; ++p) {
-      if (in_flit_[p] != nullptr) flit_wires_ |= 1u << p;
-      if (in_credit_[p] != nullptr) credit_wires_ |= 1u << p;
-    }
-  }
-}
-template void Router::visit(snap::Writer&);
-template void Router::visit(snap::Reader&);
 
 }  // namespace disco::noc

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/config.h"
-#include "common/snapshot.h"
 #include "fault/fault.h"
 #include "noc/link.h"
 #include "noc/noc_stats.h"
@@ -61,10 +60,6 @@ class RouterExtension {
   /// Idle elision: true when skipping this extension's tick would be a
   /// no-op (no engine mid-operation, no deferred work). Default: stateless.
   virtual bool idle() const { return true; }
-  /// Snapshot of extension-private state (DISCO engines, thresholds), one
-  /// override per archive. Default: stateless extension.
-  virtual void visit(snap::Writer& w) { static_cast<void>(w); }
-  virtual void visit(snap::Reader& r) { static_cast<void>(r); }
 };
 
 class Router {
@@ -183,12 +178,6 @@ class Router {
   /// expansion debt.
   bool credits_quiescent() const;
 
-  /// Snapshot of all mutable router state (VC buffers, credits, allocation
-  /// round-robin pointers, degraded flag). Wires/links are serialized by the
-  /// owning Network.
-  template <class Ar>
-  void visit(Ar& ar);
-
  private:
   static constexpr std::size_t idx(Port p) { return static_cast<std::size_t>(p); }
 
@@ -261,8 +250,7 @@ class Router {
   /// Per-port input wire masks: bit p set => in_flit_[p] / in_credit_[p]
   /// may hold items. Set by every push on the wire, cleared by the receive
   /// stages once they drain it, so they skip empty wires without touching
-  /// them. Derived state: never serialized; a restore sets the bit of every
-  /// connected wire.
+  /// them. Derived state.
   std::uint32_t flit_wires_ = 0;
   std::uint32_t credit_wires_ = 0;
 
@@ -273,16 +261,14 @@ class Router {
   /// verifiably back to reset state. The RC/VA/SA pipeline loops and
   /// can_sleep() iterate set bits only — most of a lightly loaded router's
   /// 30 VCs are empty, and scanning them dominated the tick profile.
-  /// Rebuilt pessimistically (all bits set) after a snapshot restore.
-  /// Not simulated state: never serialized, never affects behaviour — the
+  /// Not simulated state: never affects behaviour — the
   /// invariant checker's no_pending_work() deliberately ignores it and
   /// full-scans, so a wrongly cleared bit fails traced runs loudly.
   std::array<std::uint32_t, kNumPorts> busy_vcs_{};
   std::uint32_t vc_mask_ = 0;  ///< (1 << num_vcs) - 1
 
   /// True if this tick received or forwarded anything; can_sleep()'s fast
-  /// path. Transient per-tick scratch, never serialized (a restored router
-  /// is woken by wake_all() regardless).
+  /// path. Transient per-tick scratch.
   bool did_work_ = false;
 
   // Hard-fault state (all inert on the healthy path).

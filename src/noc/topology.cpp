@@ -3,8 +3,6 @@
 #include <cassert>
 #include <deque>
 
-#include "common/snapshot.h"
-
 namespace disco::noc {
 namespace {
 
@@ -217,17 +215,5 @@ void Topology::recompute() {
     }
   }
 }
-
-template <class Ar>
-void Topology::visit(Ar& ar) {
-  ar.each(router_alive_, "topology geometry");
-  ar.each(engine_alive_, "topology geometry");
-  ar.each(bank_alive_, "topology geometry");
-  ar.each(link_alive_, "topology geometry");
-  ar(routing_healthy_, epoch_, dead_routers_, dead_links_);
-  if constexpr (Ar::kLoading) recompute();
-}
-template void Topology::visit(snap::Writer&);
-template void Topology::visit(snap::Reader&);
 
 }  // namespace disco::noc

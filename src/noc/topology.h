@@ -94,12 +94,6 @@ class Topology {
   std::uint32_t dead_routers() const { return dead_routers_; }
   std::uint32_t dead_links() const { return dead_links_; }
 
-  /// Snapshot: the alive flags + epoch are the primary state; the component
-  /// map and next-hop tables are recomputed on restore (they are a pure
-  /// function of the alive sets, with deterministic tie-breaks).
-  template <class Ar>
-  void visit(Ar& ar);
-
  private:
   std::size_t pair_index(NodeId here, NodeId dst) const {
     return static_cast<std::size_t>(here) * mesh_.num_nodes() + dst;

@@ -16,9 +16,6 @@ struct VcId {
   std::uint8_t vc = 0;
 
   bool operator==(const VcId&) const = default;
-
-  template <class Ar>
-  void visit(Ar& ar) { ar(port, vc); }
 };
 
 enum class VcStage : std::uint8_t {
@@ -47,12 +44,6 @@ class VirtualChannel {
   /// Set by the engine in blocking mode: the shadow may not be scheduled
   /// (shadow invalid bit held low until the operation completes).
   bool sa_inhibit = false;
-
-  template <class Ar>
-  void visit(Ar& ar) {
-    ar(buffer, stage, out_port, out_vc, sent_flits, head_arrival, credit_debt,
-       active_pkt, engine_busy, sa_inhibit);
-  }
 
   PacketPtr head_packet() const {
     return buffer.empty() ? nullptr : buffer.front().pkt;

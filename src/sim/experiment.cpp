@@ -1,76 +1,10 @@
 #include "sim/experiment.h"
 
-#include <algorithm>
-#include <csignal>
 #include <cmath>
-#include <cstring>
 #include <fstream>
-#include <span>
 #include <sstream>
-#include <unistd.h>
-
-#include "common/snapshot.h"
 
 namespace disco::sim {
-
-std::uint64_t cell_digest(const SystemConfig& cfg,
-                          const workload::BenchmarkProfile& profile,
-                          const RunOptions& opt) {
-  std::ostringstream id;
-  id << cfg.summary() << '|' << cfg.seed << '|' << cfg.algorithm << '|'
-     << static_cast<int>(cfg.scheme) << '|' << profile.name << '|'
-     << opt.warmup_ops_per_core << '|' << opt.warmup_cycles << '|'
-     << opt.measure_cycles;
-  const std::string s = id.str();
-  return snap::crc32(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
-}
-
-namespace {
-
-/// Restore-or-warmup, then the measurement loop. On exit `sys` has simulated
-/// exactly opt.measure_cycles of measurement. Without checkpointing the
-/// loop runs one chunk and never saves or restores.
-void run_measurement(cmp::CmpSystem& sys, const SystemConfig& cfg,
-                     const workload::BenchmarkProfile& profile,
-                     const RunOptions& opt) {
-  const bool checkpointing =
-      opt.snapshot_interval > 0 && !opt.snapshot_path.empty();
-  const std::uint64_t digest =
-      checkpointing ? cell_digest(cfg, profile, opt) : 0;
-  Cycle done = 0;
-  if (checkpointing && ::access(opt.snapshot_path.c_str(), R_OK) == 0) {
-    try {
-      done = sys.restore_snapshot(opt.snapshot_path, digest);
-      if (done > opt.measure_cycles) done = opt.measure_cycles;
-    } catch (const snap::SnapshotError&) {
-      // Corrupted / truncated / different-cell snapshot: fall back to a
-      // from-zero run. The file is superseded by the next good snapshot.
-      done = 0;
-    }
-  }
-  if (opt.resumed_from_cycles) *opt.resumed_from_cycles = done;
-  if (done == 0) {
-    sys.functional_warmup(opt.warmup_ops_per_core);
-    sys.run(opt.warmup_cycles);
-    sys.reset_stats();
-  }
-
-  const Cycle interval =
-      checkpointing ? opt.snapshot_interval : opt.measure_cycles;
-  while (done < opt.measure_cycles) {
-    const Cycle chunk = std::min<Cycle>(interval, opt.measure_cycles - done);
-    sys.run(chunk);
-    done += chunk;
-    if (checkpointing && done < opt.measure_cycles) {
-      sys.save_snapshot(opt.snapshot_path, done, digest);
-      if (opt.debug_kill_at > 0 && done >= opt.debug_kill_at)
-        ::raise(SIGKILL);  // crash drill: die right between snapshots
-    }
-  }
-}
-
-}  // namespace
 
 CellResult extract_result(const cmp::CmpSystem& sys,
                           const workload::BenchmarkProfile& profile,
@@ -115,7 +49,10 @@ CellResult run_cell(const SystemConfig& cfg,
                     const workload::BenchmarkProfile& profile,
                     const RunOptions& opt) {
   cmp::CmpSystem sys(cfg, profile);
-  run_measurement(sys, cfg, profile, opt);
+  sys.functional_warmup(opt.warmup_ops_per_core);
+  sys.run(opt.warmup_cycles);
+  sys.reset_stats();
+  sys.run(opt.measure_cycles);
   CellResult r = extract_result(sys, profile, opt.measure_cycles);
   if (const trace::Tracer* t = sys.tracer();
       t != nullptr && cfg.trace.enabled && !cfg.trace.out_path.empty()) {

@@ -123,32 +123,7 @@ struct RunOptions {
   /// Timed warmup after the functional phase (fills queues/MSHRs).
   Cycle warmup_cycles = 20000;
   Cycle measure_cycles = 100000;
-
-  // --- Mid-cell checkpointing -------------------------------------------
-  /// When both `snapshot_interval` and `snapshot_path` are set, the
-  /// measurement phase runs in interval-sized chunks and a full-system
-  /// snapshot is written to `snapshot_path` (atomically) after each
-  /// non-final chunk. If a valid snapshot for this cell already exists at
-  /// `snapshot_path` the run resumes from it — skipping warmup and the
-  /// already-measured cycles — and still produces byte-identical results.
-  /// A stale / corrupted / mismatched snapshot is ignored (from-zero run).
-  Cycle snapshot_interval = 0;    ///< 0 = checkpointing off
-  std::string snapshot_path;      ///< empty = checkpointing off
-  /// Out-param: cycles of measurement recovered from a snapshot instead of
-  /// re-simulated (0 when no snapshot was restored). Null = don't report.
-  std::uint64_t* resumed_from_cycles = nullptr;
-  /// Crash drill: raise SIGKILL immediately after the first snapshot whose
-  /// progress cursor reaches this cycle count (tests the kill-between-
-  /// snapshots recovery path). 0 = never.
-  Cycle debug_kill_at = 0;
 };
-
-/// The cell-identity digest a snapshot is stamped with: hashes the full
-/// config summary, seed, workload name and phase parameters so a snapshot
-/// can never restore into a different experiment cell.
-std::uint64_t cell_digest(const SystemConfig& cfg,
-                          const workload::BenchmarkProfile& profile,
-                          const RunOptions& opt);
 
 /// The result of `sys` right after `measure_cycles` of measurement: its
 /// NoC and cache counters, the derived means, energy, fault counters,

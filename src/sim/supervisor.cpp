@@ -13,11 +13,9 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
-#include <thread>
 
 #include "cmp/system.h"
 #include "common/interrupt.h"
@@ -85,8 +83,6 @@ std::string encode_entry(const SweepCellOutcome& out) {
                      ",\"status\":";
   wire::append_json_string(line, to_string(out.status));
   line += ",\"attempts\":" + std::to_string(out.attempts);
-  if (out.snap_saved_cycles > 0)
-    line += ",\"snap_saved_cycles\":" + std::to_string(out.snap_saved_cycles);
   line += ",\"error\":";
   wire::append_json_string(line, out.error);
   if (out.ok()) {
@@ -95,20 +91,6 @@ std::string encode_entry(const SweepCellOutcome& out) {
   }
   line += "}";
   return line;
-}
-
-std::string snapshot_path_for(const std::string& dir, std::size_t cell) {
-  return dir + "/snap-cell" + std::to_string(cell) + ".bin";
-}
-
-/// Delete a cell's snapshot (and any torn tmp file) — called when the cell
-/// reaches a terminal outcome, so checkpoint dirs never accumulate stale
-/// mid-cell state. Interrupted cells keep theirs for the --resume rerun.
-void gc_snapshot(const std::string& dir, std::size_t cell) {
-  if (dir.empty()) return;
-  const std::string path = snapshot_path_for(dir, cell);
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
 }
 
 /// Append-only checkpoint journal with atomic replacement: the manifest is
@@ -158,9 +140,7 @@ class CheckpointJournal {
 // Deterministic debug faults (tests + the CI recovery drill)
 // ---------------------------------------------------------------------------
 
-void debug_fault_hook(const SupervisorOptions& so, std::size_t cell,
-                      unsigned attempt) {
-  if (attempt > so.debug_crash_attempts) return;
+void debug_fault_hook(const SupervisorOptions& so, std::size_t cell) {
   const auto is = [cell](int k) {
     return k >= 0 && static_cast<std::size_t>(k) == cell;
   };
@@ -224,8 +204,7 @@ void write_all(int fd, const std::string& payload) {
 }
 
 [[noreturn]] void child_main(SweepCell cell, std::size_t index,
-                             unsigned attempt, const SweepOptions& opt,
-                             int wfd) {
+                             const SweepOptions& opt, int wfd) {
   // Fresh signal dispositions: the parent coordinates interactive shutdown
   // (it SIGTERMs us), so a terminal Ctrl-C must not hit children directly.
   std::signal(SIGINT, SIG_IGN);
@@ -242,9 +221,10 @@ void write_all(int fd, const std::string& payload) {
   ::sigaction(SIGTERM, &term, nullptr);
 
   if (!opt.supervisor.checkpoint_dir.empty()) {
+    // Every cell runs once; the file name keeps its "-attempt1" suffix so
+    // tools and drills that look for it still find it.
     g_child_postmortem = opt.supervisor.checkpoint_dir + "/postmortem-cell" +
-                         std::to_string(index) + "-attempt" +
-                         std::to_string(attempt) + ".txt";
+                         std::to_string(index) + "-attempt1.txt";
     cell.cfg.postmortem_path = g_child_postmortem;
   }
 
@@ -260,36 +240,13 @@ void write_all(int fd, const std::string& payload) {
     cell.cfg.trace.out_path.clear();
   }
 
-  // Mid-cell checkpointing: snapshot into the checkpoint dir every N
-  // measured cycles and resume from the last good snapshot on a retry.
-  std::uint64_t resumed_cycles = 0;
-  const bool snapshotting = opt.supervisor.snapshot_interval_cycles > 0 &&
-                            !opt.supervisor.checkpoint_dir.empty();
-  if (snapshotting) {
-    cell.opt.snapshot_interval = opt.supervisor.snapshot_interval_cycles;
-    cell.opt.snapshot_path =
-        snapshot_path_for(opt.supervisor.checkpoint_dir, index);
-    cell.opt.resumed_from_cycles = &resumed_cycles;
-    if (opt.supervisor.debug_kill_cell >= 0 &&
-        static_cast<std::size_t>(opt.supervisor.debug_kill_cell) == index &&
-        attempt <= opt.supervisor.debug_crash_attempts)
-      cell.opt.debug_kill_at = opt.supervisor.debug_kill_cycle;
-  }
-
   std::string payload;
   int exit_code = 0;
   try {
-    debug_fault_hook(opt.supervisor, index, attempt);
+    debug_fault_hook(opt.supervisor, index);
     CellResult r = run_cell(cell.cfg, cell.profile, cell.opt);
     if (auto_trace) r.trace_text.clear();
     payload = wire::encode_result(r);
-    if (snapshotting) {
-      // Ride the result object: the parent journals how many cycles this
-      // attempt recovered from the snapshot instead of re-simulating.
-      payload.pop_back();  // '}'
-      payload +=
-          ",\"snapshot_resume_cycle\":" + std::to_string(resumed_cycles) + "}";
-    }
   } catch (...) {
     payload = "{\"error\":";
     wire::append_json_string(payload, detail::describe_current_exception());
@@ -309,7 +266,6 @@ struct ChildProc {
   pid_t pid = -1;
   int fd = -1;
   std::size_t windex = 0;  ///< index into the work list
-  unsigned attempt = 1;
   Clock::time_point start;
   bool term_sent = false;       ///< SIGTERM sent for exceeding the budget
   bool interrupt_sent = false;  ///< SIGTERM sent for a sweep shutdown
@@ -320,12 +276,6 @@ struct ChildProc {
   std::string buf;  ///< accumulated pipe payload
 };
 
-struct PendingAttempt {
-  std::size_t windex = 0;
-  unsigned attempt = 1;
-  Clock::time_point not_before;
-};
-
 class IsolatedScheduler {
  public:
   IsolatedScheduler(const std::vector<SweepCell>& prepared,
@@ -333,8 +283,7 @@ class IsolatedScheduler {
                     const SweepOptions& opt, SweepResult& res,
                     CheckpointJournal& journal, detail::ProgressMeter& progress)
       : prepared_(prepared), work_(work), opt_(opt), so_(opt.supervisor),
-        max_attempts_(1 + so_.max_retries), res_(res), journal_(journal),
-        progress_(progress), cell_start_(work.size()) {}
+        res_(res), journal_(journal), progress_(progress) {}
 
   void run() {
     // The scheduler itself stays single-threaded: forking from a process
@@ -342,47 +291,28 @@ class IsolatedScheduler {
     const std::size_t slots =
         std::min<std::size_t>(detail::resolve_threads(opt_.threads),
                               std::max<std::size_t>(work_.size(), 1));
-    const auto now0 = Clock::now();
-    for (std::size_t w = 0; w < work_.size(); ++w)
-      pending_.push_back({w, 1, now0});
-
     bool shutdown_sent = false;
-    while (!running_.empty() || !pending_.empty()) {
+    while (!running_.empty() || next_ < work_.size()) {
       if (interrupt_requested() && !shutdown_sent) {
         shutdown_sent = true;
         begin_shutdown();
       }
-      if (!interrupt_requested()) launch_ready(slots);
-      if (running_.empty()) {
-        if (pending_.empty()) break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        continue;
-      }
+      while (!interrupt_requested() && next_ < work_.size() &&
+             running_.size() < slots)
+        spawn(next_++);
+      if (running_.empty()) continue;
       poll_children();
       enforce_deadlines();
     }
   }
 
  private:
-  void launch_ready(std::size_t slots) {
-    const auto now = Clock::now();
-    for (auto it = pending_.begin();
-         it != pending_.end() && running_.size() < slots;) {
-      if (it->not_before <= now) {
-        spawn(*it);
-        it = pending_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  void spawn(const PendingAttempt& p) {
-    const std::size_t i = work_[p.windex];
-    if (p.attempt == 1) cell_start_[p.windex] = Clock::now();
+  void spawn(std::size_t windex) {
+    const std::size_t i = work_[windex];
+    res_.cells[i].attempts = 1;
     int fds[2];
     if (::pipe(fds) != 0) {
-      record_final(p.windex, p.attempt, CellStatus::Failed,
+      record_final(windex, CellStatus::Failed,
                    std::string("pipe: ") + std::strerror(errno));
       return;
     }
@@ -390,21 +320,20 @@ class IsolatedScheduler {
     if (pid < 0) {
       ::close(fds[0]);
       ::close(fds[1]);
-      record_final(p.windex, p.attempt, CellStatus::Failed,
+      record_final(windex, CellStatus::Failed,
                    std::string("fork: ") + std::strerror(errno));
       return;
     }
     if (pid == 0) {
       ::close(fds[0]);
-      child_main(prepared_[i], i, p.attempt, opt_, fds[1]);  // never returns
+      child_main(prepared_[i], i, opt_, fds[1]);  // never returns
     }
     ::close(fds[1]);
     ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
     ChildProc c;
     c.pid = pid;
     c.fd = fds[0];
-    c.windex = p.windex;
-    c.attempt = p.attempt;
+    c.windex = windex;
     c.start = Clock::now();
     running_.push_back(std::move(c));
   }
@@ -443,44 +372,20 @@ class IsolatedScheduler {
     while (::waitpid(c.pid, &wstatus, 0) < 0 && errno == EINTR) {
     }
 
+    // Every outcome is final: the cell is deterministic, so running it
+    // again would replay the same seed into the same crash, hang or throw.
     CellStatus status;
     std::string error;
     CellResult result;
-    std::uint64_t resumed_cycles = 0;
-    classify_exit(c, wstatus, status, error, result, resumed_cycles);
-
-    // Failed is final: the child ran run_cell to a throw (or sent garbage),
-    // and a retry would replay the same seed into the same failure.
-    const bool retryable = status == CellStatus::Crashed ||
-                           status == CellStatus::TimedOut ||
-                           status == CellStatus::ResourceExhausted;
-    if (retryable && c.attempt < max_attempts_ && !interrupt_requested()) {
-      record_attempt(c.windex, c.attempt, status, error);
-      const std::uint64_t backoff = so_.retry_backoff_ms << (c.attempt - 1);
-      pending_.push_back(
-          {c.windex, c.attempt + 1,
-           Clock::now() + std::chrono::milliseconds(backoff)});
-      progress_.note("cell " + std::to_string(work_[c.windex]) + " " +
-                     to_string(status) + " (" + error + "); retry " +
-                     std::to_string(c.attempt + 1) + "/" +
-                     std::to_string(max_attempts_) + " in " +
-                     std::to_string(backoff) + "ms");
-      return;
-    }
+    classify_exit(c, wstatus, status, error, result);
     SweepCellOutcome& out = res_.cells[work_[c.windex]];
-    out.attempts = c.attempt;
-    out.status = status;
-    out.error = std::move(error);
-    if (status == CellStatus::Ok) {
-      out.result = std::move(result);
-      out.snap_saved_cycles = resumed_cycles;
-    }
-    finalize(c.windex);
+    out.wall_ms = ms_since(c.start);
+    if (status == CellStatus::Ok) out.result = std::move(result);
+    record_final(c.windex, status, std::move(error));
   }
 
   void classify_exit(const ChildProc& c, int wstatus, CellStatus& status,
-                     std::string& error, CellResult& result,
-                     std::uint64_t& resumed_cycles) const {
+                     std::string& error, CellResult& result) const {
     if (c.interrupt_sent) {
       status = CellStatus::Interrupted;
       error = "sweep interrupted";
@@ -509,9 +414,7 @@ class IsolatedScheduler {
     const int code = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
     if (code == 0) {
       try {
-        const wire::Value v = wire::parse_object(c.buf);
-        result = wire::decode_result(v);
-        resumed_cycles = v.num_or("snapshot_resume_cycle", 0);
+        result = wire::decode_result(wire::parse_object(c.buf));
         status = CellStatus::Ok;
       } catch (const std::exception& e) {
         status = CellStatus::Failed;
@@ -597,41 +500,23 @@ class IsolatedScheduler {
       }
       c.interrupt_sent = true;
     }
-    // Pending attempts never run: journal whatever state their cell is in.
-    for (const PendingAttempt& p : pending_) {
-      detail::interrupt_if_unclaimed(res_.cells[work_[p.windex]]);
-      finalize(p.windex);
+    // Cells not yet spawned never run: journal them as interrupted.
+    for (; next_ < work_.size(); ++next_) {
+      detail::interrupt_if_unclaimed(res_.cells[work_[next_]]);
+      finalize(next_);
     }
-    pending_.clear();
   }
 
-  /// Journal a non-final (to-be-retried) attempt's outcome into the live
-  /// SweepCellOutcome so an interrupt mid-backoff still reports it.
-  void record_attempt(std::size_t windex, unsigned attempt, CellStatus status,
-                      const std::string& error) {
+  void record_final(std::size_t windex, CellStatus status, std::string error) {
     SweepCellOutcome& out = res_.cells[work_[windex]];
-    out.attempts = attempt;
-    out.status = status;
-    out.error = error;
-  }
-
-  void record_final(std::size_t windex, unsigned attempt, CellStatus status,
-                    std::string error) {
-    SweepCellOutcome& out = res_.cells[work_[windex]];
-    out.attempts = attempt;
     out.status = status;
     out.error = std::move(error);
     finalize(windex);
   }
 
   void finalize(std::size_t windex) {
-    SweepCellOutcome& out = res_.cells[work_[windex]];
-    out.wall_ms = ms_since(cell_start_[windex]);
+    const SweepCellOutcome& out = res_.cells[work_[windex]];
     journal_.append(encode_entry(out));
-    // Terminal outcome: the cell's snapshot is no longer needed. An
-    // interrupted cell keeps it — the --resume rerun picks it up mid-cell.
-    if (out.status != CellStatus::Interrupted)
-      gc_snapshot(so_.checkpoint_dir, out.index);
     progress_.cell_finished(prepared_[out.index], out);
   }
 
@@ -639,12 +524,10 @@ class IsolatedScheduler {
   const std::vector<std::size_t>& work_;
   const SweepOptions& opt_;
   const SupervisorOptions& so_;
-  const unsigned max_attempts_;
   SweepResult& res_;
   CheckpointJournal& journal_;
   detail::ProgressMeter& progress_;
-  std::vector<Clock::time_point> cell_start_;
-  std::deque<PendingAttempt> pending_;
+  std::size_t next_ = 0;  ///< work-list index of the next cell to spawn
   std::vector<ChildProc> running_;
 };
 
@@ -693,7 +576,6 @@ Manifest load_manifest(const std::string& path) {
       e.group = v.num_or("group", 0);
       e.status = status_from_name(v.str_or("status", "failed"));
       e.attempts = static_cast<unsigned>(v.num_or("attempts", 0));
-      e.snap_saved_cycles = v.num_or("snap_saved_cycles", 0);
       e.error = v.str_or("error", "");
       if (const wire::Value* r = v.find("result")) {
         e.result = wire::decode_result(*r);
@@ -739,23 +621,10 @@ void detail::run_isolated(const std::vector<SweepCell>& prepared,
       SweepCellOutcome& out = res.cells[e.cell];
       out.status = CellStatus::Ok;
       out.attempts = e.attempts;
-      out.snap_saved_cycles = e.snap_saved_cycles;
       out.error = e.error;
       out.result = std::move(e.result);
       carried.push_back(std::move(e.line));
       work.erase(std::remove(work.begin(), work.end(), e.cell), work.end());
-    }
-  }
-
-  // Snapshot-directory hygiene: a fresh (non-resume) sweep invalidates any
-  // snapshots a previous run left in this checkpoint dir; on resume, only
-  // the cells still to be run may keep one.
-  if (!so.checkpoint_dir.empty()) {
-    for (std::size_t i = 0; i < cells; ++i) {
-      const bool still_to_run =
-          !so.resume_manifest.empty() &&
-          std::find(work.begin(), work.end(), i) != work.end();
-      if (!still_to_run) gc_snapshot(so.checkpoint_dir, i);
     }
   }
 

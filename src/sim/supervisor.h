@@ -1,15 +1,16 @@
-// Crash-resilient sweep supervisor. Each cell attempt runs in a forked
-// child process (--isolate) that reports its CellResult back over a pipe in
-// the lossless wire format (wire.h); the parent is a single-threaded poll()
+// Crash-resilient sweep supervisor. Each cell runs once in a forked child
+// process (--isolate) that reports its CellResult back over a pipe in the
+// lossless wire format (wire.h); the parent is a single-threaded poll()
 // scheduler that enforces wall-clock budgets with SIGTERM -> grace ->
-// SIGKILL escalation, retries crashed / hung / over-RSS cells with
-// exponential backoff (a cell that throws is final), and journals every
+// SIGKILL escalation and an optional resident-set cap, and journals every
 // finished cell to an append-only checkpoint manifest (atomic tmp + rename
-// per cell). A later run with --resume adopts the manifest's Ok cells
-// verbatim, so its aggregate output is byte-identical to an uninterrupted
-// run. On a crash or hang the child
-// flushes a postmortem black box (tracer ring tail, invariant summary,
-// last-progress cycle, stall census) next to the manifest.
+// per cell). No cell is retried: cells are deterministic, so a crashed,
+// hung or over-RSS cell would fail the same way again. A later run with
+// --resume adopts the manifest's Ok cells verbatim and reruns the rest, so
+// its aggregate output is byte-identical to an uninterrupted run. On a
+// crash or hang the child flushes a postmortem black box (tracer ring tail,
+// invariant summary, last-progress cycle, stall census) next to the
+// manifest.
 //
 // run_sweep hands a sweep to the supervisor whenever SupervisorOptions is
 // active, so every supervisor flag (--timeout-ms, --checkpoint-dir, --resume,
@@ -30,9 +31,6 @@ struct ManifestEntry {
   std::size_t group = 0;
   CellStatus status = CellStatus::Failed;
   unsigned attempts = 0;
-  /// Measurement cycles the finishing attempt recovered from a mid-cell
-  /// snapshot instead of re-simulating (0 = ran from cycle 0).
-  std::uint64_t snap_saved_cycles = 0;
   std::string error;
   bool has_result = false;
   CellResult result;   ///< decoded bit-exactly; valid when has_result

@@ -136,8 +136,8 @@ namespace {
                "  --seed S        base seed; per-cell seed = splitmix64(S, cell)\n"
                "  --no-progress   suppress the stderr progress line\n"
                "crash resilience (sweep supervisor; --timeout-ms, --checkpoint-dir,\n"
-               "--resume, --snapshot-interval-cycles, --max-rss-mb and the\n"
-               "--debug-* hooks imply --isolate):\n"
+               "--resume, --max-rss-mb and the --debug-* hooks imply --isolate;\n"
+               "each cell runs once, never retried):\n"
                "  --isolate            run each cell in a forked child process;\n"
                "                       a SIGSEGV or hard hang costs one cell\n"
                "  --timeout-ms T       per-cell wall-clock budget (0 = none)\n"
@@ -146,19 +146,8 @@ namespace {
                "  --resume M           adopt the Ok cells of manifest M verbatim\n"
                "                       (aggregate output is byte-identical to an\n"
                "                       uninterrupted run) and run only the rest\n"
-               "  --max-retries R      extra attempts per crashed/hung/over-RSS cell\n"
-               "                       (default 1)\n"
-               "  --retry-backoff-ms B backoff before retry r is B << (r-1)\n"
-               "                       (default 100)\n"
                "  --hang-grace-ms G    grace between SIGTERM and SIGKILL for a\n"
                "                       timed-out child (default 2000)\n"
-               "  --snapshot-interval-cycles N\n"
-               "                       (needs --checkpoint-dir) each\n"
-               "                       worker snapshots its full simulation\n"
-               "                       state every N measured cycles; retries\n"
-               "                       resume from the last good snapshot\n"
-               "                       byte-identically instead of recomputing\n"
-               "                       from cycle 0 (0 = off)\n"
                "  --max-rss-mb M       SIGKILL an isolated child whose resident\n"
                "                       set exceeds M MiB; journaled as\n"
                "                       resource_exhausted (0 = off)\n"
@@ -166,13 +155,7 @@ namespace {
                "                       livelock/starvation error if no packet\n"
                "                       moves for N cycles while work is pending\n"
                "  --debug-crash-cell K / --debug-hang-cell K / --debug-throw-cell K\n"
-               "                       deterministically break cell K (tests/CI);\n"
-               "                       --debug-crash-attempts A limits the hooks\n"
-               "                       to the first A attempts (default 1);\n"
-               "                       --debug-kill-cell K --debug-kill-cycle C\n"
-               "                       SIGKILLs cell K after its first snapshot\n"
-               "                       at or past cycle C (needs\n"
-               "                       --snapshot-interval-cycles)\n"
+               "                       deterministically break cell K (tests/CI)\n"
                "tracing / invariants:\n"
                "  --trace PREFIX       capture probe events; writes Chrome JSON\n"
                "                       to <PREFIX>-cell<i>.json (Perfetto)\n"
@@ -305,16 +288,8 @@ SweepOptions parse_sweep_flags(int argc, char** argv,
       opt.supervisor.checkpoint_dir = value();
     } else if (arg == "--resume") {
       opt.supervisor.resume_manifest = value();
-    } else if (arg == "--max-retries") {
-      opt.supervisor.max_retries =
-          static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
-    } else if (arg == "--retry-backoff-ms") {
-      opt.supervisor.retry_backoff_ms = std::strtoull(value(), nullptr, 10);
     } else if (arg == "--hang-grace-ms") {
       opt.supervisor.hang_grace_ms = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--snapshot-interval-cycles") {
-      opt.supervisor.snapshot_interval_cycles =
-          std::strtoull(value(), nullptr, 10);
     } else if (arg == "--max-rss-mb") {
       opt.supervisor.max_rss_mb = std::strtoull(value(), nullptr, 10);
     } else if (arg == "--progress-watchdog") {
@@ -325,13 +300,6 @@ SweepOptions parse_sweep_flags(int argc, char** argv,
       opt.supervisor.debug_hang_cell = std::atoi(value());
     } else if (arg == "--debug-throw-cell") {
       opt.supervisor.debug_throw_cell = std::atoi(value());
-    } else if (arg == "--debug-kill-cell") {
-      opt.supervisor.debug_kill_cell = std::atoi(value());
-    } else if (arg == "--debug-kill-cycle") {
-      opt.supervisor.debug_kill_cycle = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--debug-crash-attempts") {
-      opt.supervisor.debug_crash_attempts =
-          static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
     } else if (arg == "--trace") {
       opt.trace.out_path = value();
       opt.trace.enabled = true;
@@ -394,7 +362,7 @@ SweepOptions parse_sweep_flags(int argc, char** argv,
       opt.fault.max_retries =
           static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
     } else if (arg == "--fault-backoff") {
-      opt.fault.retry_backoff_base =
+      opt.fault.retransmit_backoff_base =
           static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
     } else if (arg == "--shard") {
       const char* v = value();
@@ -410,16 +378,6 @@ SweepOptions parse_sweep_flags(int argc, char** argv,
     } else {
       positional.push_back(arg);
     }
-  }
-  const SupervisorOptions& so = opt.supervisor;
-  if (so.snapshot_interval_cycles > 0 && so.checkpoint_dir.empty()) {
-    std::fprintf(stderr, "--snapshot-interval-cycles needs --checkpoint-dir\n");
-    usage(argv[0], 2);
-  }
-  if (so.debug_kill_cell >= 0 && so.snapshot_interval_cycles == 0) {
-    std::fprintf(stderr,
-                 "--debug-kill-cell needs --snapshot-interval-cycles\n");
-    usage(argv[0], 2);
   }
   return opt;
 }

@@ -12,13 +12,13 @@
 //     exception text) instead of aborting the whole sweep; it is not retried,
 //     since a deterministic cell would fail the same way again.
 //   - Two execution paths. With SupervisorOptions inactive every cell runs
-//     in process on the thread pool, with no timeout and no retry. With it
-//     active (--isolate, --timeout-ms, --checkpoint-dir, --resume, ...) each
-//     cell runs in a forked child process, so a SIGSEGV, a hard hang or a
-//     runaway resident set kills one cell — retried with backoff,
-//     postmortem black box on disk — never the sweep. Completed cells are
-//     journaled to an append-only manifest and --resume replays them
-//     byte-identically (see supervisor.h).
+//     in process on the thread pool, with no timeout. With it active
+//     (--isolate, --timeout-ms, --checkpoint-dir, --resume, ...) each cell
+//     runs once in a forked child process, so a SIGSEGV, a hard hang or a
+//     runaway resident set costs that one cell — postmortem black box on
+//     disk — never the sweep. Finished cells are journaled to an
+//     append-only manifest and --resume adopts the Ok ones byte-identically
+//     and reruns the rest (see supervisor.h).
 //   - Sharding: `--shard i/k` splits a sweep across machines by cell group,
 //     so rows that normalize against a sibling cell stay intact.
 #pragma once
@@ -37,8 +37,8 @@ namespace disco::sim {
 /// (see active()) runs every cell in a forked child; with all defaults the
 /// sweep runs on the in-process thread pool.
 struct SupervisorOptions {
-  /// Run each cell attempt in a forked child process; a crash or hard hang
-  /// costs one cell attempt, never the sweep.
+  /// Run each cell in a forked child process; a crash or hard hang costs
+  /// that cell, never the sweep.
   bool isolate = false;
   /// Journal every finished cell to <dir>/manifest.jsonl (atomic rewrite +
   /// rename per cell) and write postmortem black boxes here.
@@ -46,28 +46,13 @@ struct SupervisorOptions {
   /// Path of a prior run's manifest: its Ok cells are adopted verbatim (the
   /// wire format is bit-exact) and only the rest are run.
   std::string resume_manifest;
-  /// Wall-clock budget per cell attempt; 0 disables the timeout.
+  /// Wall-clock budget per cell; 0 disables the timeout.
   std::uint64_t cell_timeout_ms = 0;
-  /// Extra attempts after the first for a crashed / timed-out / over-RSS
-  /// cell. A cell that throws is final: its retry would replay the same seed.
-  unsigned max_retries = 1;
-  /// Delay before retry r is retry_backoff_ms << (r - 1).
-  std::uint64_t retry_backoff_ms = 100;
   /// After a timeout: grace between the child's SIGTERM and its SIGKILL.
   std::uint64_t hang_grace_ms = 2000;
-
-  // --- mid-cell checkpointing ------------------------------------------
-  /// When > 0 (checkpoint_dir must be set), each forked worker snapshots
-  /// its full simulation state to <checkpoint_dir>/snap-cell<i>.bin every
-  /// N measured cycles; a retried attempt (after a crash, SIGKILL or
-  /// timeout) resumes from the last good snapshot instead of recomputing
-  /// from cycle 0, byte-identically. Corrupted / mismatched snapshots are
-  /// rejected by checksum and the retry falls back to a from-zero run.
-  /// 0 = off.
-  std::uint64_t snapshot_interval_cycles = 0;
   /// Resident-set cap per isolated child, in MiB: a worker whose RSS
   /// exceeds it is SIGKILLed and journaled as `resource_exhausted`
-  /// (distinct from crashes and hangs), honoring retry/backoff. 0 = off.
+  /// (distinct from crashes and hangs). 0 = off.
   std::uint64_t max_rss_mb = 0;
 
   // --- deterministic fault hooks for tests and the CI recovery drill ---
@@ -77,20 +62,12 @@ struct SupervisorOptions {
   int debug_hang_cell = -1;
   /// Cell index whose child throws a non-std::exception value; -1 = none.
   int debug_throw_cell = -1;
-  /// Cell index whose child raises SIGKILL on itself right after the first
-  /// snapshot at or past debug_kill_cycle (tests the kill-between-snapshots
-  /// recovery path; needs snapshot_interval_cycles); -1 = none.
-  int debug_kill_cell = -1;
-  std::uint64_t debug_kill_cycle = 0;
-  /// The hooks fire only while the cell's attempt number is <= this, so a
-  /// retried cell recovers (set very high to exhaust retries instead).
-  unsigned debug_crash_attempts = 1;
 
   bool active() const {
     return isolate || cell_timeout_ms > 0 || !checkpoint_dir.empty() ||
-           !resume_manifest.empty() || snapshot_interval_cycles > 0 ||
-           max_rss_mb > 0 || debug_crash_cell >= 0 || debug_hang_cell >= 0 ||
-           debug_throw_cell >= 0 || debug_kill_cell >= 0;
+           !resume_manifest.empty() || max_rss_mb > 0 ||
+           debug_crash_cell >= 0 || debug_hang_cell >= 0 ||
+           debug_throw_cell >= 0;
   }
 };
 
@@ -157,13 +134,12 @@ struct SweepCellOutcome {
   std::size_t index = 0;
   std::size_t group = 0;
   CellStatus status = CellStatus::Skipped;
+  /// 1 once the cell was claimed, 0 while it never ran (a cell adopted from
+  /// a resume manifest keeps the count journaled there). Cells are
+  /// deterministic, so none is ever retried.
   unsigned attempts = 0;
   double wall_ms = 0;
-  /// Measurement cycles recovered from a mid-cell snapshot by the attempt
-  /// that finished this cell (0 = it ran from cycle 0). Journaled in the
-  /// manifest so `manifest_inspect` can report work saved by checkpointing.
-  std::uint64_t snap_saved_cycles = 0;
-  std::string error;    ///< exception text of the last failed attempt
+  std::string error;    ///< exception text of the failed run
   CellResult result;    ///< valid only when status == CellStatus::Ok
 
   bool ok() const { return status == CellStatus::Ok; }
@@ -212,10 +188,8 @@ void install_interrupt_handlers();
 /// Parse the standard sweep flags (--threads N, --shard i/k, --seed S,
 /// --no-progress, --timeout-ms T, --isolate, --checkpoint-dir D, --resume M,
 /// --help, ...) out of argv; every unrecognized argument is appended to
-/// `positional` in order. Exits with a usage message on malformed flags, on
-/// flags that cannot take effect (--snapshot-interval-cycles without
-/// --checkpoint-dir, --debug-kill-cell without --snapshot-interval-cycles)
-/// or on --help.
+/// `positional` in order. Exits with a usage message on malformed flags or
+/// on --help.
 SweepOptions parse_sweep_flags(int argc, char** argv,
                                std::vector<std::string>& positional);
 

@@ -92,7 +92,7 @@ std::vector<SweepCell> prepare_cells(const std::vector<SweepCell>& cells,
                                      const SweepOptions& opt, SweepResult& res,
                                      std::vector<std::size_t>& work);
 
-/// An interrupt stopped the sweep before this work cell's first attempt:
+/// An interrupt stopped the sweep before this work cell ran:
 /// record it as Interrupted rather than leave it looking Skipped.
 inline void interrupt_if_unclaimed(SweepCellOutcome& out) {
   if (out.attempts != 0) return;
@@ -101,7 +101,7 @@ inline void interrupt_if_unclaimed(SweepCellOutcome& out) {
 }
 
 /// Run the work cells in forked children under the supervisor (resume
-/// adoption, checkpoint journal, retries; supervisor.cpp). Throws
+/// adoption, checkpoint journal; supervisor.cpp). Throws
 /// std::runtime_error when a resume manifest does not match the sweep.
 void run_isolated(const std::vector<SweepCell>& prepared,
                   std::vector<std::size_t> work, const SweepOptions& opt,

@@ -4,8 +4,6 @@
 #include <sstream>
 #include <vector>
 
-#include "common/snapshot.h"
-
 namespace disco::trace {
 namespace {
 
@@ -274,22 +272,5 @@ void InvariantChecker::end_of_cycle(Cycle now, std::uint64_t structural_inflight
                   std::to_string(e.arg) + ")");
   }
 }
-
-template <class Ar>
-void InvariantChecker::visit(Ar& ar) {
-  InvariantSummary& s = summary_;
-  ar(s.enabled, s.events_checked, s.cycles_checked, s.violations,
-     s.credit_violations, s.conservation_violations, s.vc_state_violations,
-     s.shadow_violations, s.confidence_violations, s.eject_violations,
-     s.cache_violations, s.topology_violations, s.first_violation);
-  ar.each(credits_, "checker geometry");
-  ar.each(ni_credits_, "checker geometry");
-  ar.each(vc_state_);
-  ar.each(dead_nodes_);
-  ar(shadows_, ejected_seqs_, injected_flits_, ejected_flits_, killed_flits_,
-     rebuild_delta_, conf_comp_max_, conf_decomp_min_, conf_decomp_max_);
-}
-template void InvariantChecker::visit(snap::Writer&);
-template void InvariantChecker::visit(snap::Reader&);
 
 }  // namespace disco::trace

@@ -79,19 +79,11 @@ class InvariantChecker {
 
   const InvariantSummary& summary() const { return summary_; }
 
-  /// Snapshot of every running model and the summary, so a restored run's
-  /// final verdict equals the uninterrupted run's.
-  template <class Ar>
-  void visit(Ar& ar);
-
  private:
   enum class VcState : std::uint8_t { Idle, VcAlloc, Active };
   struct Shadow {
     std::uint64_t pkt = 0;
     bool decided = false;  ///< abort-or-commit seen, retire pending
-
-    template <class Ar>
-    void visit(Ar& ar) { ar(pkt, decided); }
   };
 
   std::size_t pool_index(NodeId node, std::uint8_t port, std::uint8_t vc) const {

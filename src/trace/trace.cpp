@@ -4,7 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/snapshot.h"
 #include "trace/invariants.h"
 
 namespace disco::trace {
@@ -213,16 +212,5 @@ void Tracer::write_chrome_json(std::ostream& os) const {
   }
   os << "\n],\"displayTimeUnit\":\"ns\"}\n";
 }
-
-template <class Ar>
-void Tracer::visit(Ar& ar) {
-  ar.expect(capacity_, "tracer capacity");
-  ar(ring_);
-  if (ring_.size() > capacity_)
-    throw snap::SnapshotError("snapshot: tracer ring overflow");
-  ar(head_, total_);
-}
-template void Tracer::visit(snap::Writer&);
-template void Tracer::visit(snap::Reader&);
 
 }  // namespace disco::trace

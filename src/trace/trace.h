@@ -106,9 +106,6 @@ struct TraceEvent {
   std::int64_t arg = 0;
 
   bool operator==(const TraceEvent&) const = default;
-
-  template <class Ar>
-  void visit(Ar& ar) { ar(cycle, node, event, port, vc, pkt, arg); }
 };
 
 class InvariantChecker;
@@ -146,11 +143,6 @@ class Tracer {
   /// Chrome trace_event JSON (load in Perfetto / chrome://tracing): one
   /// instant event per probe, pid = node, tid = port.
   void write_chrome_json(std::ostream& os) const;
-
-  /// Snapshot of the ring contents and sequence counters (the capture mask
-  /// is config-derived; the capacity is checked).
-  template <class Ar>
-  void visit(Ar& ar);
 
  private:
   std::vector<TraceEvent> ring_;

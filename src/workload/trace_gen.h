@@ -14,9 +14,6 @@ struct TraceOp {
   Addr addr = 0;
   bool is_store = false;
   std::uint32_t gap = 0;  ///< compute cycles before this reference issues
-
-  template <class Ar>
-  void visit(Ar& ar) { ar(addr, is_store, gap); }
 };
 
 /// OS-style page-frame scattering: generators produce virtual addresses
@@ -43,13 +40,6 @@ class TraceGenerator {
   /// Region bases (tests and address-map sanity checks).
   Addr private_base() const { return private_base_; }
   static Addr shared_base() { return Addr{1} << 42; }
-
-  /// Snapshot: RNG stream position + sequential-run cursor (private_base_
-  /// is a pure function of the constructor arguments).
-  template <class Ar>
-  void visit(Ar& ar) {
-    ar(rng_, seq_addr_, seq_left_, seq_region_base_, seq_region_span_);
-  }
 
  private:
   Addr pick_block();

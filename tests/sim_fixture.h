@@ -87,6 +87,7 @@ class MiniCmp {
     algo_ = compress::make_algorithm(algo_name);
 
     const cmp::SchemeSetup setup = cmp::make_scheme_setup(scheme, *algo_);
+    cfg_.noc.deprioritize_compressible &= setup.deprioritize_compressible;
     noc::Network::ExtensionFactory factory;
     if (setup.use_disco_units) {
       factory = [this](noc::Router& r) {

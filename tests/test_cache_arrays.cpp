@@ -8,7 +8,6 @@
 
 #include "cache/arrays.h"
 #include "common/rng.h"
-#include "common/snapshot.h"
 
 namespace disco::cache {
 namespace {
@@ -237,44 +236,6 @@ TEST(SegmentedArray, PlanesAreAllocatedOnFirstUse) {
   a.erase(0);
   a.erase(kBlockBytes);
   EXPECT_EQ(a.planes_allocated(), 1u) << "planes are freed only with the array";
-}
-
-TEST(SegmentedArray, LoneLineInLastSlotSurvivesRestore) {
-  SegmentedArray a = one_set_array();
-  const std::vector<Addr> addrs = fill_one_set(a, 1);
-  for (std::size_t i = 0; i + 1 < addrs.size(); ++i) a.erase(addrs[i]);
-  L2Line& line = *a.lookup(addrs.back());
-  line.dirty = true;
-  line.lru = 42;
-  line.data[5] = 0xAB;
-  line.stored = compress::Encoded{{1, 2, 3}, 1};
-  line.dir.kind = DirInfo::Kind::Shared;
-  line.dir.add_sharer(9);
-  ASSERT_EQ(a.planes_allocated(), 32u);
-
-  snap::Writer saved;
-  saved(a);
-  SegmentedArray b = one_set_array();
-  snap::Reader r(saved.data());
-  r(b);
-  EXPECT_NO_THROW(r.expect_end());
-
-  EXPECT_EQ(b.planes_allocated(), 1u) << "restore allocates only slot 31's plane";
-  EXPECT_EQ(b.valid_lines(), 1u);
-  EXPECT_EQ(b.used_segments(), 1u);
-  const L2Line* got = b.lookup(addrs.back());
-  ASSERT_NE(got, nullptr);
-  EXPECT_TRUE(got->dirty);
-  EXPECT_EQ(got->lru, 42u);
-  EXPECT_EQ(got->data[5], 0xAB);
-  ASSERT_TRUE(got->stored.has_value());
-  EXPECT_EQ(got->stored->bytes, (std::vector<std::uint8_t>{1, 2, 3}));
-  EXPECT_TRUE(got->dir.is_sharer(9));
-  for (std::size_t i = 0; i + 1 < addrs.size(); ++i) EXPECT_EQ(b.lookup(addrs[i]), nullptr);
-
-  snap::Writer resaved;
-  resaved(b);
-  EXPECT_EQ(resaved.data(), saved.data()) << "slot 31 must stay slot 31";
 }
 
 TEST(SegmentedArray, LruTiesResolveInSlotOrderAcrossPlanes) {

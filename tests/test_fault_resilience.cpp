@@ -172,7 +172,7 @@ TEST_F(FaultNiFixture, TotalFlitLossFallsBackToGroundTruthAfterBoundedRetries) {
   fc.reassembly_timeout_cycles = 32;
   fc.nack_retry_interval = 16;
   fc.max_retries = 2;
-  fc.retry_backoff_base = 2;
+  fc.retransmit_backoff_base = 2;
   build(p, fc);
 
   auto pkt = make_packet(0, 15, VNet::Response, true, clock_, 1);

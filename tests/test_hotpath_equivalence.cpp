@@ -1,21 +1,16 @@
 // Hot-path equivalence suite: the pooled/ring/bitmask tick loop must be
-// observationally identical to the seed implementation. Three angles, one
-// per golden scenario / workload:
+// observationally identical to the seed implementation. Two angles:
 //   - the checked-in golden traces still reproduce byte for byte, and every
 //     scenario returns the packet pool to its starting live count,
 //   - sweep JSON is byte-identical at --threads 1 and --threads 4 on a grid
-//     that exercises compression, faults and retransmissions,
-//   - a mid-cell snapshot resume continues trace- and stats-identical to
-//     the uninterrupted run on each golden workload.
+//     that exercises compression, faults and retransmissions.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "cmp/system.h"
 #include "noc/packet_pool.h"
 #include "sim/experiment.h"
 #include "sim/golden.h"
@@ -32,27 +27,6 @@ std::string read_file(const std::string& path) {
   os << is.rdbuf();
   return os.str();
 }
-
-/// Unique scratch dir per test, removed on destruction.
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& tag)
-      : path_(std::filesystem::temp_directory_path() /
-              ("disco-hotpath-" + tag + "-" + std::to_string(::getpid()))) {
-    std::filesystem::remove_all(path_);
-    std::filesystem::create_directories(path_);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  std::string file(const std::string& name) const {
-    return (path_ / name).string();
-  }
-
- private:
-  std::filesystem::path path_;
-};
 
 // The three golden workloads the scenario library draws from.
 const char* const kGoldenProfiles[] = {"canneal", "dedup", "swaptions"};
@@ -114,46 +88,6 @@ TEST(HotPathEquivalence, SweepJsonIsThreadCountInvariantUnderFaults) {
   sim::write_json(jb, b.ok_results());
   EXPECT_EQ(ja.str(), jb.str())
       << "sweep JSON must not depend on the thread count";
-}
-
-TEST(HotPathEquivalence, MidCellSnapshotResumeMatchesUninterruptedRun) {
-  for (const char* name : kGoldenProfiles) {
-    SCOPED_TRACE(name);
-    ScratchDir dir(std::string("resume-") + name);
-    const auto& profile = workload::profile_by_name(name);
-    SystemConfig cfg;
-    cfg.scheme = Scheme::DISCO;
-    cfg.seed = 77;
-    cfg.trace.enabled = true;
-    cfg.trace.ring_capacity = 1 << 14;
-
-    cmp::CmpSystem a(cfg, profile);
-    a.functional_warmup(2000);
-    a.run(4000);
-    const std::string mid = dir.file("mid.bin");
-    a.save_snapshot(mid, 0, 1);
-
-    // The restored system must continue exactly like the one that never
-    // stopped: same traces, same flit counts, and a byte-identical
-    // re-snapshot (pool indices, ring rotations and bitmask state all
-    // re-normalize through save/restore).
-    cmp::CmpSystem b(cfg, profile);
-    b.restore_snapshot(mid, 1);
-    ASSERT_EQ(b.now(), a.now());
-    const std::string resaved = dir.file("resaved.bin");
-    b.save_snapshot(resaved, 0, 1);
-    EXPECT_EQ(read_file(mid), read_file(resaved));
-
-    a.run(3000);
-    b.run(3000);
-    EXPECT_EQ(a.total_core_ops(), b.total_core_ops());
-    EXPECT_EQ(a.noc_stats().link_flits, b.noc_stats().link_flits);
-    std::ostringstream ta, tb;
-    a.tracer()->write_canonical(ta);
-    b.tracer()->write_canonical(tb);
-    EXPECT_EQ(ta.str(), tb.str())
-        << "resumed run diverged from the uninterrupted one";
-  }
 }
 
 }  // namespace

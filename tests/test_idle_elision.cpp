@@ -71,7 +71,7 @@ TEST(IdleElision, LossTimeoutsFireWhileTheMeshSleeps) {
   fc.reassembly_timeout_cycles = 64;
   fc.nack_retry_interval = 32;
   fc.max_retries = 2;
-  fc.retry_backoff_base = 4;
+  fc.retransmit_backoff_base = 4;
   fault::FaultInjector injector(fc, 11);
 
   NocConfig cfg;

@@ -144,7 +144,7 @@ TEST(PacketPool, NoLeakAfterRetryExhaustionDrain) {
     fc.reassembly_timeout_cycles = 32;
     fc.nack_retry_interval = 16;
     fc.max_retries = 2;
-    fc.retry_backoff_base = 2;
+    fc.retransmit_backoff_base = 2;
     fault::FaultInjector injector(fc, 7);
 
     NocConfig noc_cfg;

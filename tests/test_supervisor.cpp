@@ -1,10 +1,9 @@
 // Crash-resilient sweep supervisor: process isolation survives SIGSEGV,
-// hang watchdog + SIGTERM/SIGKILL escalation, retry with backoff,
-// checkpoint/resume byte-identity, in-sim deadlock/livelock/starvation
+// hang watchdog + SIGTERM/SIGKILL escalation, one attempt per cell,
+// manifest resume byte-identity, in-sim deadlock/livelock/starvation
 // classification, the SIGINT flush-and-resume path, and the sweep flag
-// parser's rejection of flags that cannot take effect. The deterministic
-// debug fault hooks (--debug-crash-cell & co.) stand in for real crashes and
-// hangs.
+// parser. The deterministic debug fault hooks (--debug-crash-cell & co.)
+// stand in for real crashes and hangs.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -334,7 +333,7 @@ TEST(WireFormat, RejectsTruncatedAndMalformedPayloads) {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep flags that cannot take effect are rejected
+// Sweep flags
 // ---------------------------------------------------------------------------
 
 SweepOptions parse_flags(std::vector<std::string> args) {
@@ -346,32 +345,18 @@ SweepOptions parse_flags(std::vector<std::string> args) {
                            positional);
 }
 
-TEST(SweepFlagsDeathTest, SnapshotIntervalWithoutCheckpointDirExits) {
-  EXPECT_EXIT(parse_flags({"--snapshot-interval-cycles", "1000"}),
-              ::testing::ExitedWithCode(2),
-              "--snapshot-interval-cycles needs --checkpoint-dir");
-}
-
-TEST(SweepFlagsDeathTest, DebugKillCellWithoutSnapshotIntervalExits) {
-  EXPECT_EXIT(
-      parse_flags({"--checkpoint-dir", "ckpt", "--debug-kill-cell", "3"}),
-      ::testing::ExitedWithCode(2),
-      "--debug-kill-cell needs --snapshot-interval-cycles");
-}
-
-TEST(SweepFlags, MidCellKillDrillParses) {
-  const SweepOptions opt = parse_flags(
-      {"--checkpoint-dir", "ckpt", "--snapshot-interval-cycles", "20000",
-       "--debug-kill-cell", "3", "--debug-kill-cycle", "40000",
-       "--timeout-ms", "500"});
+TEST(SweepFlags, SupervisorFlagsParse) {
+  const SweepOptions opt =
+      parse_flags({"--checkpoint-dir", "ckpt", "--timeout-ms", "500",
+                   "--hang-grace-ms", "40", "--max-rss-mb", "64"});
   EXPECT_EQ(opt.supervisor.checkpoint_dir, "ckpt");
-  EXPECT_EQ(opt.supervisor.snapshot_interval_cycles, 20000u);
-  EXPECT_EQ(opt.supervisor.debug_kill_cell, 3);
-  EXPECT_EQ(opt.supervisor.debug_kill_cycle, 40000u);
   EXPECT_EQ(opt.supervisor.cell_timeout_ms, 500u);
+  EXPECT_EQ(opt.supervisor.hang_grace_ms, 40u);
+  EXPECT_EQ(opt.supervisor.max_rss_mb, 64u);
   EXPECT_TRUE(opt.supervisor.active());
   EXPECT_TRUE(parse_flags({"--timeout-ms", "500"}).supervisor.active())
       << "a timeout needs a child to kill";
+  EXPECT_FALSE(parse_flags({"--threads", "2"}).supervisor.active());
 }
 
 // ---------------------------------------------------------------------------
@@ -390,55 +375,48 @@ TEST(Supervisor, IsolatedSweepIsByteIdenticalToInProcess) {
       << "forked children must reproduce in-process metrics bit-for-bit";
 }
 
-TEST(Supervisor, SurvivesChildCrashAndRetriesWithBackoff) {
-  ScratchDir dir("crash-retry");
+TEST(Supervisor, ChildCrashIsRecordedOnceAndSiblingsFinish) {
+  ScratchDir dir("crash");
   auto cells = small_grid();
   SweepOptions opt = quiet(2);
   opt.supervisor.isolate = true;
   opt.supervisor.checkpoint_dir = dir.str();
-  opt.supervisor.max_retries = 2;
-  opt.supervisor.retry_backoff_ms = 50;
   opt.supervisor.debug_crash_cell = 1;
-  opt.supervisor.debug_crash_attempts = 1;  // attempt 2 succeeds
-  const SweepResult r = run_sweep(cells, opt);
-  EXPECT_TRUE(r.all_ok()) << "a crashing cell must be retried, not fatal";
-  EXPECT_EQ(r.completed, cells.size());
-  EXPECT_EQ(r.cells[1].attempts, 2u);
-  EXPECT_GE(r.cells[1].wall_ms, 50.0) << "retry must wait out the backoff";
-  for (const std::size_t i : {0UL, 2UL, 3UL})
-    EXPECT_EQ(r.cells[i].attempts, 1u) << "cell " << i;
-  EXPECT_TRUE(dir.has("postmortem-cell1-attempt1.txt"))
-      << "the crashing attempt must leave a black box";
-}
-
-TEST(Supervisor, CrashRecordedWhenRetriesExhausted) {
-  ScratchDir dir("crash-exhaust");
-  auto cells = small_grid();
-  SweepOptions opt = quiet(2);
-  opt.supervisor.isolate = true;
-  opt.supervisor.checkpoint_dir = dir.str();
-  opt.supervisor.max_retries = 1;
-  opt.supervisor.retry_backoff_ms = 10;
-  opt.supervisor.debug_crash_cell = 2;
-  opt.supervisor.debug_crash_attempts = 99;  // never recovers
   const SweepResult r = run_sweep(cells, opt);
   EXPECT_FALSE(r.all_ok());
   EXPECT_EQ(r.failed, 1u);
   EXPECT_EQ(r.crashed, 1u);
   EXPECT_EQ(r.completed, cells.size() - 1) << "other cells must still finish";
-  EXPECT_EQ(r.cells[2].status, CellStatus::Crashed);
-  EXPECT_EQ(r.cells[2].attempts, 2u);
-  EXPECT_NE(r.cells[2].error.find("SIGSEGV"), std::string::npos)
-      << r.cells[2].error;
+  EXPECT_EQ(r.cells[1].status, CellStatus::Crashed);
+  EXPECT_NE(r.cells[1].error.find("SIGSEGV"), std::string::npos)
+      << r.cells[1].error;
+  for (const auto& c : r.cells)
+    EXPECT_EQ(c.attempts, 1u)
+        << "cell " << c.index << ": a deterministic cell runs once";
+  EXPECT_TRUE(dir.has("postmortem-cell1-attempt1.txt"))
+      << "the crashing cell must leave a black box";
+
+  // The journal holds the crash once, as the cell's terminal outcome.
+  const Manifest m = load_manifest(dir.manifest());
+  ASSERT_EQ(m.entries.size(), cells.size());
+  std::size_t crashed = 0;
+  for (const auto& e : m.entries) {
+    EXPECT_EQ(e.attempts, 1u) << "cell " << e.cell;
+    if (e.status == CellStatus::Crashed) {
+      ++crashed;
+      EXPECT_EQ(e.cell, 1u);
+    }
+  }
+  EXPECT_EQ(crashed, 1u);
 }
 
-TEST(Supervisor, HungChildIsKilledAndRetried) {
+TEST(Supervisor, HungChildIsKilledAndRecordedTimedOut) {
+  ScratchDir dir("hang");
   auto cells = small_grid();
   cells.resize(2);
-  // The hung attempt times out at any budget, but the healthy retry and the
-  // healthy sibling run under the same one: size it from a measured healthy
-  // run of these cells at the same concurrency, so a slow or single-CPU
-  // machine cannot kill them.
+  // The hung cell times out at any budget, but the healthy sibling runs
+  // under the same one: size it from a measured healthy run of these cells
+  // at the same concurrency, so a slow or single-CPU machine cannot kill it.
   const SweepResult healthy = run_sweep(cells, quiet(2));
   ASSERT_TRUE(healthy.all_ok());
   double slowest_ms = 0;
@@ -447,23 +425,23 @@ TEST(Supervisor, HungChildIsKilledAndRetried) {
   opt.supervisor.cell_timeout_ms =
       250 + static_cast<std::uint64_t>(4 * slowest_ms);
   opt.supervisor.isolate = true;
-  opt.supervisor.max_retries = 1;
-  opt.supervisor.retry_backoff_ms = 10;
+  opt.supervisor.checkpoint_dir = dir.str();
   opt.supervisor.hang_grace_ms = 500;
   opt.supervisor.debug_hang_cell = 0;
-  opt.supervisor.debug_crash_attempts = 1;  // the retry runs clean
   const SweepResult r = run_sweep(cells, opt);
-  EXPECT_TRUE(r.all_ok())
-      << "a hung child must be killed and retried, not hang the sweep";
-  EXPECT_EQ(r.cells[0].attempts, 2u);
-  EXPECT_TRUE(r.cells[1].ok());
+  EXPECT_EQ(r.cells[0].status, CellStatus::TimedOut)
+      << "a hung child must be killed, not hang the sweep";
+  EXPECT_EQ(r.cells[0].attempts, 1u);
+  EXPECT_TRUE(r.cells[1].ok()) << r.cells[1].error;
+  EXPECT_EQ(r.failed, 1u);
+  EXPECT_TRUE(dir.has("postmortem-cell0-attempt1.txt"))
+      << "the SIGTERMed child must leave a black box";
 }
 
 TEST(Supervisor, NonStdExceptionBecomesStructuredError) {
   auto cells = small_grid();
   SweepOptions opt = quiet(2);
   opt.supervisor.debug_throw_cell = 1;  // the child throws the int 42
-  opt.supervisor.max_retries = 0;
   const SweepResult r = run_sweep(cells, opt);
   EXPECT_EQ(r.cells[1].status, CellStatus::Failed);
   EXPECT_EQ(r.cells[1].error, "int exception: 42")
@@ -476,8 +454,6 @@ TEST(Supervisor, ThrowingCellIsFinalNotRetried) {
   cells[1].cfg.algorithm = "no-such-algorithm";  // make_algorithm throws
   SweepOptions opt = quiet(2);
   opt.supervisor.isolate = true;
-  opt.supervisor.max_retries = 2;
-  opt.supervisor.retry_backoff_ms = 10;
   const SweepResult r = run_sweep(cells, opt);
   EXPECT_EQ(r.cells[1].status, CellStatus::Failed);
   EXPECT_EQ(r.cells[1].attempts, 1u)
@@ -500,9 +476,7 @@ TEST(Supervisor, ResumeSkipsDoneCellsAndReproducesByteIdenticalOutput) {
   SweepOptions first = quiet(2);
   first.supervisor.isolate = true;
   first.supervisor.checkpoint_dir = dir.str();
-  first.supervisor.max_retries = 0;
   first.supervisor.debug_crash_cell = 2;
-  first.supervisor.debug_crash_attempts = 99;
   const SweepResult r1 = run_sweep(cells, first);
   EXPECT_EQ(r1.completed, cells.size() - 1);
   EXPECT_EQ(r1.crashed, 1u);
@@ -517,8 +491,6 @@ TEST(Supervisor, ResumeSkipsDoneCellsAndReproducesByteIdenticalOutput) {
   second.supervisor.isolate = true;
   second.supervisor.resume_manifest = dir.manifest();
   second.supervisor.debug_crash_cell = 0;
-  second.supervisor.debug_crash_attempts = 99;
-  second.supervisor.max_retries = 0;
   const SweepResult r2 = run_sweep(cells, second);
   EXPECT_TRUE(r2.all_ok());
   EXPECT_EQ(r2.completed, cells.size());
@@ -619,7 +591,6 @@ TEST(Watchdog, IsolatedTripWritesPostmortemBlackBox) {
   opt.progress_watchdog_cycles = 2000;
   opt.supervisor.isolate = true;
   opt.supervisor.checkpoint_dir = dir.str();
-  opt.supervisor.max_retries = 0;
   const SweepResult r = run_sweep({starved_cell()}, opt);
   ASSERT_EQ(r.cells[0].status, CellStatus::Failed);
   EXPECT_NE(r.cells[0].error.find("starvation"), std::string::npos);
@@ -646,24 +617,21 @@ TEST(Supervisor, CrashAndHangInOneSweepRecoverEndToEnd) {
   opt.supervisor.cell_timeout_ms = 300;
   opt.supervisor.isolate = true;
   opt.supervisor.checkpoint_dir = dir.str();
-  opt.supervisor.max_retries = 1;
-  opt.supervisor.retry_backoff_ms = 10;
   opt.supervisor.hang_grace_ms = 500;
   opt.supervisor.debug_crash_cell = 1;
   opt.supervisor.debug_hang_cell = 3;
-  opt.supervisor.debug_crash_attempts = 99;  // both cells exhaust retries
   const SweepResult r = run_sweep(cells, opt);
   EXPECT_EQ(r.completed, cells.size() - 2)
       << "healthy cells must complete around the crash and the hang";
   EXPECT_EQ(r.cells[1].status, CellStatus::Crashed);
-  EXPECT_EQ(r.cells[1].attempts, 2u) << "crash retried up to max_retries";
+  EXPECT_EQ(r.cells[1].attempts, 1u);
   EXPECT_EQ(r.cells[3].status, CellStatus::TimedOut);
-  EXPECT_EQ(r.cells[3].attempts, 2u) << "hang retried up to max_retries";
+  EXPECT_EQ(r.cells[3].attempts, 1u);
   EXPECT_TRUE(dir.has("postmortem-cell1-attempt1.txt"));
   EXPECT_TRUE(dir.has("postmortem-cell3-attempt1.txt"));
 
-  // Resume with the faults gone (the flaky machine rebooted): byte-identical
-  // aggregate output vs the uninterrupted reference.
+  // Resume with the faults gone: only cells 1 and 3 rerun, and the
+  // aggregate output is byte-identical to the uninterrupted reference.
   SweepOptions resume = quiet(2);
   resume.supervisor.isolate = true;
   resume.supervisor.resume_manifest = dir.manifest();
@@ -676,108 +644,13 @@ TEST(Supervisor, CrashAndHangInOneSweepRecoverEndToEnd) {
   SweepOptions again = quiet(2);
   again.supervisor.resume_manifest = dir.manifest();
   again.supervisor.debug_crash_cell = 0;  // would crash if anything reran
-  again.supervisor.debug_crash_attempts = 99;
-  again.supervisor.max_retries = 0;
   const SweepResult noop = run_sweep(cells, again);
   EXPECT_TRUE(noop.all_ok());
   EXPECT_EQ(as_json(noop), reference);
 }
 
 // ---------------------------------------------------------------------------
-// Mid-cell checkpointing: SIGKILL between snapshots, byte-identical resume
-// ---------------------------------------------------------------------------
-
-TEST(MidCellCheckpoint, SigkilledWorkerResumesByteIdenticallyAnyThreadCount) {
-  const auto cells = small_grid();
-  const std::string reference = as_json(run_sweep(cells, quiet(1)));
-
-  for (const unsigned threads : {1u, 2u}) {
-    ScratchDir dir("snapkill-t" + std::to_string(threads));
-    SweepOptions opt = quiet(threads);
-    opt.supervisor.isolate = true;
-    opt.supervisor.checkpoint_dir = dir.str();
-    opt.supervisor.snapshot_interval_cycles = 2000;
-    opt.supervisor.max_retries = 1;
-    opt.supervisor.retry_backoff_ms = 10;
-    // Cell 0 SIGKILLs itself right after the snapshot at measured cycle
-    // 4000 (of 8000) on attempt 1 only; attempt 2 must resume mid-cell.
-    opt.supervisor.debug_kill_cell = 0;
-    opt.supervisor.debug_kill_cycle = 4000;
-    const SweepResult r = run_sweep(cells, opt);
-    ASSERT_TRUE(r.all_ok()) << "threads=" << threads << ": "
-                            << r.cells[0].error;
-    EXPECT_EQ(r.cells[0].attempts, 2u)
-        << "the SIGKILL must cost exactly one attempt";
-    EXPECT_EQ(r.cells[0].snap_saved_cycles, 4000u)
-        << "the retry must resume from the cycle-4000 snapshot";
-    EXPECT_EQ(as_json(r), reference)
-        << "threads=" << threads
-        << ": resumed sweep must be byte-identical to an uninterrupted run";
-
-    // Manifest lineage: the journal records the cycles saved by recovery.
-    const Manifest m = load_manifest(dir.manifest());
-    bool found = false;
-    for (const auto& e : m.entries) {
-      if (e.cell != 0) continue;
-      found = true;
-      EXPECT_EQ(e.snap_saved_cycles, 4000u);
-    }
-    EXPECT_TRUE(found);
-
-    // Snapshot-dir hygiene: terminal cells leave no snapshots behind.
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      EXPECT_FALSE(dir.has("snap-cell" + std::to_string(i) + ".bin"))
-          << "snapshot for completed cell " << i << " was not GCed";
-    }
-  }
-}
-
-TEST(MidCellCheckpoint, CorruptedSnapshotFallsBackToFromZeroRetry) {
-  auto cells = small_grid();
-  cells.resize(1);
-  const std::string reference = as_json(run_sweep(cells, quiet(1)));
-
-  ScratchDir dir("snapcorrupt");
-  // A stale, corrupted snapshot is already sitting where cell 0 would
-  // resume from (e.g. disk corruption after a crash).
-  {
-    std::ofstream f(dir.str() + "/snap-cell0.bin", std::ios::binary);
-    f << "DSNPgarbage-not-a-valid-snapshot-payload";
-  }
-  SweepOptions opt = quiet(1);
-  opt.supervisor.isolate = true;
-  opt.supervisor.checkpoint_dir = dir.str();
-  opt.supervisor.snapshot_interval_cycles = 2000;
-  const SweepResult r = run_sweep(cells, opt);
-  ASSERT_TRUE(r.all_ok()) << r.cells[0].error;
-  EXPECT_EQ(r.cells[0].snap_saved_cycles, 0u)
-      << "checksum rejection must fall back to a from-zero run";
-  EXPECT_EQ(as_json(r), reference);
-  EXPECT_FALSE(dir.has("snap-cell0.bin"));
-}
-
-TEST(MidCellCheckpoint, FreshSweepClearsStaleSnapshots) {
-  auto cells = small_grid();
-  cells.resize(1);
-  ScratchDir dir("snapstale");
-  {
-    std::ofstream f(dir.str() + "/snap-cell0.bin", std::ios::binary);
-    f << "stale";
-    std::ofstream t(dir.str() + "/snap-cell0.bin.tmp", std::ios::binary);
-    t << "torn";
-  }
-  SweepOptions opt = quiet(1);
-  opt.supervisor.isolate = true;
-  opt.supervisor.checkpoint_dir = dir.str();
-  const SweepResult r = run_sweep(cells, opt);
-  EXPECT_TRUE(r.all_ok());
-  EXPECT_FALSE(dir.has("snap-cell0.bin"))
-      << "a fresh (non-resume) sweep must invalidate leftover snapshots";
-  EXPECT_FALSE(dir.has("snap-cell0.bin.tmp"));
-}
-
-// ---------------------------------------------------------------------------
-// RSS watchdog: memory exhaustion is a distinct, retryable outcome
+// RSS watchdog: memory exhaustion is a distinct outcome
 // ---------------------------------------------------------------------------
 
 TEST(RssWatchdog, OverLimitWorkerIsKilledAndJournaledDistinctly) {
@@ -789,13 +662,10 @@ TEST(RssWatchdog, OverLimitWorkerIsKilledAndJournaledDistinctly) {
   opt.supervisor.isolate = true;
   opt.supervisor.checkpoint_dir = dir.str();
   opt.supervisor.max_rss_mb = 1;  // any real worker exceeds 1 MiB instantly
-  opt.supervisor.max_retries = 1;
-  opt.supervisor.retry_backoff_ms = 10;
   const SweepResult r = run_sweep(cells, opt);
   EXPECT_EQ(r.cells[0].status, CellStatus::ResourceExhausted)
       << r.cells[0].error;
-  EXPECT_EQ(r.cells[0].attempts, 2u)
-      << "resource exhaustion honors retry/backoff like other failures";
+  EXPECT_EQ(r.cells[0].attempts, 1u);
   EXPECT_NE(r.cells[0].error.find("max-rss-mb"), std::string::npos);
   EXPECT_EQ(r.failed, 1u);
 
@@ -817,7 +687,6 @@ TEST(RssWatchdog, CapAloneForksTheWorker) {
   cells[0].opt.measure_cycles = 50'000'000;
   SweepOptions opt = quiet(1);
   opt.supervisor.max_rss_mb = 1;
-  opt.supervisor.max_retries = 0;
   const SweepResult r = run_sweep(cells, opt);
   EXPECT_EQ(r.cells[0].status, CellStatus::ResourceExhausted)
       << r.cells[0].error;

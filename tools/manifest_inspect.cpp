@@ -57,25 +57,16 @@ int main(int argc, char** argv) {
   std::map<std::string, std::size_t> by_status;
   std::map<std::string, std::size_t> by_outcome;
   std::uint64_t kills_absorbed = 0;
-  std::uint64_t snap_saved_total = 0;
-  std::size_t snap_resumed_cells = 0;
-  unsigned retried = 0;
   for (const auto& e : m.entries) {
     ++by_status[to_string(e.status)];
     ++by_outcome[outcome_of(e)];
     if (e.has_result) kills_absorbed += e.result.components_killed();
-    if (e.snap_saved_cycles > 0) {
-      snap_saved_total += e.snap_saved_cycles;
-      ++snap_resumed_cells;
-    }
-    if (e.attempts > 1) ++retried;
   }
   std::printf("journaled: %zu of %zu cells (%zu outstanding)\n",
               m.entries.size(), m.cells,
               m.cells >= m.entries.size() ? m.cells - m.entries.size() : 0);
   for (const auto& [status, n] : by_status)
     std::printf("  %-12s %zu\n", status.c_str(), n);
-  if (retried > 0) std::printf("  (%u cells needed retries)\n", retried);
 
   std::printf("outcome classes:\n");
   for (const auto& [outcome, n] : by_outcome)
@@ -85,20 +76,13 @@ int main(int argc, char** argv) {
   if (kills_absorbed > 0)
     std::printf("  permanent components killed across sweep: %llu\n",
                 static_cast<unsigned long long>(kills_absorbed));
-  if (snap_resumed_cells > 0)
-    std::printf(
-        "checkpointing: %zu cells resumed mid-cell, %llu simulated cycles "
-        "recovered from snapshots\n",
-        snap_resumed_cells,
-        static_cast<unsigned long long>(snap_saved_total));
 
   if (show_cells) {
-    std::printf("\n%-6s %-6s %-18s %-9s %-8s %-12s %s\n", "cell", "group",
-                "status", "outcome", "attempts", "snap_cycles", "error");
+    std::printf("\n%-6s %-6s %-18s %-9s %-8s %s\n", "cell", "group",
+                "status", "outcome", "attempts", "error");
     for (const auto& e : m.entries)
-      std::printf("%-6zu %-6zu %-18s %-9s %-8u %-12llu %s\n", e.cell, e.group,
+      std::printf("%-6zu %-6zu %-18s %-9s %-8u %s\n", e.cell, e.group,
                   to_string(e.status), outcome_of(e), e.attempts,
-                  static_cast<unsigned long long>(e.snap_saved_cycles),
                   e.error.c_str());
   }
 
