@@ -33,6 +33,10 @@ void SystemConfig::validate() const {
   // starvation rig for the no-progress watchdog (it starves, it doesn't
   // crash), whereas zero VCs per vnet is not even structurally wirable.
   if (noc.vcs_per_vnet == 0) fail("vcs_per_vnet must be non-zero");
+  if (noc.vcs_per_vnet > NocConfig::kMaxVcsPerVnet)
+    fail("vcs_per_vnet is " + std::to_string(noc.vcs_per_vnet) +
+         "; the router's 64-bit VC masks cap it at " +
+         std::to_string(NocConfig::kMaxVcsPerVnet));
   if (fault.hard_fault_rate < 0.0)
     fail("hard_fault_rate must be non-negative");
   for (const HardFaultEvent& e : fault.hard_faults) {

@@ -20,6 +20,10 @@ enum class FlowControl : std::uint8_t { Wormhole, VirtualCutThrough };
 /// NoC/router microarchitecture (Table 2: 3 pipeline stages, wormhole flow
 /// control, 8-flit deep buffers, 2 VCs per virtual network, XY routing).
 struct NocConfig {
+  /// The router keeps one 64-bit VC mask per pipeline stage, and
+  /// 5 ports x 3 vnets x 4 VCs = 60 bits.
+  static constexpr std::uint32_t kMaxVcsPerVnet = 4;
+
   std::uint32_t mesh_cols = 4;
   std::uint32_t mesh_rows = 4;
   std::uint32_t vcs_per_vnet = 2;

@@ -142,6 +142,8 @@ void Network::check_elision_invariants(Cycle now) const {
     if (node_dead_[i]) continue;
     assert((run_[i] != 0 || routers_[i]->no_pending_work(now)) &&
            "idle elision skipped a router with pending work");
+    assert(routers_[i]->stage_masks_consistent() &&
+           "router stage masks out of step with its VCs");
     assert((run_[n + i] != 0 || nis_[i]->no_pending_work(now)) &&
            "idle elision skipped an NI with pending work");
   }

@@ -17,16 +17,17 @@ constexpr std::uint32_t kEjectionCredits = 1u << 30;
 Router::Router(NodeId id, const MeshShape& mesh, const NocConfig& cfg, NocStats& stats)
     : id_(id), mesh_(mesh), cfg_(cfg), stats_(stats) {
   const std::uint32_t vcs = cfg_.num_vcs();
-  assert(vcs <= 32 && "occupancy bitmask is one 32-bit word per port");
-  vc_mask_ = vcs >= 32 ? ~0u : (1u << vcs) - 1u;
+  assert(kNumPorts * vcs <= 64 && "stage masks are one 64-bit word per router");
   num_vcs_ = vcs;
   input_.resize(static_cast<std::size_t>(kNumPorts) * vcs);
   out_vc_taken_.assign(static_cast<std::size_t>(kNumPorts) * vcs, 0);
   credits_.resize(static_cast<std::size_t>(kNumPorts) * vcs);
   for (std::size_t p = 0; p < kNumPorts; ++p) {
     const bool ejection = static_cast<Port>(p) == Port::Local;
-    for (std::uint32_t v = 0; v < vcs; ++v)
+    for (std::uint32_t v = 0; v < vcs; ++v) {
       credit(p, v) = ejection ? kEjectionCredits : cfg_.vc_depth_flits;
+      vc_of_bit_[p * vcs + v] = {static_cast<Port>(p), static_cast<std::uint8_t>(v)};
+    }
   }
 }
 
@@ -77,7 +78,7 @@ void Router::receive_flits(Cycle now) {
                       static_cast<std::uint8_t>(p), f.vc_tag, f.pkt->id,
                       static_cast<std::int64_t>(f.seq));
       did_work_ = true;
-      busy_vcs_[p] |= 1u << f.vc_tag;
+      occupied_ |= std::uint64_t{1} << (p * num_vcs_ + f.vc_tag);
       in_vc(p, f.vc_tag).buffer.push_back(std::move(f));
       ++stats_.buffer_writes;
     }
@@ -86,47 +87,49 @@ void Router::receive_flits(Cycle now) {
 }
 
 void Router::route_compute(Cycle now) {
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    for (std::uint32_t mask = busy_vcs_[p]; mask != 0; mask &= mask - 1) {
-      const auto v = static_cast<std::uint32_t>(std::countr_zero(mask));
-      auto& ch = in_vc(p, v);
-      if (ch.stage != VcStage::Idle) continue;
-      if (ch.buffer.empty()) {
-        // Self-clean: the occupancy bit was a false positive (or the VC
-        // just drained); drop it once the VC is fully back to reset state.
-        if (ch.sent_flits == 0 && !ch.engine_busy && !ch.sa_inhibit &&
-            ch.credit_debt == 0 && ch.active_pkt == nullptr)
-          busy_vcs_[p] &= ~(1u << v);
-        continue;
-      }
-      const Flit& head = ch.buffer.front();
-      assert(head.is_head() && "mid-packet flit at VC head in Idle stage");
-      if (topo_ == nullptr || topo_->routing_healthy()) {
-        ch.out_port = xy_route(mesh_, id_, head.pkt->dst);
-      } else {
-        Packet& pkt = *head.pkt;
-        if (pkt.route_epoch != topo_->epoch()) {
-          pkt.route_epoch = topo_->epoch();
-          pkt.route_phase = 0;
-        }
-        ch.out_port = topo_->route(id_, pkt.dst, pkt.route_phase);
-        if (ch.out_port != xy_route(mesh_, id_, pkt.dst)) {
-          ++stats_.reroutes;
-          if (tracer_ != nullptr)
-            tracer_->emit(now, id_, trace::Event::TopoReroute,
-                          static_cast<std::uint8_t>(p),
-                          static_cast<std::uint8_t>(v), pkt.id,
-                          static_cast<std::int64_t>(idx(ch.out_port)));
-        }
-      }
-      ch.head_arrival = head.arrival;
-      ch.stage = VcStage::VcAlloc;
-      if (tracer_ != nullptr)
-        tracer_->emit(now, id_, trace::Event::RouteCompute,
-                      static_cast<std::uint8_t>(p),
-                      static_cast<std::uint8_t>(v), head.pkt->id,
-                      static_cast<std::int64_t>(idx(ch.out_port)));
+  for (std::uint64_t mask = occupied_ & ~(alloc_ | active_); mask != 0;
+       mask &= mask - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(mask));
+    VirtualChannel& ch = input_[i];
+    assert(ch.stage == VcStage::Idle && "stage masks out of step");
+    if (ch.buffer.empty()) {
+      // Self-clean: the occupancy bit was a false positive (or the VC
+      // just drained); drop it once the VC is fully back to reset state.
+      if (ch.sent_flits == 0 && !ch.engine_busy && !ch.sa_inhibit &&
+          ch.credit_debt == 0 && ch.active_pkt == nullptr)
+        occupied_ &= ~(std::uint64_t{1} << i);
+      continue;
     }
+    const VcId vid = vc_of_bit_[i];
+    const Flit& head = ch.buffer.front();
+    assert(head.is_head() && "mid-packet flit at VC head in Idle stage");
+    Packet& pkt = *head.pkt;
+    if (topo_ == nullptr || topo_->routing_healthy()) {
+      ch.out_port = xy_route(mesh_, id_, pkt.dst);
+    } else {
+      if (pkt.route_epoch != topo_->epoch()) {
+        pkt.route_epoch = topo_->epoch();
+        pkt.route_phase = 0;
+      }
+      ch.out_port = topo_->route(id_, pkt.dst, pkt.route_phase);
+      if (ch.out_port != xy_route(mesh_, id_, pkt.dst)) {
+        ++stats_.reroutes;
+        if (tracer_ != nullptr)
+          tracer_->emit(now, id_, trace::Event::TopoReroute,
+                        static_cast<std::uint8_t>(vid.port), vid.vc, pkt.id,
+                        static_cast<std::int64_t>(idx(ch.out_port)));
+      }
+    }
+    ch.head_arrival = head.arrival;
+    ch.head_flits = pkt.flit_count();
+    ch.head_prio = static_cast<std::uint8_t>(
+        priority_class(pkt, cfg_.deprioritize_compressible));
+    ch.head_vnet = static_cast<std::uint8_t>(pkt.vnet);
+    set_stage(i, VcStage::VcAlloc);
+    if (tracer_ != nullptr)
+      tracer_->emit(now, id_, trace::Event::RouteCompute,
+                    static_cast<std::uint8_t>(vid.port), vid.vc, pkt.id,
+                    static_cast<std::int64_t>(idx(ch.out_port)));
   }
 }
 
@@ -140,35 +143,37 @@ void Router::vc_allocate(Cycle now) {
   // Requests are bits in those masks, per (output, priority class): walking
   // set bits of the masks rotated by va_rr_[out] visits requests in grant
   // order with no sort.
-  constexpr std::size_t kLayers = 4;  // num_vcs <= 32, so v / 8 <= 3
+  constexpr std::size_t kLayers = 2;  // num_vcs <= 12, so v / 8 <= 1
   constexpr std::size_t kPrioClasses = 3;
   using LayerMasks = std::array<std::uint64_t, kLayers>;
-  std::array<std::array<LayerMasks, kPrioClasses>, kNumPorts> requests{};
+  // Only the rows of outputs in `outs` are cleared (on their first request)
+  // and read.
+  std::array<std::array<LayerMasks, kPrioClasses>, kNumPorts> requests;
   std::uint32_t outs = 0;  // outputs with at least one request
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    for (std::uint32_t mask = busy_vcs_[p]; mask != 0; mask &= mask - 1) {
-      const auto v = static_cast<std::uint32_t>(std::countr_zero(mask));
-      const VirtualChannel& ch = in_vc(p, v);
-      if (ch.stage != VcStage::VcAlloc) continue;
-      if (now <= ch.head_arrival) continue;  // stage-2 pipeline constraint
-      const std::size_t out = idx(ch.out_port);
+  for (std::uint64_t mask = alloc_; mask != 0; mask &= mask - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(mask));
+    const VirtualChannel& ch = input_[i];
+    if (now <= ch.head_arrival) continue;  // stage-2 pipeline constraint
+    const std::size_t out = idx(ch.out_port);
+    if ((outs & (1u << out)) == 0) {
       outs |= 1u << out;
-      const int prio = priority_class(*ch.head_raw(), cfg_.deprioritize_compressible);
-      requests[out][static_cast<std::size_t>(prio)][v >> 3] |=
-          1ULL << (static_cast<std::uint32_t>(p) * 8u + v);
+      requests[out] = {};
     }
+    const VcId vid = vc_of_bit_[i];
+    requests[out][ch.head_prio][vid.vc >> 3] |=
+        1ULL << (static_cast<std::uint32_t>(vid.port) * 8u + vid.vc);
   }
 
   // Grants (p, v) the first free downstream VC of its vnet on `out`.
   auto grant = [&](std::size_t out, std::size_t p, std::uint32_t v) {
-    VirtualChannel& ch = in_vc(p, v);
-    const auto vnet = static_cast<std::uint32_t>(ch.head_raw()->vnet);
-    const std::uint32_t lo = vnet * cfg_.vcs_per_vnet;
+    const std::size_t i = p * num_vcs_ + v;
+    VirtualChannel& ch = input_[i];
+    const std::uint32_t lo = ch.head_vnet * cfg_.vcs_per_vnet;
     for (std::uint32_t ov = lo; ov < lo + cfg_.vcs_per_vnet; ++ov) {
       if (taken(out, ov) != 0) continue;
       taken(out, ov) = 1;
       ch.out_vc = static_cast<std::uint8_t>(ov);
-      ch.stage = VcStage::Active;
+      set_stage(i, VcStage::Active);
       if (tracer_ != nullptr)
         tracer_->emit(now, id_, trace::Event::VcAllocGrant,
                       static_cast<std::uint8_t>(p), static_cast<std::uint8_t>(v),
@@ -219,59 +224,59 @@ void Router::switch_allocate_and_traverse(Cycle now, std::vector<VcId>& losers) 
   //
   // Stage 1 (input arbitration): one candidate VC per input port. Each
   // winner's input bit goes into the mask of the output it chose.
+  //
+  // One pass over the VCs in VcAlloc or Active, in (port, VC) order, keeps
+  // each port's best candidate; a fixed pass over the ports then files the
+  // winners by output.
   std::array<int, kNumPorts> chosen_vc;
-  std::array<int, kNumPorts> chosen_prio;  // winner's priority, for stage 2
+  chosen_vc.fill(-1);
+  std::array<int, kNumPorts> chosen_prio{};  // winner's priority, for stage 2
+  std::array<std::uint32_t, kNumPorts> chosen_rr{};
   std::array<std::uint32_t, kNumPorts> inputs_for{};  // per output: input bits
   std::uint32_t outs = 0;  // outputs chosen by at least one input
 
+  for (std::uint64_t mask = alloc_ | active_; mask != 0; mask &= mask - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(mask));
+    const VirtualChannel& ch = input_[i];
+    const VcId vid = vc_of_bit_[i];
+    if (ch.stage == VcStage::VcAlloc) {
+      // VA-blocked packets are also idling candidates for DISCO.
+      if (!ch.buffer.empty() && now > ch.head_arrival) losers.push_back(vid);
+      continue;
+    }
+    if (!sa_eligible(ch, now)) continue;
+    // Wormhole forwards flit by flit; virtual cut-through (section 3.3A)
+    // only starts a packet when the downstream VC can hold all of it, so
+    // packets always sit whole in one node.
+    std::uint32_t needed_credits = 1;
+    if (cfg_.flow_control == FlowControl::VirtualCutThrough && ch.sent_flits == 0)
+      needed_credits = ch.head_flits;
+    if (credit(idx(ch.out_port), ch.out_vc) < needed_credits) {
+      losers.push_back(vid);
+      continue;
+    }
+    const std::size_t p = idx(vid.port);
+    const int prio = ch.head_prio;
+    const std::uint32_t rr = sa_in_rr_[p];
+    const std::uint32_t rr_pos = vid.vc >= rr ? vid.vc - rr : vid.vc + num_vcs_ - rr;
+    int& best = chosen_vc[p];
+    if (best < 0 || prio < chosen_prio[p] ||
+        (prio == chosen_prio[p] && rr_pos < chosen_rr[p])) {
+      if (best >= 0) losers.push_back({vid.port, static_cast<std::uint8_t>(best)});
+      best = vid.vc;
+      chosen_prio[p] = prio;
+      chosen_rr[p] = rr_pos;
+    } else {
+      losers.push_back(vid);
+    }
+  }
   for (std::size_t p = 0; p < kNumPorts; ++p) {
-    int best = -1;
-    int best_prio = 0;
-    std::uint32_t best_rr = 0;
-    const std::uint32_t vcs = num_vcs_;
-    for (std::uint32_t mask = busy_vcs_[p]; mask != 0; mask &= mask - 1) {
-      const auto v = static_cast<std::uint32_t>(std::countr_zero(mask));
-      VirtualChannel& ch = in_vc(p, v);
-      if (!sa_eligible(ch, now)) {
-        // VA-blocked packets are also idling candidates for DISCO.
-        if (ch.stage == VcStage::VcAlloc && !ch.buffer.empty() &&
-            now > ch.head_arrival)
-          losers.push_back({static_cast<Port>(p), static_cast<std::uint8_t>(v)});
-        continue;
-      }
-      // Wormhole forwards flit by flit; virtual cut-through (section 3.3A)
-      // only starts a packet when the downstream VC can hold all of it, so
-      // packets always sit whole in one node.
-      std::uint32_t needed_credits = 1;
-      if (cfg_.flow_control == FlowControl::VirtualCutThrough &&
-          ch.sent_flits == 0) {
-        needed_credits = ch.head_raw()->flit_count();
-      }
-      if (credit(idx(ch.out_port), ch.out_vc) < needed_credits) {
-        losers.push_back({static_cast<Port>(p), static_cast<std::uint8_t>(v)});
-        continue;
-      }
-      const int prio = priority_class(*ch.head_raw(), cfg_.deprioritize_compressible);
-      const std::uint32_t rr_pos = (v + vcs - sa_in_rr_[p]) % vcs;
-      if (best < 0 || prio < best_prio || (prio == best_prio && rr_pos < best_rr)) {
-        if (best >= 0)
-          losers.push_back({static_cast<Port>(p), static_cast<std::uint8_t>(best)});
-        best = static_cast<int>(v);
-        best_prio = prio;
-        best_rr = rr_pos;
-      } else {
-        losers.push_back({static_cast<Port>(p), static_cast<std::uint8_t>(v)});
-      }
-    }
-    chosen_vc[p] = best;
-    chosen_prio[p] = best_prio;
-    if (best >= 0) {
-      stats_.alloc_ops += 1;
-      const std::size_t out =
-          idx(in_vc(p, static_cast<std::uint32_t>(best)).out_port);
-      inputs_for[out] |= 1u << p;
-      outs |= 1u << out;
-    }
+    if (chosen_vc[p] < 0) continue;
+    stats_.alloc_ops += 1;
+    const std::size_t out =
+        idx(in_vc(p, static_cast<std::uint32_t>(chosen_vc[p])).out_port);
+    inputs_for[out] |= 1u << p;
+    outs |= 1u << out;
   }
 
   // Stage 2 (output arbitration): one input per chosen output, visiting the
@@ -308,12 +313,14 @@ void Router::switch_allocate_and_traverse(Cycle now, std::vector<VcId>& losers) 
     const int p = winner_input[out];
     const VcId vid{static_cast<Port>(p), static_cast<std::uint8_t>(chosen_vc[p])};
     did_work_ = true;
-    VirtualChannel& ch = in_vc(static_cast<std::size_t>(p), vid.vc);
-    sa_in_rr_[p] = (static_cast<std::uint32_t>(chosen_vc[p]) + 1) % num_vcs_;
+    const std::size_t i = bit_index(vid);
+    VirtualChannel& ch = input_[i];
+    const std::uint32_t next_rr = vid.vc + 1u;
+    sa_in_rr_[p] = next_rr == num_vcs_ ? 0 : next_rr;
 
     Flit f = std::move(ch.buffer.front());
     ch.buffer.pop_front();
-    const bool tail = f.is_tail();
+    const bool tail = f.seq + 1 == ch.head_flits;
     if (ch.sent_flits == 0) ch.active_pkt = f.pkt;
     f.vc_tag = ch.out_vc;
 
@@ -354,7 +361,7 @@ void Router::switch_allocate_and_traverse(Cycle now, std::vector<VcId>& losers) 
     }
     if (tail) {
       taken(out, ch.out_vc) = 0;
-      ch.stage = VcStage::Idle;
+      set_stage(i, VcStage::Idle);
       ch.sent_flits = 0;
       ch.active_pkt.reset();
     }
@@ -373,7 +380,7 @@ void Router::switch_allocate_and_traverse(Cycle now, std::vector<VcId>& losers) 
 }
 
 void Router::send_credit_for_pop(const VcId& v, Cycle now) {
-  VirtualChannel& ch = vc(v);
+  VirtualChannel& ch = in_vc(idx(v.port), v.vc);
   if (ch.credit_debt > 0) {
     --ch.credit_debt;  // absorb the slot consumed by an earlier expansion
     return;
@@ -398,15 +405,13 @@ std::uint32_t Router::downstream_occupancy(Port out) const {
 
 std::uint32_t Router::competing_vcs(Port out, const VcId& self) const {
   std::uint32_t n = 0;
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    for (std::uint32_t mask = busy_vcs_[p]; mask != 0; mask &= mask - 1) {
-      const auto v = static_cast<std::uint32_t>(std::countr_zero(mask));
-      const VirtualChannel& ch = in_vc(p, v);
-      if (ch.stage == VcStage::Idle || ch.buffer.empty()) continue;
-      if (ch.out_port != out) continue;
-      if (static_cast<Port>(p) == self.port && v == self.vc) continue;
-      ++n;
-    }
+  for (std::uint64_t mask = occupied_; mask != 0; mask &= mask - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(mask));
+    const VirtualChannel& ch = input_[i];
+    if (ch.stage == VcStage::Idle || ch.buffer.empty()) continue;
+    if (ch.out_port != out) continue;
+    if (vc_of_bit_[i] == self) continue;
+    ++n;
   }
   return n;
 }
@@ -419,6 +424,9 @@ bool Router::rebuild_head_packet(const VcId& v, std::uint32_t old_flit_count, Cy
 
   ch.buffer.erase(ch.buffer.begin(), ch.buffer.begin() + old_flit_count);
   const std::uint32_t new_count = pkt->flit_count();
+  ch.head_flits = new_count;
+  ch.head_prio = static_cast<std::uint8_t>(
+      priority_class(*pkt, cfg_.deprioritize_compressible));
   for (std::uint32_t i = new_count; i-- > 0;) {
     Flit f;
     f.pkt = pkt;
@@ -469,6 +477,24 @@ void Router::stall_census(StallCensus& c) const {
 
 bool Router::quiescent() const { return total_buffered_flits() == 0; }
 
+bool Router::stage_masks_consistent() const {
+  for (std::size_t i = 0; i < input_.size(); ++i) {
+    const VirtualChannel& ch = input_[i];
+    const std::uint64_t b = std::uint64_t{1} << i;
+    if ((!ch.buffer.empty() || ch.stage != VcStage::Idle) && (occupied_ & b) == 0)
+      return false;
+    if (((alloc_ & b) != 0) != (ch.stage == VcStage::VcAlloc)) return false;
+    if (((active_ & b) != 0) != (ch.stage == VcStage::Active)) return false;
+    const Packet* owner = ch.sent_flits > 0 ? ch.active_pkt.get() : ch.head_raw();
+    if (ch.stage != VcStage::Idle && owner != nullptr &&
+        (ch.head_flits != owner->flit_count() ||
+         ch.head_prio != priority_class(*owner, cfg_.deprioritize_compressible) ||
+         ch.head_vnet != static_cast<std::uint8_t>(owner->vnet)))
+      return false;
+  }
+  return ((occupied_ | alloc_ | active_) >> input_.size()) == 0;
+}
+
 bool Router::can_sleep() const {
   // Fast path: a tick that received or forwarded anything left state behind
   // that the scan below would find anyway (non-empty buffers, active VCs).
@@ -480,17 +506,14 @@ bool Router::can_sleep() const {
   // even though the push already raised the pending-wake flag. Every
   // non-empty wire has its bit set.
   if ((flit_wires_ | credit_wires_) != 0) return false;
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    // Occupied VCs all have their busy bit set (conservative superset), so
-    // only set bits need inspecting. no_pending_work() below deliberately
-    // keeps the full scan so traced runs cross-check this shortcut.
-    for (std::uint32_t mask = busy_vcs_[p]; mask != 0; mask &= mask - 1) {
-      const VirtualChannel& ch =
-          in_vc(p, static_cast<std::uint32_t>(std::countr_zero(mask)));
-      if (ch.stage != VcStage::Idle || !ch.buffer.empty() ||
-          ch.sent_flits != 0 || ch.engine_busy)
-        return false;
-    }
+  // Occupied VCs all have their bit set (conservative superset), so only
+  // set bits need inspecting. no_pending_work() below deliberately keeps
+  // the full scan so traced runs cross-check this shortcut.
+  for (std::uint64_t mask = occupied_; mask != 0; mask &= mask - 1) {
+    const VirtualChannel& ch = input_[static_cast<std::size_t>(std::countr_zero(mask))];
+    if (ch.stage != VcStage::Idle || !ch.buffer.empty() || ch.sent_flits != 0 ||
+        ch.engine_busy)
+      return false;
   }
   // credit_debt with an empty buffer is safe to sleep on: the debt is only
   // ever settled against credits arriving on a wire, which wakes us.
@@ -583,39 +606,34 @@ void Router::collect_buffered_packets(std::vector<PacketPtr>& out) const {
 std::uint64_t Router::scrub_condemned(Cycle now) {
   if (condemned_ == nullptr || condemned_->empty()) return 0;
   std::uint64_t killed = 0;
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    for (std::uint32_t v = 0; v < num_vcs_; ++v) {
-      VirtualChannel& ch = in_vc(p, v);
-      const VcId vid{static_cast<Port>(p), static_cast<std::uint8_t>(v)};
-      // Reset the pipeline state if the packet owning it is condemned.
-      const PacketPtr owner =
-          ch.sent_flits > 0 ? ch.active_pkt : ch.head_packet();
-      if (ch.stage != VcStage::Idle && owner != nullptr &&
-          condemned_->count(owner->id) > 0) {
-        if (ch.engine_busy && ext_ != nullptr)
-          ext_->on_shadow_departed(now, vid);  // abort the engine's copy
-        if (ch.stage == VcStage::Active)
-          taken(idx(ch.out_port), ch.out_vc) = 0;
-        ch.stage = VcStage::Idle;
-        ch.sent_flits = 0;
-        ch.active_pkt.reset();
-        ch.sa_inhibit = false;
-        if (tracer_ != nullptr)
-          tracer_->emit(now, id_, trace::Event::TopoVcReset,
-                        static_cast<std::uint8_t>(p),
-                        static_cast<std::uint8_t>(v), owner->id, 0);
-      }
-      // Destroy every buffered flit of any condemned packet (head or a
-      // queued run behind it). Per-flit credit returns keep conservation:
-      // expansion debt is absorbed first, exactly as normal pops would.
-      for (auto it = ch.buffer.begin(); it != ch.buffer.end();) {
-        if (condemned_->count(it->pkt->id) > 0) {
-          it = ch.buffer.erase(it);
-          ++killed;
-          send_credit_for_pop(vid, now);
-        } else {
-          ++it;
-        }
+  for (std::size_t i = 0; i < input_.size(); ++i) {
+    VirtualChannel& ch = input_[i];
+    const VcId vid = vc_of_bit_[i];
+    // Reset the pipeline state if the packet owning it is condemned.
+    const PacketPtr owner = ch.sent_flits > 0 ? ch.active_pkt : ch.head_packet();
+    if (ch.stage != VcStage::Idle && owner != nullptr &&
+        condemned_->count(owner->id) > 0) {
+      if (ch.engine_busy && ext_ != nullptr)
+        ext_->on_shadow_departed(now, vid);  // abort the engine's copy
+      if (ch.stage == VcStage::Active) taken(idx(ch.out_port), ch.out_vc) = 0;
+      set_stage(i, VcStage::Idle);
+      ch.sent_flits = 0;
+      ch.active_pkt.reset();
+      ch.sa_inhibit = false;
+      if (tracer_ != nullptr)
+        tracer_->emit(now, id_, trace::Event::TopoVcReset,
+                      static_cast<std::uint8_t>(vid.port), vid.vc, owner->id, 0);
+    }
+    // Destroy every buffered flit of any condemned packet (head or a
+    // queued run behind it). Per-flit credit returns keep conservation:
+    // expansion debt is absorbed first, exactly as normal pops would.
+    for (auto it = ch.buffer.begin(); it != ch.buffer.end();) {
+      if (condemned_->count(it->pkt->id) > 0) {
+        it = ch.buffer.erase(it);
+        ++killed;
+        send_credit_for_pop(vid, now);
+      } else {
+        ++it;
       }
     }
   }
@@ -629,47 +647,41 @@ std::uint64_t Router::scrub_condemned(Cycle now) {
 }
 
 void Router::reset_unsent_vcs(Cycle now) {
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    for (std::uint32_t v = 0; v < num_vcs_; ++v) {
-      VirtualChannel& ch = in_vc(p, v);
-      if (ch.stage == VcStage::Idle || ch.sent_flits > 0) continue;
-      if (ch.stage == VcStage::Active)
-        taken(idx(ch.out_port), ch.out_vc) = 0;
-      ch.stage = VcStage::Idle;
-      ch.active_pkt.reset();
-      // engine_busy survives: the compression still targets the head
-      // packet, which re-routes in place under the new tables.
-      if (tracer_ != nullptr)
-        tracer_->emit(now, id_, trace::Event::TopoVcReset,
-                      static_cast<std::uint8_t>(p),
-                      static_cast<std::uint8_t>(v),
-                      ch.head_packet() ? ch.head_packet()->id : 0, 0);
-    }
+  for (std::size_t i = 0; i < input_.size(); ++i) {
+    VirtualChannel& ch = input_[i];
+    if (ch.stage == VcStage::Idle || ch.sent_flits > 0) continue;
+    if (ch.stage == VcStage::Active) taken(idx(ch.out_port), ch.out_vc) = 0;
+    set_stage(i, VcStage::Idle);
+    ch.active_pkt.reset();
+    // engine_busy survives: the compression still targets the head
+    // packet, which re-routes in place under the new tables.
+    if (tracer_ != nullptr)
+      tracer_->emit(now, id_, trace::Event::TopoVcReset,
+                    static_cast<std::uint8_t>(vc_of_bit_[i].port), vc_of_bit_[i].vc,
+                    ch.head_packet() ? ch.head_packet()->id : 0, 0);
   }
 }
 
 std::uint64_t Router::drain_dead(std::vector<PacketPtr>& inflight, Cycle now) {
   std::uint64_t killed = 0;
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    for (std::uint32_t v = 0; v < num_vcs_; ++v) {
-      VirtualChannel& ch = in_vc(p, v);
-      if (ch.sent_flits > 0 && ch.active_pkt != nullptr)
-        inflight.push_back(ch.active_pkt);
-      const Packet* last = nullptr;
-      for (const Flit& f : ch.buffer) {
-        if (f.pkt.get() == last) continue;
-        last = f.pkt.get();
-        inflight.push_back(f.pkt);
-      }
-      killed += ch.buffer.size();
-      ch.buffer.clear();
-      ch.stage = VcStage::Idle;
-      ch.sent_flits = 0;
-      ch.credit_debt = 0;
-      ch.engine_busy = false;
-      ch.sa_inhibit = false;
-      ch.active_pkt.reset();
+  for (std::size_t i = 0; i < input_.size(); ++i) {
+    VirtualChannel& ch = input_[i];
+    if (ch.sent_flits > 0 && ch.active_pkt != nullptr)
+      inflight.push_back(ch.active_pkt);
+    const Packet* last = nullptr;
+    for (const Flit& f : ch.buffer) {
+      if (f.pkt.get() == last) continue;
+      last = f.pkt.get();
+      inflight.push_back(f.pkt);
     }
+    killed += ch.buffer.size();
+    ch.buffer.clear();
+    set_stage(i, VcStage::Idle);
+    ch.sent_flits = 0;
+    ch.credit_debt = 0;
+    ch.engine_busy = false;
+    ch.sa_inhibit = false;
+    ch.active_pkt.reset();
   }
   stats_.flits_destroyed += killed;
   if (killed > 0 && tracer_ != nullptr)

@@ -142,8 +142,9 @@ class Router {
   /// Mutable access may dirty the VC (engines rebuild flits in place, tests
   /// poke state directly), so it conservatively marks the VC occupied; the
   /// next route_compute pass drops bits whose VC is verifiably idle again.
+  /// Callers must not write `stage`: the stage masks track it.
   VirtualChannel& vc(const VcId& v) {
-    busy_vcs_[idx(v.port)] |= 1u << v.vc;
+    occupied_ |= std::uint64_t{1} << bit_index(v);
     return in_vc(idx(v.port), v.vc);
   }
   const VirtualChannel& vc(const VcId& v) const { return in_vc(idx(v.port), v.vc); }
@@ -172,6 +173,12 @@ class Router {
 
   bool quiescent() const;
 
+  /// Full-scan cross-check of the stage masks: every VC with flits or a
+  /// non-Idle stage has its occupancy bit, the VcAlloc and Active masks
+  /// hold exactly the VCs in those stages, and each non-Idle VC's latched
+  /// head facts still match its packet. The invariant checker asserts it.
+  bool stage_masks_consistent() const;
+
   /// Invariant check for drained networks: every non-ejection credit
   /// counter must be back at full buffer depth (no credit was leaked or
   /// double-returned by compression rebuilds), and no VC may still carry
@@ -190,6 +197,17 @@ class Router {
 
   bool sa_eligible(const VirtualChannel& ch, Cycle now) const;
 
+  /// The one writer of VirtualChannel::stage: keeps alloc_ / active_ exact.
+  void set_stage(std::size_t i, VcStage s) {
+    input_[i].stage = s;
+    const std::uint64_t b = std::uint64_t{1} << i;
+    alloc_ = s == VcStage::VcAlloc ? alloc_ | b : alloc_ & ~b;
+    active_ = s == VcStage::Active ? active_ | b : active_ & ~b;
+  }
+  std::size_t bit_index(const VcId& v) const {
+    return idx(v.port) * num_vcs_ + v.vc;
+  }
+
   /// Degraded mode only: true if the arriving flit must be destroyed
   /// (condemned packet, or destination dead/unreachable from here). Returns
   /// the buffer slot's credit upstream.
@@ -202,11 +220,8 @@ class Router {
 
   /// All hot per-VC state lives in flat [port * num_vcs + vc] arrays: one
   /// contiguous block each for the VCs themselves, the downstream credit
-  /// counters and the downstream VC ownership flags. The previous
-  /// array-of-vectors layout (5 heap blocks per structure, vector<bool>
-  /// bit twiddling for ownership) scattered a busy router's working set
-  /// over dozens of cache lines; flattened, the whole thing is ~3 KB and
-  /// the RC/VA/SA stages run L1-resident.
+  /// counters and the downstream VC ownership flags. At the default 6 VCs
+  /// per port, input_ is 30 VCs of 88 bytes (2.6 KB).
   std::vector<VirtualChannel> input_;
   /// Credits available for each downstream (out port, vc).
   std::vector<std::uint32_t> credits_;
@@ -254,18 +269,21 @@ class Router {
   std::uint32_t flit_wires_ = 0;
   std::uint32_t credit_wires_ = 0;
 
-  /// Per-port VC occupancy bitmask: bit v set => input_[p][v] *may* hold
-  /// state (flits, a non-Idle stage, an engine shadow, credit debt). A
-  /// conservative superset: bits are set on every buffer write and every
-  /// mutable vc() access, and cleared only by route_compute once the VC is
-  /// verifiably back to reset state. The RC/VA/SA pipeline loops and
-  /// can_sleep() iterate set bits only — most of a lightly loaded router's
-  /// 30 VCs are empty, and scanning them dominated the tick profile.
-  /// Not simulated state: never affects behaviour — the
-  /// invariant checker's no_pending_work() deliberately ignores it and
-  /// full-scans, so a wrongly cleared bit fails traced runs loudly.
-  std::array<std::uint32_t, kNumPorts> busy_vcs_{};
-  std::uint32_t vc_mask_ = 0;  ///< (1 << num_vcs) - 1
+  /// Router-wide VC masks: bit i stands for input_[i], so walking set bits
+  /// upward visits VCs in (port, VC) order. 5 ports x at most 12 VCs fit
+  /// one word. occupied_: input_[i] *may* hold state (flits, a non-Idle
+  /// stage, an engine shadow, credit debt); a conservative superset, set on
+  /// every buffer write and mutable vc() access and cleared only by
+  /// route_compute once the VC is back to reset state. alloc_ / active_:
+  /// exactly the VCs in VcAlloc / Active, kept by set_stage(). RC walks
+  /// occupied & ~(alloc | active), VA walks alloc, SA walks alloc | active,
+  /// and can_sleep() and competing_vcs() walk occupied. Derived state: the
+  /// invariant checker full-scans against it (stage_masks_consistent()).
+  std::uint64_t occupied_ = 0;
+  std::uint64_t alloc_ = 0;
+  std::uint64_t active_ = 0;
+  /// Bit index -> (port, VC), so the stage loops never divide.
+  std::array<VcId, 64> vc_of_bit_{};
 
   /// True if this tick received or forwarded anything; can_sleep()'s fast
   /// path. Transient per-tick scratch.

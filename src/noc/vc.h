@@ -30,9 +30,14 @@ class VirtualChannel {
   VcStage stage = VcStage::Idle;
   Port out_port = Port::Local;
   std::uint8_t out_vc = 0;
+  /// Head-packet facts latched by route computation and refreshed by
+  /// in-place rebuilds, so VA, SA and traversal never dereference the
+  /// packet. Valid while stage != Idle.
+  std::uint8_t head_prio = 0;     ///< priority_class() of the head packet
   std::uint32_t sent_flits = 0;   ///< flits of the head packet already switched
   Cycle head_arrival = 0;         ///< arrival cycle of the head packet's head flit
   std::uint32_t credit_debt = 0;  ///< credits to swallow after an in-place expansion
+  std::uint32_t head_flits = 0;   ///< head packet's flit_count()
   /// The packet currently streaming out of this VC (set while sent_flits > 0).
   /// Needed by hard-fault kill scans: a mid-wormhole VC may have an empty
   /// buffer while its packet's tail is still upstream.
@@ -44,6 +49,7 @@ class VirtualChannel {
   /// Set by the engine in blocking mode: the shadow may not be scheduled
   /// (shadow invalid bit held low until the operation completes).
   bool sa_inhibit = false;
+  std::uint8_t head_vnet = 0;  ///< head packet's vnet (latched with head_prio)
 
   PacketPtr head_packet() const {
     return buffer.empty() ? nullptr : buffer.front().pkt;
