@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   }
   const auto sweep = sim::run_sweep(cells, sweep_opt);
 
-  TablePrinter t({"Rate", "Faults", "Detected", "Retransmit", "Recovered %",
+  TablePrinter t({"Rate", "Faults", "Engine", "Detected", "Retransmit", "Recovered %",
                   "Unrecovered", "Silent", "Timeouts", "Quarantined",
                   "Latency/clean"});
   std::uint64_t total_silent = 0;
@@ -112,6 +112,7 @@ int main(int argc, char** argv) {
     t.add_row({rate_s, std::to_string(agg.fault.payload_faults() +
                                       agg.fault.flit_drops +
                                       agg.fault.flit_duplicates),
+               std::to_string(agg.fault.engine_faults),
                std::to_string(agg.corruptions_detected),
                std::to_string(agg.retransmissions),
                TablePrinter::fmt(recovered, 2),

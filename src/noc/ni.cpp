@@ -77,9 +77,15 @@ void NetworkInterface::pump_source_compression(Cycle now) {
   }
   if (best == nullptr) return;
   assert(policy_.algo != nullptr);
+  // This runs on the tile's DISCO engine, so it takes the same transient
+  // stall and silent output faults as an in-router operation
+  // (DiscoUnit::start): a stall holds the packet until the engine is done.
+  if (fault_mode() && injector_->should_stall_engine())
+    best->ready_at = std::max(best->ready_at, now + injector_->config().engine_stall_cycles);
   compress::Encoded enc = policy_.algo->compress(best->pkt->data);
   ++stats_.source_compressions;
   if (enc.size() < kBlockBytes) {
+    if (fault_mode()) injector_->corrupt_engine_output(enc.bytes);
     best->pkt->apply_compression(std::move(enc));
   } else {
     best->pkt->comp_failed = true;

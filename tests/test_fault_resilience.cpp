@@ -240,6 +240,26 @@ TEST(FaultSystem, BitFlipsAreAllDetectedAndRecoveredEndToEnd) {
   EXPECT_TRUE(sys.drain(60000)) << "recovery must not deadlock the protocol";
 }
 
+// Under delta nearly every compressible packet is compressed in its source
+// NI queue, on the tile's DISCO engine, before any router sees it; those
+// compressions must take the engine's output faults and stalls too.
+TEST(FaultSystem, SourceQueueCompressionsTakeEngineFaults) {
+  SystemConfig cfg = fault_cfg(0.0, 0.0);
+  cfg.fault.engine_fault_rate = 0.2;
+  cfg.fault.engine_stall_rate = 0.2;
+  cmp::CmpSystem sys(cfg, workload::profile_by_name("canneal"));
+  sys.functional_warmup(2000);
+  sys.run(10000);
+  const auto& ns = sys.noc_stats();
+  const auto& fc = sys.fault_injector()->counters();
+  ASSERT_GT(ns.source_compressions, 0u);
+  EXPECT_GT(fc.engine_faults, 0u);
+  EXPECT_GT(fc.engine_stalls, 0u);
+  EXPECT_GT(ns.corruptions_detected, 0u);
+  EXPECT_EQ(ns.silent_corruptions, 0u);
+  EXPECT_TRUE(sys.drain(60000));
+}
+
 TEST(FaultSystem, FaultRunsAreDeterministic) {
   auto run_once = [] {
     cmp::CmpSystem sys(fault_cfg(1e-3, 1e-3),
