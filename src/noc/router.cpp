@@ -207,7 +207,8 @@ void Router::vc_allocate(Cycle now) {
 }
 
 bool Router::sa_eligible(const VirtualChannel& ch, Cycle now) const {
-  if (ch.stage != VcStage::Active || ch.buffer.empty()) return false;
+  assert(ch.stage == VcStage::Active);
+  if (ch.buffer.empty()) return false;
   if (ch.sa_inhibit) return false;  // blocking-mode engine lock
   // Output link severed by a hard fault mid-allocation; the kill scrub
   // resets or condemns this VC before forwarding could resume, so this

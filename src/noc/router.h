@@ -195,6 +195,7 @@ class Router {
   void switch_allocate_and_traverse(Cycle now, std::vector<VcId>& losers);
   void send_credit_for_pop(const VcId& v, Cycle now);
 
+  /// Whether an Active VC may bid for the switch this cycle.
   bool sa_eligible(const VirtualChannel& ch, Cycle now) const;
 
   /// The one writer of VirtualChannel::stage: keeps alloc_ / active_ exact.
