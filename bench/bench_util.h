@@ -1,10 +1,13 @@
 // Shared plumbing for the figure/table benches: standard run options, the
-// Table-2 banner, sweep-cell grid builders and normalization helpers. Every
+// Table-2 banner, sweep-cell grid builders, normalization helpers and the
+// seed-paired verdict of bench_ablation. Every
 // bench prints through TablePrinter so outputs are uniform and diffable
 // against EXPERIMENTS.md, and every bench runs its cells through the
 // parallel sweep engine (--threads N, --shard i/k; see sim/sweep.h).
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -62,18 +65,6 @@ inline void configure_faults(SystemConfig& cfg, const sim::SweepOptions& opt) {
   cfg.fault = opt.fault;
 }
 
-/// Validate a user-supplied algorithm name up front, turning the registry's
-/// std::invalid_argument (which lists the valid names) into a clean usage
-/// error instead of an uncaught exception or a per-cell sweep failure.
-inline void check_algorithm_or_exit(const char* prog, const std::string& name) {
-  try {
-    (void)compress::make_algorithm(name);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s: %s\n", prog, e.what());
-    std::exit(2);
-  }
-}
-
 inline void print_banner(const char* title, const SystemConfig& cfg) {
   std::printf("=== %s ===\n", title);
   std::printf("system: %s\n", cfg.summary().c_str());
@@ -121,6 +112,57 @@ inline std::vector<const sim::CellResult*> grid_row(const sim::SweepResult& r,
     row.push_back(cell);
   }
   return row;
+}
+
+/// Quantile `q` of `v` by linear interpolation between order statistics.
+inline double quantile(std::vector<double> v, double q) {
+  assert(!v.empty());
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+inline double median(const std::vector<double>& v) { return quantile(v, 0.5); }
+
+inline double iqr(const std::vector<double>& v) {
+  return quantile(v, 0.75) - quantile(v, 0.25);
+}
+
+/// Seed-paired comparison of a metric: pair k of `baseline` and `variant`
+/// ran the same seed.
+struct Verdict {
+  std::size_t lower = 0;   ///< pairs where the variant is lower (ties: neither)
+  std::size_t higher = 0;  ///< pairs where the variant is higher
+  double gap = 0;          ///< median(variant) - median(baseline)
+  /// "lower" or "higher" when the variant lands on that side in at least 9
+  /// of every 10 pairs and |gap| exceeds the baseline's IQR; otherwise
+  /// "within seed spread".
+  const char* text = "";
+};
+
+inline Verdict verdict(const std::vector<double>& baseline,
+                       const std::vector<double>& variant) {
+  assert(!baseline.empty() && baseline.size() == variant.size());
+  Verdict v;
+  for (std::size_t i = 0; i < baseline.size(); ++i) {
+    if (variant[i] < baseline[i]) ++v.lower;
+    if (variant[i] > baseline[i]) ++v.higher;
+  }
+  v.gap = median(variant) - median(baseline);
+  const double spread = iqr(baseline);
+  const auto decisive = [&](std::size_t wins) {
+    return wins * 10 >= baseline.size() * 9;
+  };
+  if (decisive(v.lower) && -v.gap > spread) {
+    v.text = "lower";
+  } else if (decisive(v.higher) && v.gap > spread) {
+    v.text = "higher";
+  } else {
+    v.text = "within seed spread";
+  }
+  return v;
 }
 
 /// Footer every bench prints: failed/skipped accounting for sharded runs,

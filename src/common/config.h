@@ -39,29 +39,26 @@ struct NocConfig {
 /// DISCO arbitrator + engine knobs (section 3.2, Eq. 1 and Eq. 2). The
 /// paper trains the coefficients and thresholds empirically on NoC traces
 /// and does not publish them. The defaults below are hand-picked and not yet
-/// backed by any measurement: bench_ablation_confidence sweeps the
-/// thresholds, and its best rows so far are CCth=2 and engines off.
+/// backed by any measurement: bench_ablation sweeps the thresholds.
 struct DiscoConfig {
-  double gamma = 1.0;    ///< local-pressure coefficient for compression (Eq.1)
-  double alpha = 1.0;    ///< local-pressure coefficient for decompression (Eq.2)
+  /// Local-pressure coefficients of Eq. 1 (gamma) and Eq. 2 (alpha).
+  static constexpr double kGamma = 1.0;
+  static constexpr double kAlpha = 1.0;
+
   double beta = 2.0;     ///< distance coefficient for decompression (Eq.2)
   double cc_threshold = 1.0;  ///< CCth: confidence needed to start compressing
   double cd_threshold = 2.0;  ///< CDth: confidence needed to start decompressing
-  bool non_blocking = true;   ///< shadow packets may be re-scheduled mid-operation
   /// Section 3.3A: compress partial packets flit-group by flit-group under
   /// wormhole instead of requiring whole-packet residency. The paper adopts
   /// this mode ("...which is adopted in DISCO"); whole-packet-only is the
   /// ablation.
   bool separate_flit_compression = true;
-  std::uint32_t engines_per_router = 1;
 
   /// Extension (the paper defers "on-line threshold calculation" as future
   /// overhead): adapt CCth/CDth at runtime from the observed abort rate —
   /// aborts mean hasty decisions (thresholds too low), an idle engine under
   /// congestion means thresholds too high.
   bool adaptive_thresholds = false;
-  double adapt_target_abort_rate = 0.25;
-  std::uint32_t adapt_window_cycles = 2048;
 };
 
 /// Private L1 data cache per core.

@@ -14,6 +14,11 @@ namespace {
 /// Confidence values travel in trace events as llround(c * 256) fixed-point.
 std::int64_t conf_fixed(double c) { return std::llround(c * 256.0); }
 
+/// Adaptive thresholds: the abort rate the controller steers towards, and
+/// the cycles between two adjustments.
+constexpr double kAdaptTargetAbortRate = 0.25;
+constexpr Cycle kAdaptWindowCycles = 2048;
+
 }  // namespace
 
 DiscoUnit::DiscoUnit(noc::Router& router, const DiscoConfig& cfg,
@@ -22,34 +27,16 @@ DiscoUnit::DiscoUnit(noc::Router& router, const DiscoConfig& cfg,
                      fault::FaultInjector* fi)
     : router_(router), cfg_(cfg), algo_(algo), latency_(latency), stats_(stats),
       fi_(fi) {
-  engines_.resize(std::max<std::uint32_t>(cfg_.engines_per_router, 1));
   cc_th_ = cfg_.cc_threshold;
   cd_th_ = cfg_.cd_threshold;
-  next_adapt_ = cfg_.adapt_window_cycles;
-}
-
-bool DiscoUnit::engine_available() const {
-  return std::any_of(engines_.begin(), engines_.end(),
-                     [](const Engine& e) { return !e.busy && !e.quarantined; });
-}
-
-std::size_t DiscoUnit::busy_engines() const {
-  return static_cast<std::size_t>(
-      std::count_if(engines_.begin(), engines_.end(),
-                    [](const Engine& e) { return e.busy; }));
-}
-
-std::size_t DiscoUnit::quarantined_engines() const {
-  return static_cast<std::size_t>(
-      std::count_if(engines_.begin(), engines_.end(),
-                    [](const Engine& e) { return e.quarantined; }));
+  next_adapt_ = kAdaptWindowCycles;
 }
 
 double DiscoUnit::compression_confidence(const VcId& v) const {
   const VirtualChannel& ch = router_.vc(v);
   const double remote = router_.downstream_occupancy(ch.out_port);
   const double local = router_.competing_vcs(ch.out_port, v);
-  return remote + cfg_.gamma * local;  // Eq. 1
+  return remote + DiscoConfig::kGamma * local;  // Eq. 1
 }
 
 double DiscoUnit::decompression_confidence(const VcId& v) const {
@@ -58,14 +45,22 @@ double DiscoUnit::decompression_confidence(const VcId& v) const {
   const double remote = router_.downstream_occupancy(ch.out_port);
   const double local = router_.competing_vcs(ch.out_port, v);
   const double hops = pkt ? router_.hops_to(pkt->dst) : 0.0;
-  return remote + cfg_.alpha * local - cfg_.beta * hops;  // Eq. 2
+  return remote + DiscoConfig::kAlpha * local - cfg_.beta * hops;  // Eq. 2
 }
 
 void DiscoUnit::after_allocation(Cycle now, const std::vector<VcId>& losers) {
-  if (!engine_available() || losers.empty()) return;
+  if (engine_.busy || engine_.quarantined || losers.empty()) return;
 
-  // Packet filter + confidence counter (Fig. 3).
-  std::vector<Candidate> candidates;
+  // Packet filter + confidence counter (Fig. 3). The engine takes the most
+  // confident candidate; on a tie the earlier loser wins, which keeps the
+  // dispatch deterministic. Each candidate is a distinct VC (engine_busy
+  // VCs are filtered out), so the winner never contends for its packet.
+  Candidate best;
+  bool found = false;
+  const auto consider = [&](const Candidate& cand) {
+    if (!found || cand.confidence > best.confidence) best = cand;
+    found = true;
+  };
   for (const VcId& v : losers) {
     VirtualChannel& ch = router_.vc(v);
     const noc::PacketPtr pkt = ch.head_packet();
@@ -90,7 +85,7 @@ void DiscoUnit::after_allocation(Cycle now, const std::vector<VcId>& losers) {
                 static_cast<std::uint8_t>(v.port), v.vc, pkt->id,
                 conf_fixed(c));
       if (c > cc_th_) {
-        candidates.push_back({v, /*decompress=*/false, c});
+        consider({v, /*decompress=*/false, c});
       } else {
         ++window_rejections_;
       }
@@ -105,30 +100,17 @@ void DiscoUnit::after_allocation(Cycle now, const std::vector<VcId>& losers) {
                 static_cast<std::uint8_t>(v.port), v.vc, pkt->id,
                 conf_fixed(c));
       if (c > cd_th_) {
-        candidates.push_back({v, /*decompress=*/true, c});
+        consider({v, /*decompress=*/true, c});
       } else {
         ++window_rejections_;
       }
     }
   }
-  if (candidates.empty()) return;
-
-  // Dispatch the top-k losers, one per free engine. Each candidate is a
-  // distinct VC (engine_busy VCs were filtered above), so winners never
-  // contend for the same packet. stable_sort keeps the losers order on
-  // confidence ties, which keeps the dispatch deterministic.
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const Candidate& a, const Candidate& b) {
-                     return a.confidence > b.confidence;
-                   });
-  std::size_t next = 0;
-  for (Engine& eng : engines_) {
-    if (next >= candidates.size()) break;
-    if (!eng.busy && !eng.quarantined) start(eng, candidates[next++], now);
-  }
+  if (found) start(best, now);
 }
 
-void DiscoUnit::start(Engine& eng, const Candidate& cand, Cycle now) {
+void DiscoUnit::start(const Candidate& cand, Cycle now) {
+  Engine& eng = engine_;
   VirtualChannel& ch = router_.vc(cand.vc);
   noc::PacketPtr pkt = ch.head_packet();
   assert(pkt);
@@ -169,7 +151,6 @@ void DiscoUnit::start(Engine& eng, const Candidate& cand, Cycle now) {
   }
 
   ch.engine_busy = true;
-  ch.sa_inhibit = !cfg_.non_blocking;
   ++stats_.engine_starts;
   if (auto* t = router_.tracer())
     t->emit(now, router_.id(),
@@ -180,42 +161,36 @@ void DiscoUnit::start(Engine& eng, const Candidate& cand, Cycle now) {
 }
 
 void DiscoUnit::on_shadow_departed(Cycle now, const VcId& v) {
-  for (Engine& eng : engines_) {
-    if (!eng.busy || !(eng.vc == v)) continue;
-    // Mis-predicted stall: the port freed up and the scheduler sent the
-    // shadow packet; invalidate the flits under process (non-blocking op).
-    abort(eng, now);
-    return;
-  }
+  // Mis-predicted stall: the port freed up and the scheduler sent the
+  // shadow packet; invalidate the flits under process (non-blocking op).
+  if (engine_.busy && engine_.vc == v) abort(now);
 }
 
 void DiscoUnit::on_hard_fault(Cycle now) {
-  for (Engine& eng : engines_) {
-    if (eng.busy) abort(eng, now);
-    eng.quarantined = true;
-  }
+  if (engine_.busy) abort(now);
+  engine_.quarantined = true;
 }
 
 void DiscoUnit::tick(Cycle now) {
   if (cfg_.adaptive_thresholds && now >= next_adapt_) adapt_thresholds(now);
-  for (Engine& eng : engines_) {
-    if (!eng.busy || eng.done_at > now) continue;
-    VirtualChannel& ch = router_.vc(eng.vc);
-    if (ch.head_packet() != eng.pkt || ch.sent_flits != 0) {
-      // The shadow left between allocation and completion; treat as abort.
-      abort(eng, now);
-      continue;
-    }
-    if (eng.awaiting_residency && !ch.whole_packet_resident()) {
-      // Separate-flit mode: earlier groups are done, wait for the tail.
-      eng.done_at = now + 1;
-      continue;
-    }
-    complete(eng, now);
+  Engine& eng = engine_;
+  if (!eng.busy || eng.done_at > now) return;
+  VirtualChannel& ch = router_.vc(eng.vc);
+  if (ch.head_packet() != eng.pkt || ch.sent_flits != 0) {
+    // The shadow left between allocation and completion; treat as abort.
+    abort(now);
+    return;
   }
+  if (eng.awaiting_residency && !ch.whole_packet_resident()) {
+    // Separate-flit mode: earlier groups are done, wait for the tail.
+    eng.done_at = now + 1;
+    return;
+  }
+  complete(now);
 }
 
-void DiscoUnit::complete(Engine& eng, Cycle now) {
+void DiscoUnit::complete(Cycle now) {
+  Engine& eng = engine_;
   noc::PacketPtr pkt = eng.pkt;
   const std::uint32_t old_count = pkt->flit_count();
 
@@ -242,7 +217,7 @@ void DiscoUnit::complete(Engine& eng, Cycle now) {
       if (auto* t = router_.tracer())
         t->emit(now, router_.id(), trace::Event::DecompFinish,
                 static_cast<std::uint8_t>(eng.vc.port), eng.vc.vc, pkt->id, 0);
-      release(eng, now);
+      release(now);
       return;
     }
     if (check == fault::DecodeCheck::SilentlyWrong)
@@ -269,7 +244,7 @@ void DiscoUnit::complete(Engine& eng, Cycle now) {
             static_cast<std::uint8_t>(eng.vc.port), eng.vc.vc, pkt->id,
             static_cast<std::int64_t>(pkt->flit_count()) -
                 static_cast<std::int64_t>(old_count));
-  release(eng, now);
+  release(now);
 }
 
 void DiscoUnit::adapt_thresholds(Cycle now) {
@@ -278,17 +253,16 @@ void DiscoUnit::adapt_thresholds(Cycle now) {
   // and re-basing would drift every later boundary by the slept time. The
   // skipped boundaries themselves need no catch-up evaluation — a sleeping
   // unit accumulated no window events, so those adaptations are no-ops.
-  const Cycle window = std::max<Cycle>(cfg_.adapt_window_cycles, 1);
-  while (next_adapt_ <= now) next_adapt_ += window;
+  while (next_adapt_ <= now) next_adapt_ += kAdaptWindowCycles;
   const std::uint64_t decided = window_aborts_ + window_completions_;
   if (decided >= 8) {
     const double abort_rate =
         static_cast<double>(window_aborts_) / static_cast<double>(decided);
-    if (abort_rate > cfg_.adapt_target_abort_rate * 1.25) {
+    if (abort_rate > kAdaptTargetAbortRate * 1.25) {
       // Hasty decisions: demand more evidence of a long stall.
       cc_th_ = std::min(cc_th_ * 1.5, 64.0);
       cd_th_ = std::min(cd_th_ * 1.5, 64.0);
-    } else if (abort_rate < cfg_.adapt_target_abort_rate * 0.5 &&
+    } else if (abort_rate < kAdaptTargetAbortRate * 0.5 &&
                window_rejections_ > decided) {
       // Engines starved while candidates were rejected: loosen.
       cc_th_ = std::max(cc_th_ * 0.75, 0.25);
@@ -302,7 +276,8 @@ void DiscoUnit::adapt_thresholds(Cycle now) {
   window_aborts_ = window_completions_ = window_rejections_ = 0;
 }
 
-void DiscoUnit::abort(Engine& eng, Cycle now) {
+void DiscoUnit::abort(Cycle now) {
+  const Engine& eng = engine_;
   ++(eng.decompress ? stats_.decompression_aborts : stats_.compression_aborts);
   ++window_aborts_;
   if (auto* t = router_.tracer())
@@ -310,13 +285,13 @@ void DiscoUnit::abort(Engine& eng, Cycle now) {
             eng.decompress ? trace::Event::DecompAbort
                            : trace::Event::CompAbort,
             static_cast<std::uint8_t>(eng.vc.port), eng.vc.vc, eng.pkt->id, 0);
-  release(eng, now);
+  release(now);
 }
 
-void DiscoUnit::release(Engine& eng, Cycle now) {
+void DiscoUnit::release(Cycle now) {
+  Engine& eng = engine_;
   VirtualChannel& ch = router_.vc(eng.vc);
   ch.engine_busy = false;
-  ch.sa_inhibit = false;
   if (auto* t = router_.tracer())
     t->emit(now, router_.id(), trace::Event::ShadowRetire,
             static_cast<std::uint8_t>(eng.vc.port), eng.vc.vc,

@@ -1,5 +1,5 @@
 // The DISCO in-router machinery (paper section 3.2): a per-router
-// arbitrator + compressor engine set attached to the generic VC router
+// arbitrator + one compressor engine attached to the generic VC router
 // through the RouterExtension hooks.
 //
 // Step 1 — candidate selection: the router reports every VC that requested
@@ -10,9 +10,9 @@
 //   remaining hop count (RC_Hop), per Eq. 1 / Eq. 2:
 //     C_comp   = credit_in + gamma * credit_out                > CCth
 //     C_decomp = credit_in + alpha * credit_out - beta * hops  > CDth
-// Step 3 — engine operation: the winning packet is copied into a free
+// Step 3 — engine operation: the winning packet is copied into the free
 //   engine; its flits stay in the VC as a schedulable shadow packet. If the
-//   shadow departs first (non-blocking mode), the operation aborts; if the
+//   shadow departs first, the (non-blocking) operation aborts; if the
 //   engine finishes first, the shadow flits are replaced in place and the
 //   freed buffer space is returned upstream as bonus credits.
 #pragma once
@@ -29,7 +29,7 @@ namespace disco::core {
 class DiscoUnit final : public noc::RouterExtension {
  public:
   /// `latency` is usually algo.latency(); experiments may override it.
-  /// With a fault injector the engines can stall, produce corrupted output,
+  /// With a fault injector the engine can stall, produce corrupted output,
   /// and self-quarantine after repeated decode errors.
   DiscoUnit(noc::Router& router, const DiscoConfig& cfg,
             const compress::Algorithm& algo, compress::LatencyModel latency,
@@ -38,24 +38,19 @@ class DiscoUnit final : public noc::RouterExtension {
   void after_allocation(Cycle now, const std::vector<noc::VcId>& losers) override;
   void on_shadow_departed(Cycle now, const noc::VcId& vc) override;
   void tick(Cycle now) override;
-  /// Permanent engine-array failure: abort everything in flight and
-  /// quarantine every engine forever (the NI flips to uncompressed bypass).
+  /// Permanent engine failure: abort the operation in flight and
+  /// quarantine the engine forever (the NI flips to uncompressed bypass).
   void on_hard_fault(Cycle now) override;
-  /// Idle elision: sleeping is safe once no engine is mid-operation. The
-  /// adaptive-threshold window survives skipped cycles because
+  /// Idle elision: sleeping is safe once the engine is not mid-operation.
+  /// The adaptive-threshold window survives skipped cycles because
   /// adapt_thresholds() re-aligns to the fixed window grid on wake.
-  bool idle() const override { return busy_engines() == 0; }
+  bool idle() const override { return !busy(); }
 
   /// Confidence values (exposed for unit tests and threshold sweeps).
   double compression_confidence(const noc::VcId& v) const;
   double decompression_confidence(const noc::VcId& v) const;
 
-  std::size_t busy_engines() const;
-  std::size_t quarantined_engines() const;
-
-  /// Current (possibly adapted) thresholds.
-  double cc_threshold() const { return cc_th_; }
-  double cd_threshold() const { return cd_th_; }
+  bool busy() const { return engine_.busy; }
 
  private:
   struct Engine {
@@ -78,14 +73,13 @@ class DiscoUnit final : public noc::RouterExtension {
     double confidence = 0.0;
   };
 
-  bool engine_available() const;
   bool fault_mode() const { return fi_ != nullptr && fi_->enabled(); }
-  void start(Engine& eng, const Candidate& cand, Cycle now);
-  void complete(Engine& eng, Cycle now);
+  void start(const Candidate& cand, Cycle now);
+  void complete(Cycle now);
   /// The shadow departed or the engine died mid-operation: count the abort,
   /// trace it and release the engine.
-  void abort(Engine& eng, Cycle now);
-  void release(Engine& eng, Cycle now);
+  void abort(Cycle now);
+  void release(Cycle now);
   void adapt_thresholds(Cycle now);
 
   noc::Router& router_;
@@ -94,7 +88,7 @@ class DiscoUnit final : public noc::RouterExtension {
   compress::LatencyModel latency_;
   noc::NocStats& stats_;
   fault::FaultInjector* fi_ = nullptr;
-  std::vector<Engine> engines_;
+  Engine engine_;
 
   // Adaptive-threshold state (extension; see DiscoConfig).
   double cc_th_ = 0;

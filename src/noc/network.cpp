@@ -393,8 +393,6 @@ trace::InvariantParams invariant_params(const NocConfig& cfg,
   p.vc_depth = cfg.vc_depth_flits;
   p.max_hops = (cfg.mesh_cols - 1) + (cfg.mesh_rows - 1);
   p.block_flits = 1 + static_cast<std::uint32_t>(kBlockBytes / kFlitBytes);
-  p.gamma = disco.gamma;
-  p.alpha = disco.alpha;
   p.beta = disco.beta;
   return p;
 }

@@ -167,7 +167,7 @@ class Network {
 };
 
 /// Invariant-checker parameters for a mesh built from `cfg` whose
-/// confidence events use the Eq. 1/2 coefficients of `disco`.
+/// confidence events use the Eq. 2 distance coefficient of `disco`.
 trace::InvariantParams invariant_params(const NocConfig& cfg,
                                         const DiscoConfig& disco);
 

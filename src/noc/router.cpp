@@ -95,8 +95,8 @@ void Router::route_compute(Cycle now) {
     if (ch.buffer.empty()) {
       // Self-clean: the occupancy bit was a false positive (or the VC
       // just drained); drop it once the VC is fully back to reset state.
-      if (ch.sent_flits == 0 && !ch.engine_busy && !ch.sa_inhibit &&
-          ch.credit_debt == 0 && ch.active_pkt == nullptr)
+      if (ch.sent_flits == 0 && !ch.engine_busy && ch.credit_debt == 0 &&
+          ch.active_pkt == nullptr)
         occupied_ &= ~(std::uint64_t{1} << i);
       continue;
     }
@@ -209,7 +209,6 @@ void Router::vc_allocate(Cycle now) {
 bool Router::sa_eligible(const VirtualChannel& ch, Cycle now) const {
   assert(ch.stage == VcStage::Active);
   if (ch.buffer.empty()) return false;
-  if (ch.sa_inhibit) return false;  // blocking-mode engine lock
   // Output link severed by a hard fault mid-allocation; the kill scrub
   // resets or condemns this VC before forwarding could resume, so this
   // only guards the same-cycle window. Never fires on a healthy mesh (XY
@@ -620,7 +619,6 @@ std::uint64_t Router::scrub_condemned(Cycle now) {
       set_stage(i, VcStage::Idle);
       ch.sent_flits = 0;
       ch.active_pkt.reset();
-      ch.sa_inhibit = false;
       if (tracer_ != nullptr)
         tracer_->emit(now, id_, trace::Event::TopoVcReset,
                       static_cast<std::uint8_t>(vid.port), vid.vc, owner->id, 0);
@@ -681,7 +679,6 @@ std::uint64_t Router::drain_dead(std::vector<PacketPtr>& inflight, Cycle now) {
     ch.sent_flits = 0;
     ch.credit_debt = 0;
     ch.engine_busy = false;
-    ch.sa_inhibit = false;
     ch.active_pkt.reset();
   }
   stats_.flits_destroyed += killed;

@@ -46,9 +46,6 @@ class VirtualChannel {
   /// DISCO shadow-packet lock: head packet is copied into a compression
   /// engine; the copy in this buffer is the shadow (paper section 3.2 step 3).
   bool engine_busy = false;
-  /// Set by the engine in blocking mode: the shadow may not be scheduled
-  /// (shadow invalid bit held low until the operation completes).
-  bool sa_inhibit = false;
   std::uint8_t head_vnet = 0;  ///< head packet's vnet (latched with head_prio)
 
   PacketPtr head_packet() const {

@@ -28,8 +28,8 @@ InvariantChecker::InvariantChecker(const InvariantParams& p) : p_(p) {
       static_cast<double>(p_.num_vcs) * static_cast<double>(p_.vc_depth);
   const double max_local =
       static_cast<double>(p_.ports) * static_cast<double>(p_.num_vcs);
-  conf_comp_max_ = max_remote + p_.gamma * max_local + kConfSlack;
-  conf_decomp_max_ = max_remote + p_.alpha * max_local + kConfSlack;
+  conf_comp_max_ = max_remote + DiscoConfig::kGamma * max_local + kConfSlack;
+  conf_decomp_max_ = max_remote + DiscoConfig::kAlpha * max_local + kConfSlack;
   conf_decomp_min_ = -p_.beta * static_cast<double>(p_.max_hops) - kConfSlack;
 }
 

@@ -43,8 +43,6 @@ struct InvariantParams {
   std::uint32_t vc_depth = 8;
   std::uint32_t max_hops = 6;     ///< mesh diameter: cols-1 + rows-1
   std::uint32_t block_flits = 9;  ///< max flits of a data packet (raw + tag)
-  double gamma = 1.0;             ///< Eq.1 local-pressure coefficient
-  double alpha = 1.0;             ///< Eq.2 local-pressure coefficient
   double beta = 2.0;              ///< Eq.2 distance coefficient
 };
 

@@ -107,7 +107,6 @@ TEST_F(DiscoNetFixture, NonBlockingAbortsAreCounted) {
   DiscoConfig dcfg;
   dcfg.cc_threshold = -100.0;
   dcfg.cd_threshold = 1e18;  // decompression engines off: compression only
-  dcfg.non_blocking = true;
   build(dcfg);
   Rng rng(21);
   std::uint64_t id = 1;
@@ -137,7 +136,6 @@ TEST_F(DiscoNetFixture, DecompressionAbortsAttributedSeparately) {
   dcfg.cc_threshold = 1e18;
   dcfg.cd_threshold = -100.0;
   dcfg.beta = 0.0;
-  dcfg.non_blocking = true;
   algo_ = compress::make_algorithm("delta");
   noc::NiPolicy policy;
   policy.algo = algo_.get();
@@ -169,63 +167,6 @@ TEST_F(DiscoNetFixture, DecompressionAbortsAttributedSeparately) {
       << "hair-trigger decompression under a hotspot must abort sometimes";
   EXPECT_EQ(stats_.compression_aborts, 0u)
       << "no compression ever started, so none may be booked as aborted";
-}
-
-TEST_F(DiscoNetFixture, MultipleEnginesDispatchMultipleLosersPerCycle) {
-  // With k engines per router, up to k qualifying losers must start in the
-  // same allocation cycle (top-k dispatch), not one per cycle. Under an
-  // identical hotspot, two engines must complete strictly more in-router
-  // operations than one.
-  auto run = [&](std::uint32_t engines) {
-    stats_ = NocStats{};
-    clock_ = 0;
-    DiscoConfig dcfg;
-    dcfg.cc_threshold = -100.0;
-    dcfg.cd_threshold = -100.0;
-    dcfg.beta = 0.0;
-    dcfg.non_blocking = false;  // operations run to completion
-    dcfg.engines_per_router = engines;
-    build(dcfg);
-    Rng rng(33);
-    std::uint64_t id = 1;
-    for (int round = 0; round < 40; ++round) {
-      for (NodeId src = 0; src < 16; ++src) {
-        net_->inject(src,
-                     make_packet(src, 12, VNet::Response, true, clock_, id++),
-                     clock_);
-      }
-      net_->tick(++clock_);
-    }
-    EXPECT_TRUE(run_until_quiescent(*net_, clock_, 120000));
-    EXPECT_EQ(stats_.packets_ejected, 40u * 16u);
-    return stats_.engine_starts;
-  };
-  const std::uint64_t one = run(1);
-  const std::uint64_t two = run(2);
-  ASSERT_GT(one, 0u);
-  EXPECT_GT(two, one)
-      << "a second engine must absorb additional same-cycle candidates";
-}
-
-TEST_F(DiscoNetFixture, BlockingModeLetsOperationsComplete) {
-  DiscoConfig dcfg;
-  dcfg.cc_threshold = -100.0;
-  dcfg.non_blocking = false;  // shadow locked until the engine finishes
-  dcfg.separate_flit_compression = false;
-  build(dcfg);
-  Rng rng(22);
-  std::uint64_t id = 1;
-  for (int i = 0; i < 200; ++i) {
-    const auto src = static_cast<NodeId>(rng.next_below(16));
-    const auto dst = static_cast<NodeId>(rng.next_below(16));
-    net_->inject(src, make_packet(src, dst, VNet::Response, true, clock_, id++),
-                 clock_);
-    net_->tick(++clock_);
-  }
-  ASSERT_TRUE(run_until_quiescent(*net_, clock_, 60000));
-  EXPECT_EQ(stats_.packets_ejected, 200u);
-  EXPECT_EQ(stats_.compression_aborts, 0u)
-      << "a locked shadow can never depart mid-operation";
 }
 
 TEST_F(DiscoNetFixture, HighThresholdsDisableEngines) {
@@ -296,11 +237,11 @@ TEST_F(DiscoNetFixture, AdaptiveThresholdsCurbAbortRate) {
     dcfg.cc_threshold = 0.25;
     dcfg.cd_threshold = 0.25;
     dcfg.adaptive_thresholds = adaptive;
-    dcfg.adapt_window_cycles = 512;
     build(dcfg);
     Rng rng(77);
     std::uint64_t id = 1;
-    for (int i = 0; i < 1500; ++i) {
+    // One packet per cycle across several 2048-cycle adaptation windows.
+    for (int i = 0; i < 6000; ++i) {
       const auto src = static_cast<NodeId>(rng.next_below(16));
       net_->inject(src, make_packet(src, 12, VNet::Response, true, clock_, id++),
                    clock_);
