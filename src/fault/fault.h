@@ -112,7 +112,7 @@ class FaultInjector {
   /// Flip one random bit of a compressed payload traversing a link.
   /// Returns true when a fault was injected.
   bool corrupt_link_payload(std::vector<std::uint8_t>& bytes) {
-    if (bytes.empty() || !rng_.chance(cfg_.link_bit_flip_rate)) return false;
+    if (bytes.empty() || !coin(cfg_.link_bit_flip_rate)) return false;
     flip_random_bit(bytes);
     ++counters_.link_bit_flips;
     return true;
@@ -120,7 +120,7 @@ class FaultInjector {
 
   /// Flip one random bit of a compressed block read out of an L2 bank.
   bool corrupt_llc_payload(std::vector<std::uint8_t>& bytes) {
-    if (bytes.empty() || !rng_.chance(cfg_.llc_bit_flip_rate)) return false;
+    if (bytes.empty() || !coin(cfg_.llc_bit_flip_rate)) return false;
     flip_random_bit(bytes);
     ++counters_.llc_bit_flips;
     return true;
@@ -129,31 +129,35 @@ class FaultInjector {
   /// Flip one random bit of a DISCO engine's compression output (a silent
   /// hardware fault in the compressor datapath).
   bool corrupt_engine_output(std::vector<std::uint8_t>& bytes) {
-    if (bytes.empty() || !rng_.chance(cfg_.engine_fault_rate)) return false;
+    if (bytes.empty() || !coin(cfg_.engine_fault_rate)) return false;
     flip_random_bit(bytes);
     ++counters_.engine_faults;
     return true;
   }
 
   bool should_drop_flit() {
-    if (!rng_.chance(cfg_.flit_drop_rate)) return false;
+    if (!coin(cfg_.flit_drop_rate)) return false;
     ++counters_.flit_drops;
     return true;
   }
 
   bool should_duplicate_flit() {
-    if (!rng_.chance(cfg_.flit_duplicate_rate)) return false;
+    if (!coin(cfg_.flit_duplicate_rate)) return false;
     ++counters_.flit_duplicates;
     return true;
   }
 
   bool should_stall_engine() {
-    if (!rng_.chance(cfg_.engine_stall_rate)) return false;
+    if (!coin(cfg_.engine_stall_rate)) return false;
     ++counters_.engine_stalls;
     return true;
   }
 
  private:
+  /// A site's fault coin. A zero-rate site draws nothing, so it cannot shift
+  /// which faults the sites sharing the stream inject.
+  bool coin(double rate) { return rate > 0.0 && rng_.chance(rate); }
+
   void flip_random_bit(std::vector<std::uint8_t>& bytes) {
     const std::uint64_t bit = rng_.next_below(bytes.size() * 8);
     bytes[bit / 8] ^= static_cast<std::uint8_t>(1U << (bit % 8));

@@ -84,6 +84,30 @@ TEST(FaultInjector, ZeroRatesInjectNothing) {
   EXPECT_EQ(fi.counters().total(), 0u);
 }
 
+TEST(FaultInjector, ZeroRateSitesDoNotShiftOtherSitesDraws) {
+  // All sites share one random stream; a site whose rate is 0 must not
+  // consume from it, or adding a call that can never fire would move
+  // which bits every other site flips.
+  FaultConfig fc;
+  fc.enabled = true;
+  fc.link_bit_flip_rate = 0.5;
+  fault::FaultInjector plain(fc, 5);
+  fault::FaultInjector interleaved(fc, 5);
+  std::vector<std::uint8_t> a(24, 0x3C), b = a, scratch(24, 0);
+  for (int i = 0; i < 200; ++i) {
+    plain.corrupt_link_payload(a);
+    EXPECT_FALSE(interleaved.corrupt_llc_payload(scratch));
+    EXPECT_FALSE(interleaved.corrupt_engine_output(scratch));
+    EXPECT_FALSE(interleaved.should_drop_flit());
+    EXPECT_FALSE(interleaved.should_duplicate_flit());
+    EXPECT_FALSE(interleaved.should_stall_engine());
+    interleaved.corrupt_link_payload(b);
+    ASSERT_EQ(a, b) << "link flips diverged at draw " << i;
+  }
+  EXPECT_GT(plain.counters().link_bit_flips, 0u);
+  EXPECT_EQ(interleaved.counters().total(), plain.counters().link_bit_flips);
+}
+
 class FaultNiFixture : public ::testing::Test {
  protected:
   void build(noc::NiPolicy policy, const FaultConfig& fc) {
