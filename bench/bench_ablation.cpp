@@ -177,7 +177,8 @@ int main(int argc, char** argv) {
           rates.empty() ? "-" : TablePrinter::pct(bench::median(rates))};
       const auto base_rs = results(row.baseline);
       if (row.baseline == r || base_rs.empty()) {
-        // The baseline itself, or a baseline outside this shard.
+        // The baseline itself, or a baseline with a failed cell. A row and
+        // its baseline share a shard group, so sharding never splits them.
         cols.insert(cols.end(),
                     {"-", "-", row.baseline == r ? "baseline" : "-"});
       } else {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
 
 namespace disco::core {
 
@@ -53,13 +54,10 @@ void DiscoUnit::after_allocation(Cycle now, const std::vector<VcId>& losers) {
 
   // Packet filter + confidence counter (Fig. 3). The engine takes the most
   // confident candidate; on a tie the earlier loser wins, which keeps the
-  // dispatch deterministic. Each candidate is a distinct VC (engine_busy
-  // VCs are filtered out), so the winner never contends for its packet.
-  Candidate best;
-  bool found = false;
+  // dispatch deterministic.
+  std::optional<Candidate> best;
   const auto consider = [&](const Candidate& cand) {
-    if (!found || cand.confidence > best.confidence) best = cand;
-    found = true;
+    if (!best || cand.confidence > best->confidence) best = cand;
   };
   for (const VcId& v : losers) {
     VirtualChannel& ch = router_.vc(v);
@@ -106,7 +104,7 @@ void DiscoUnit::after_allocation(Cycle now, const std::vector<VcId>& losers) {
       }
     }
   }
-  if (found) start(best, now);
+  if (best) start(*best, now);
 }
 
 void DiscoUnit::start(const Candidate& cand, Cycle now) {
