@@ -38,8 +38,12 @@ struct NocConfig {
 
 /// DISCO arbitrator + engine knobs (section 3.2, Eq. 1 and Eq. 2). The
 /// paper trains the coefficients and thresholds empirically on NoC traces
-/// and does not publish them. The defaults below are hand-picked and not yet
-/// backed by any measurement: bench_ablation sweeps the thresholds.
+/// and does not publish them. The defaults below are hand-picked, and the
+/// run that tests them does not support them: bench_ablation (10 seeds,
+/// base seed 1, canneal at 3x load) finds only CCth = CDth = 8 and engines
+/// off below them, on every seed (-1.9 and -2.6 cycles); CCth = CDth = 0.5
+/// with beta 1, and CDth = 1, are above them, and the other five points
+/// are within the seed spread.
 struct DiscoConfig {
   /// Local-pressure coefficients of Eq. 1 (gamma) and Eq. 2 (alpha).
   static constexpr double kGamma = 1.0;
