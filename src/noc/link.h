@@ -1,113 +1,156 @@
-// One-cycle pipelined channels between routers: a flit link (one flit per
-// cycle) and a credit link (several credits per cycle are possible when a
-// DISCO compression retires buffer slots in bulk). Items pushed at cycle t
-// become visible to the consumer at cycle t+1, which makes the simulation
+// One-cycle wires between routers and NIs: a flit link (one flit per cycle)
+// and a credit link (several credits per cycle are possible when a DISCO
+// compression retires buffer slots in bulk). Items pushed at cycle t become
+// visible to the consumer at cycle t+1, which makes the simulation
 // insensitive to component tick ordering.
+//
+// Each wire is a member of the router or NI that consumes it; the sender
+// holds a pointer. A wire has two slots indexed by cycle parity: a push at
+// t writes slot (t+1)&1 and the consumer reads slot now&1, so the two
+// never touch the same slot within a cycle. That holds only if the
+// consumer drains a slot on the one cycle it is visible: the network ticks
+// every cycle (Network::tick asserts it), every push wakes its consumer,
+// and a push that finds its slot still holding an item from two cycles
+// earlier asserts.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
 #include "noc/packet.h"
-#include "noc/ring.h"
 
 namespace disco::noc {
 
-template <typename T>
-class PipelinedChannel {
+namespace wire_detail {
+
+/// Slot stamp of an empty slot (no real cycle reaches it).
+inline constexpr Cycle kEmpty = ~Cycle{0};
+
+/// What both wires share: each slot's stamp (the one cycle its content is
+/// visible, or kEmpty) and the consumer hooks. Every push raises the
+/// consumer's pending-wake flag, so a sleeping consumer ticks on the cycle
+/// the item becomes visible (the network latches pending flags at the top
+/// of each cycle), and sets the wire's port bit in the consumer router's
+/// wire mask (the router clears it once the wire is empty, so a set bit
+/// covers every non-empty wire and the receive stages visit only those).
+class WireBase {
  public:
-  void push(Cycle now, T item) {
-    queue_.push_back({now + 1, std::move(item)});
-    if (wake_ != nullptr) *wake_ = 1;
-    if (port_mask_ != nullptr) *port_mask_ |= port_bit_;
-  }
-
-  /// Idle elision: point this channel at its consumer's pending-wake flag.
-  /// Every push raises the flag, so a sleeping consumer is guaranteed to
-  /// tick on the cycle the item becomes visible (pushes at t are visible at
-  /// t+1, and the network latches pending flags at the top of each cycle).
   void set_wake(std::uint8_t* flag) { wake_ = flag; }
-
-  /// Point this channel at its port's bit in the consumer router's wire
-  /// mask (null detaches). Every push sets the bit; the router clears it
-  /// once it has drained the wire, so a set bit covers every non-empty wire
-  /// and the router's receive stages visit only those.
   void set_port_bit(std::uint32_t* mask, std::uint32_t bit) {
     port_mask_ = mask;
     port_bit_ = bit;
   }
 
-  /// Pop the next item that is visible at `now` (nullptr-like if none).
-  bool try_pop(Cycle now, T& out) {
-    if (queue_.empty() || queue_.front().ready > now) return false;
-    out = std::move(queue_.front().item);
-    queue_.pop_front();
-    return true;
+  bool empty() const { return stamp_[0] == kEmpty && stamp_[1] == kEmpty; }
+  /// True when an item is visible at or before `now` (idle-elision
+  /// invariant: a skipped consumer must have nothing ready).
+  bool ready(Cycle now) const { return stamp_[0] <= now || stamp_[1] <= now; }
+
+ protected:
+  void notify() {
+    if (wake_ != nullptr) *wake_ = 1;
+    if (port_mask_ != nullptr) *port_mask_ |= port_bit_;
   }
 
-  bool empty() const { return queue_.empty(); }
-  std::size_t size() const { return queue_.size(); }
-
-  /// Destroy everything in flight (hard-fault link/router kill).
-  void clear() { queue_.clear(); }
-
-  /// Drain all contents regardless of readiness (hard-fault kill scrub:
-  /// the caller condemns the owning packets before destruction).
-  std::vector<T> take_all() {
-    std::vector<T> out;
-    out.reserve(queue_.size());
-    for (Entry& e : queue_) out.push_back(std::move(e.item));
-    queue_.clear();
-    return out;
-  }
-
-  /// Oldest in-flight ready cycle, or 0 when empty (idle-elision invariant
-  /// checks: a sleeping consumer must have nothing ready).
-  Cycle front_ready() const { return queue_.empty() ? 0 : queue_.front().ready; }
+  std::array<Cycle, 2> stamp_{kEmpty, kEmpty};
 
  private:
-  struct Entry {
-    Cycle ready;
-    T item;
-  };
-  Ring<Entry> queue_;
-  std::uint8_t* wake_ = nullptr;  ///< consumer's pending-wake flag (optional)
-  std::uint32_t* port_mask_ = nullptr;  ///< consumer router's wire mask (optional)
+  std::uint8_t* wake_ = nullptr;        ///< consumer's pending-wake flag
+  std::uint32_t* port_mask_ = nullptr;  ///< consumer router's wire mask
   std::uint32_t port_bit_ = 0;
 };
 
+}  // namespace wire_detail
+
 /// Flit wire: at most one flit per cycle is pushed by the sender (enforced
-/// by switch allocation, asserted here in debug builds).
-class FlitLink {
+/// by switch allocation, asserted here).
+class FlitLink : public wire_detail::WireBase {
  public:
   void push(Cycle now, Flit flit) {
-    assert(last_push_ != now + 1 && "two flits on one link in one cycle");
-    last_push_ = now + 1;
-    chan_.push(now, std::move(flit));
+    const std::size_t s = (now + 1) & 1;
+    assert(stamp_[s] != now + 1 && "two flits on one link in one cycle");
+    assert(stamp_[s] == wire_detail::kEmpty &&
+           "flit wire slot not drained: a network tick was skipped");
+    stamp_[s] = now + 1;
+    slot_[s] = std::move(flit);
+    notify();
   }
-  bool try_pop(Cycle now, Flit& out) { return chan_.try_pop(now, out); }
-  bool empty() const { return chan_.empty(); }
-  std::size_t size() const { return chan_.size(); }
-  void clear() { chan_.clear(); }
-  std::vector<Flit> take_all() { return chan_.take_all(); }
-  void set_wake(std::uint8_t* flag) { chan_.set_wake(flag); }
-  void set_port_bit(std::uint32_t* mask, std::uint32_t bit) {
-    chan_.set_port_bit(mask, bit);
+
+  /// The flit visible at `now`, or null. The slot counts as empty from
+  /// here on; the caller moves the flit out (or resets its packet).
+  Flit* take(Cycle now) {
+    const std::size_t s = now & 1;
+    if (stamp_[s] != now) return nullptr;
+    stamp_[s] = wire_detail::kEmpty;
+    return &slot_[s];
   }
-  Cycle front_ready() const { return chan_.front_ready(); }
+
+  std::size_t size() const {
+    return static_cast<std::size_t>(stamp_[0] != wire_detail::kEmpty) +
+           static_cast<std::size_t>(stamp_[1] != wire_detail::kEmpty);
+  }
+
+  /// Drain every flit in flight, oldest first, regardless of readiness
+  /// (hard-fault kill scrub: the caller condemns the owning packets).
+  std::vector<Flit> take_all() {
+    std::vector<Flit> out;
+    const std::size_t first = stamp_[1] < stamp_[0] ? 1 : 0;
+    for (const std::size_t s : {first, 1 - first}) {
+      if (stamp_[s] == wire_detail::kEmpty) continue;
+      stamp_[s] = wire_detail::kEmpty;
+      out.push_back(std::move(slot_[s]));
+    }
+    return out;
+  }
 
  private:
-  PipelinedChannel<Flit> chan_;
-  Cycle last_push_ = static_cast<Cycle>(-1);
+  std::array<Flit, 2> slot_{};
 };
 
-/// Credit wire: each event returns one buffer slot of one VC.
-struct Credit {
-  std::uint8_t vc = 0;
-};
+/// Credit wire: each entry returns one buffer slot of one VC (its index).
+/// A cycle's credits travel as one batch and keep their push order. A batch
+/// holds at most num_vcs x vc_depth_flits credits, the most that can be in
+/// flight on one wire under credit conservation; exceeding it asserts.
+class CreditLink : public wire_detail::WireBase {
+ public:
+  CreditLink() = default;
+  explicit CreditLink(std::uint32_t capacity)
+      : capacity_(capacity), vcs_(2 * static_cast<std::size_t>(capacity)) {}
 
-using CreditLink = PipelinedChannel<Credit>;
+  void push(Cycle now, std::uint8_t vc) {
+    const std::size_t s = (now + 1) & 1;
+    if (stamp_[s] != now + 1) {
+      assert(stamp_[s] == wire_detail::kEmpty &&
+             "credit wire batch not drained: a network tick was skipped");
+      stamp_[s] = now + 1;
+      count_[s] = 0;
+    }
+    assert(count_[s] < capacity_ && "more credits in flight than buffer slots");
+    vcs_[s * capacity_ + count_[s]++] = vc;
+    notify();
+  }
+
+  /// The batch visible at `now`, in push order (empty if none). The batch
+  /// counts as consumed from here on; the span stays valid for the rest of
+  /// the cycle (this cycle's pushes fill the other batch).
+  std::span<const std::uint8_t> take(Cycle now) {
+    const std::size_t s = now & 1;
+    if (stamp_[s] != now) return {};
+    stamp_[s] = wire_detail::kEmpty;
+    return {vcs_.data() + s * capacity_, count_[s]};
+  }
+
+  /// Destroy everything in flight (hard-fault link/router kill).
+  void clear() { stamp_ = {wire_detail::kEmpty, wire_detail::kEmpty}; }
+
+ private:
+  std::array<std::uint32_t, 2> count_{};
+  std::uint32_t capacity_ = 0;
+  std::vector<std::uint8_t> vcs_;  ///< batch s at [s * capacity_, +count_[s])
+};
 
 }  // namespace disco::noc

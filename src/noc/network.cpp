@@ -23,47 +23,28 @@ Network::Network(const NocConfig& cfg, NiPolicy ni_policy, NocStats& stats,
   }
 
   // Idle elision: everyone starts awake; the flag vectors are sized once
-  // here and never resized (links hold raw pointers into them).
+  // here and never resized (wires hold raw pointers into them).
   pending_wake_.assign(2 * n, 1);
   stay_awake_.assign(2 * n, 1);
   run_.assign(2 * n, 0);
 
-  // Inter-router wiring: one flit link + one (reverse) credit link per
-  // directed neighbour edge. Create each once, from the sender's side.
+  // Every wire is a member of its consumer, which it wakes on push. One
+  // flit wire + one (reverse) credit wire per directed neighbour edge,
+  // wired once from the sender's side.
   for (NodeId node = 0; node < n; ++node) {
+    routers_[node]->set_wake_flag(&pending_wake_[node]);
+    nis_[node]->set_wake_flag(&pending_wake_[n + node]);
     for (Port dir : {Port::North, Port::South, Port::East, Port::West}) {
       const NodeId nb = mesh_.neighbor(node, dir);
       if (nb == kInvalidNode) continue;
-      auto flit = std::make_unique<FlitLink>();
-      auto credit = std::make_unique<CreditLink>();
-      routers_[node]->connect_out_flit(dir, flit.get());
-      routers_[nb]->connect_in_flit(opposite(dir), flit.get());
-      routers_[nb]->connect_out_credit(opposite(dir), credit.get());
-      routers_[node]->connect_in_credit(dir, credit.get());
-      // Every link wakes its consumer on push.
-      flit->set_wake(&pending_wake_[nb]);
-      credit->set_wake(&pending_wake_[node]);
-      flit_links_.push_back(std::move(flit));
-      credit_links_.push_back(std::move(credit));
+      routers_[node]->connect_out_flit(dir, routers_[nb]->in_flit_wire(opposite(dir)));
+      routers_[nb]->connect_out_credit(opposite(dir), routers_[node]->in_credit_wire(dir));
     }
 
     // NI <-> router local port.
-    auto inj = std::make_unique<FlitLink>();
-    auto ej = std::make_unique<FlitLink>();
-    auto inj_credit = std::make_unique<CreditLink>();
-    nis_[node]->connect_to_router(inj.get());
-    routers_[node]->connect_in_flit(Port::Local, inj.get());
-    routers_[node]->connect_out_flit(Port::Local, ej.get());
-    nis_[node]->connect_from_router(ej.get());
-    routers_[node]->connect_out_credit(Port::Local, inj_credit.get());
-    nis_[node]->connect_credits(inj_credit.get());
-    inj->set_wake(&pending_wake_[node]);
-    ej->set_wake(&pending_wake_[n + node]);
-    inj_credit->set_wake(&pending_wake_[n + node]);
-    nis_[node]->set_wake_flag(&pending_wake_[n + node]);
-    flit_links_.push_back(std::move(inj));
-    flit_links_.push_back(std::move(ej));
-    credit_links_.push_back(std::move(inj_credit));
+    nis_[node]->connect_to_router(routers_[node]->in_flit_wire(Port::Local));
+    routers_[node]->connect_out_flit(Port::Local, nis_[node]->eject_wire());
+    routers_[node]->connect_out_credit(Port::Local, nis_[node]->credit_wire());
   }
 
   if (make_extension) {
@@ -91,7 +72,11 @@ Network::Network(const NocConfig& cfg, NiPolicy ni_policy, NocStats& stats,
 }
 
 void Network::tick(Cycle now) {
-  // Channels are 1-cycle pipelined, so intra-cycle ordering is immaterial.
+  // Wires index their two slots by cycle parity, so every cycle must tick.
+  assert((last_tick_ == kNever || now == last_tick_ + 1) &&
+         "network ticks must be consecutive cycles");
+  last_tick_ = now;
+  // Wires are 1-cycle pipelined, so intra-cycle ordering is immaterial.
   //
   // Idle elision, phase 1: latch every pending-wake flag before anything
   // ticks. Pushes made while ticking land in pending_wake_ for the NEXT
@@ -152,7 +137,7 @@ void Network::check_elision_invariants(Cycle now) const {
 StallCensus Network::stall_census() const {
   StallCensus c;
   for (const auto& r : routers_) r->stall_census(c);
-  for (const auto& l : flit_links_) c.buffered_flits += l->size();
+  c.buffered_flits += wire_flits();
   c.pending_injections = pending_injections();
   return c;
 }
@@ -168,9 +153,14 @@ bool Network::quiescent() const {
     if (!r->quiescent()) return false;
   for (const auto& ni : nis_)
     if (!ni->idle()) return false;
-  for (const auto& l : flit_links_)
-    if (!l->empty()) return false;
-  return true;
+  return wire_flits() == 0;
+}
+
+std::uint64_t Network::wire_flits() const {
+  std::uint64_t n = 0;
+  for (const auto& r : routers_) n += r->wire_flits();
+  for (const auto& ni : nis_) n += ni->wire_flits();
+  return n;
 }
 
 // --- permanent (hard) faults -----------------------------------------------
@@ -275,8 +265,8 @@ bool Network::kill_router(NodeId n, Cycle now) {
                     static_cast<std::uint8_t>(Port::Local), 0, 0,
                     static_cast<std::int64_t>(flits.size()));
   }
-  if (FlitLink* l = nis_[n]->from_router_link()) {
-    std::vector<Flit> flits = l->take_all();
+  {
+    std::vector<Flit> flits = nis_[n]->eject_wire()->take_all();
     stats_.flits_destroyed += flits.size();
     if (tracer_ != nullptr && !flits.empty())
       tracer_->emit(now, n, trace::Event::TopoFlitsKilled,
@@ -284,7 +274,6 @@ bool Network::kill_router(NodeId n, Cycle now) {
                     static_cast<std::int64_t>(flits.size()));
     for (Flit& f : flits) severed.push_back(std::move(f.pkt));
   }
-  if (CreditLink* c = nis_[n]->credit_link()) c->clear();
   routers_[n]->drain_dead(severed, now);
   routers_[n]->disconnect_port(Port::Local);
 
@@ -321,10 +310,6 @@ void Network::sever_undirected_link(NodeId n, Port dir,
   const Port opp = opposite(dir);
   drain_directed_link(*routers_[n], dir, severed, now);
   if (nb != kInvalidNode) drain_directed_link(*routers_[nb], opp, severed, now);
-  // Credit wires die with the data wires.
-  if (CreditLink* c = routers_[n]->in_credit_link(dir)) c->clear();
-  if (nb != kInvalidNode)
-    if (CreditLink* c = routers_[nb]->in_credit_link(opp)) c->clear();
   routers_[n]->disconnect_port(dir);
   if (nb != kInvalidNode) routers_[nb]->disconnect_port(opp);
 }

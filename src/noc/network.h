@@ -1,4 +1,4 @@
-// The mesh network: owns routers, NIs and all inter-node wiring. The DISCO
+// The mesh network: owns routers and NIs and wires them together. The DISCO
 // in-router machinery is attached through an extension factory so this
 // module stays independent of src/disco.
 #pragma once
@@ -74,9 +74,8 @@ class Network {
   /// on links (the invariant checker reconciles this against the injected /
   /// ejected event counts every cycle).
   std::uint64_t inflight_flits() const {
-    std::uint64_t n = 0;
+    std::uint64_t n = wire_flits();
     for (const auto& r : routers_) n += r->total_buffered_flits();
-    for (const auto& l : flit_links_) n += l->size();
     return n;
   }
 
@@ -93,6 +92,9 @@ class Network {
   /// with inflight_flits(). Taken by the no-progress watchdog when it trips.
   StallCensus stall_census() const;
 
+  /// Advance one cycle. Call once per cycle with consecutive `now`
+  /// values after the first call (asserted): the wires' parity slots hold
+  /// an item for exactly the one cycle it is visible.
   void tick(Cycle now);
 
   /// Idle elision: force every live component to tick on the next cycle.
@@ -114,6 +116,8 @@ class Network {
   bool credits_quiescent() const;
 
  private:
+  /// Flits in flight on every wire (router inputs and NI ejection).
+  std::uint64_t wire_flits() const;
   void note_doomed(const PacketPtr& pkt, Cycle now);
   void enter_degraded();
   bool doomed_from(NodeId at, const Packet& p) const;
@@ -137,8 +141,8 @@ class Network {
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<NetworkInterface>> nis_;
   std::vector<std::unique_ptr<RouterExtension>> extensions_;
-  std::vector<std::unique_ptr<FlitLink>> flit_links_;
-  std::vector<std::unique_ptr<CreditLink>> credit_links_;
+  static constexpr Cycle kNever = ~Cycle{0};
+  Cycle last_tick_ = kNever;  ///< last cycle ticked (kNever before the first)
 
   // Idle-elision state. Slot i is router i; slot num_nodes+i is NI i. A
   // component ticks on a cycle iff its pending-wake flag was raised since

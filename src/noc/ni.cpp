@@ -10,7 +10,8 @@ namespace disco::noc {
 
 NetworkInterface::NetworkInterface(NodeId node, const NocConfig& cfg,
                                    NiPolicy policy, NocStats& stats)
-    : node_(node), cfg_(cfg), policy_(policy), stats_(stats) {
+    : node_(node), cfg_(cfg), policy_(policy), stats_(stats),
+      credits_in_(cfg.num_vcs() * cfg.vc_depth_flits) {
   vc_credits_.assign(cfg_.num_vcs(), cfg_.vc_depth_flits);
   vc_taken_.assign(cfg_.num_vcs(), false);
 }
@@ -93,13 +94,11 @@ void NetworkInterface::pump_source_compression(Cycle now) {
 }
 
 void NetworkInterface::pump_credits(Cycle now) {
-  if (credits_in_ == nullptr) return;
-  Credit c;
-  while (credits_in_->try_pop(now, c)) {
-    assert(c.vc < vc_credits_.size());
-    ++vc_credits_[c.vc];
+  for (const std::uint8_t vc : credits_in_.take(now)) {
+    assert(vc < vc_credits_.size());
+    ++vc_credits_[vc];
     if (tracer_ != nullptr)
-      tracer_->emit(now, node_, trace::Event::NiCreditRecv, 0, c.vc, 0, 0);
+      tracer_->emit(now, node_, trace::Event::NiCreditRecv, 0, vc, 0, 0);
   }
 }
 
@@ -110,16 +109,15 @@ bool NetworkInterface::consumer_decodes(const Packet& pkt) const {
 }
 
 void NetworkInterface::pump_ejection(Cycle now) {
-  if (from_router_ == nullptr) return;
-  Flit f;
-  while (from_router_->try_pop(now, f)) {
-    if (tracer_ != nullptr)
-      tracer_->emit(now, node_, trace::Event::NiFlitEject, 0, f.vc_tag,
-                    f.pkt->id, static_cast<std::int64_t>(f.seq));
-    const bool dup = fault_mode() && injector_->should_duplicate_flit();
-    reassemble(f, now);
-    if (dup) reassemble(f, now);  // exercises the dedup path
-  }
+  Flit* f = from_router_.take(now);
+  if (f == nullptr) return;
+  if (tracer_ != nullptr)
+    tracer_->emit(now, node_, trace::Event::NiFlitEject, 0, f->vc_tag,
+                  f->pkt->id, static_cast<std::int64_t>(f->seq));
+  const bool dup = fault_mode() && injector_->should_duplicate_flit();
+  reassemble(*f, now);
+  if (dup) reassemble(*f, now);  // exercises the dedup path
+  f->pkt.reset();  // the wire slot must not pin the packet
 }
 
 void NetworkInterface::reassemble(const Flit& f, Cycle now) {

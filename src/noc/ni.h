@@ -18,6 +18,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -63,9 +64,9 @@ class NetworkInterface {
 
   NodeId node() const { return node_; }
 
+  /// Wiring (done by Network): the router's Local input wire this NI
+  /// sends on. Its two incoming wires are members (see eject_wire()).
   void connect_to_router(FlitLink* link) { to_router_ = link; }
-  void connect_from_router(FlitLink* link) { from_router_ = link; }
-  void connect_credits(CreditLink* link) { credits_in_ = link; }
 
   void register_sink(UnitKind unit, PacketSink* sink) {
     sinks_[static_cast<std::size_t>(unit)] = sink;
@@ -77,11 +78,16 @@ class NetworkInterface {
   /// Attach the system tracer (null = probes compile to a pointer check).
   void set_tracer(trace::Tracer* t) { tracer_ = t; }
 
-  /// Idle elision: this NI's own pending-wake flag. inject() raises it so a
-  /// sleeping NI is guaranteed to tick and pump the new entry (the flag is
-  /// latched at the top of the network cycle, so an inject that happens
-  /// before tick(now) wakes the NI within the same cycle).
-  void set_wake_flag(std::uint8_t* flag) { wake_self_ = flag; }
+  /// Idle elision: this NI's own pending-wake flag. inject() and every
+  /// push on its incoming wires raise it, so a sleeping NI is guaranteed to
+  /// tick and pump the new entry (the flag is latched at the top of the
+  /// network cycle, so an inject that happens before tick(now) wakes the NI
+  /// within the same cycle).
+  void set_wake_flag(std::uint8_t* flag) {
+    wake_self_ = flag;
+    from_router_.set_wake(flag);
+    credits_in_.set_wake(flag);
+  }
 
   // --- hard-fault support (wired by Network; inert until a kill) ---
   void set_topology(const Topology* t) { topo_ = t; }
@@ -110,12 +116,18 @@ class NetworkInterface {
   void collect_dead_orphans(std::vector<PacketPtr>& out);
 
   FlitLink* to_router_link() const { return to_router_; }
-  FlitLink* from_router_link() const { return from_router_; }
-  CreditLink* credit_link() const { return credits_in_; }
+  /// Incoming wires, owned here: the router's ejection port sends flits on
+  /// the first and returns Local-port credits on the second.
+  FlitLink* eject_wire() { return &from_router_; }
+  CreditLink* credit_wire() { return &credits_in_; }
+  /// Flits in flight on the ejection wire.
+  std::size_t wire_flits() const { return from_router_.size(); }
+  /// The tile died. The ejection wire must already be drained; in-flight
+  /// credits are destroyed.
   void disconnect() {
+    assert(from_router_.empty() && "ejection wire not drained");
     to_router_ = nullptr;
-    from_router_ = nullptr;
-    credits_in_ = nullptr;
+    credits_in_.clear();
   }
 
   /// Deterministic id for a protocol packet originating at this node:
@@ -143,19 +155,14 @@ class NetworkInterface {
   /// or parked table keeps the NI awake so loss timeouts and retransmission
   /// scans run on every cycle, exactly as without elision.
   bool can_sleep() const {
-    return idle() && (from_router_ == nullptr || from_router_->empty()) &&
-           (credits_in_ == nullptr || credits_in_->empty());
+    return idle() && from_router_.empty() && credits_in_.empty();
   }
 
   /// Idle-elision invariant predicate: no work visible at `now` (wire
   /// entries that only become ready after `now` don't count — their push
   /// already raised the pending-wake flag for the next cycle).
   bool no_pending_work(Cycle now) const {
-    return idle() &&
-           (from_router_ == nullptr || from_router_->empty() ||
-            from_router_->front_ready() > now) &&
-           (credits_in_ == nullptr || credits_in_->empty() ||
-            credits_in_->front_ready() > now);
+    return idle() && !from_router_.ready(now) && !credits_in_.ready(now);
   }
 
  private:
@@ -229,8 +236,8 @@ class NetworkInterface {
   std::uint8_t* wake_self_ = nullptr;  ///< idle elision (see set_wake_flag)
 
   FlitLink* to_router_ = nullptr;
-  FlitLink* from_router_ = nullptr;
-  CreditLink* credits_in_ = nullptr;
+  FlitLink from_router_;
+  CreditLink credits_in_;
 
   std::array<Ring<PendingInject>, kNumVNets> inject_q_;
   std::array<std::optional<ActiveSend>, kNumVNets> active_;

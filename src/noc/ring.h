@@ -1,10 +1,11 @@
-// Flat circular buffer for the simulator's hot queues (VC flit buffers,
-// link pipeline queues, NI inject queues). Replaces std::deque, whose
-// per-block heap traffic dominated the tick-loop profile: a Ring keeps its
-// elements in one contiguous power-of-two array, grows geometrically (so a
-// queue that once reached depth N never allocates again below N) and
-// supports the few deque operations the NoC actually uses — including
-// push_front (header rewrites) and mid-queue erase (condemned-flit scrubs).
+// Flat circular buffer for the simulator's hot queues (VC flit buffers and
+// NI inject queues; wires need no queue, see noc/link.h). Replaces
+// std::deque, whose per-block heap traffic dominated the tick-loop
+// profile: a Ring keeps its elements in one contiguous power-of-two array,
+// grows geometrically (so a queue that once reached depth N never
+// allocates again below N) and supports the few deque operations the NoC
+// actually uses — including push_front (header rewrites) and mid-queue
+// erase (condemned-flit scrubs).
 //
 // Deliberate differences from std::deque:
 //   - NO iterator/reference stability: any mutation invalidates iterators

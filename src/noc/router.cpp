@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <span>
 
 namespace disco::noc {
 namespace {
@@ -23,6 +24,9 @@ Router::Router(NodeId id, const MeshShape& mesh, const NocConfig& cfg, NocStats&
   out_vc_taken_.assign(static_cast<std::size_t>(kNumPorts) * vcs, 0);
   credits_.resize(static_cast<std::size_t>(kNumPorts) * vcs);
   for (std::size_t p = 0; p < kNumPorts; ++p) {
+    in_flit_[p].set_port_bit(&flit_wires_, 1u << p);
+    in_credit_[p] = CreditLink(vcs * cfg_.vc_depth_flits);
+    in_credit_[p].set_port_bit(&credit_wires_, 1u << p);
     const bool ejection = static_cast<Port>(p) == Port::Local;
     for (std::uint32_t v = 0; v < vcs; ++v) {
       credit(p, v) = ejection ? kEjectionCredits : cfg_.vc_depth_flits;
@@ -50,15 +54,15 @@ void Router::tick(Cycle now) {
 void Router::receive_credits(Cycle now) {
   for (std::uint32_t wires = credit_wires_; wires != 0; wires &= wires - 1) {
     const auto p = static_cast<std::size_t>(std::countr_zero(wires));
-    CreditLink& link = *in_credit_[p];
-    Credit c;
-    while (link.try_pop(now, c)) {
-      assert(c.vc < num_vcs_);
-      did_work_ = true;
-      ++credit(p, c.vc);
+    CreditLink& link = in_credit_[p];
+    const std::span<const std::uint8_t> batch = link.take(now);
+    did_work_ |= !batch.empty();
+    for (const std::uint8_t vc : batch) {
+      assert(vc < num_vcs_);
+      ++credit(p, vc);
       if (tracer_ != nullptr)
         tracer_->emit(now, id_, trace::Event::CreditRecv,
-                      static_cast<std::uint8_t>(p), c.vc, 0, 0);
+                      static_cast<std::uint8_t>(p), vc, 0, 0);
     }
     if (link.empty()) credit_wires_ &= ~(1u << p);
   }
@@ -67,20 +71,23 @@ void Router::receive_credits(Cycle now) {
 void Router::receive_flits(Cycle now) {
   for (std::uint32_t wires = flit_wires_; wires != 0; wires &= wires - 1) {
     const auto p = static_cast<std::size_t>(std::countr_zero(wires));
-    FlitLink& link = *in_flit_[p];
-    Flit f;
-    while (link.try_pop(now, f)) {
-      assert(f.vc_tag < num_vcs_);
-      if (degraded_ && filter_dead_flit(f, p, now)) continue;
-      f.arrival = now;
-      if (tracer_ != nullptr)
-        tracer_->emit(now, id_, trace::Event::BufferWrite,
-                      static_cast<std::uint8_t>(p), f.vc_tag, f.pkt->id,
-                      static_cast<std::int64_t>(f.seq));
-      did_work_ = true;
-      occupied_ |= std::uint64_t{1} << (p * num_vcs_ + f.vc_tag);
-      in_vc(p, f.vc_tag).buffer.push_back(std::move(f));
-      ++stats_.buffer_writes;
+    FlitLink& link = in_flit_[p];
+    // At most one flit per wire is visible per cycle.
+    if (Flit* f = link.take(now)) {
+      assert(f->vc_tag < num_vcs_);
+      if (degraded_ && filter_dead_flit(*f, p, now)) {
+        f->pkt.reset();
+      } else {
+        f->arrival = now;
+        if (tracer_ != nullptr)
+          tracer_->emit(now, id_, trace::Event::BufferWrite,
+                        static_cast<std::uint8_t>(p), f->vc_tag, f->pkt->id,
+                        static_cast<std::int64_t>(f->seq));
+        did_work_ = true;
+        occupied_ |= std::uint64_t{1} << (p * num_vcs_ + f->vc_tag);
+        in_vc(p, f->vc_tag).buffer.push_back(std::move(*f));
+        ++stats_.buffer_writes;
+      }
     }
     if (link.empty()) flit_wires_ &= ~(1u << p);
   }
@@ -379,20 +386,6 @@ void Router::switch_allocate_and_traverse(Cycle now, std::vector<VcId>& losers) 
   losers.resize(kept);
 }
 
-void Router::send_credit_for_pop(const VcId& v, Cycle now) {
-  VirtualChannel& ch = in_vc(idx(v.port), v.vc);
-  if (ch.credit_debt > 0) {
-    --ch.credit_debt;  // absorb the slot consumed by an earlier expansion
-    return;
-  }
-  if (out_credit_[idx(v.port)] == nullptr) return;
-  out_credit_[idx(v.port)]->push(now, Credit{v.vc});
-  ++stats_.credits_sent;
-  if (tracer_ != nullptr)
-    tracer_->emit(now, id_, trace::Event::CreditSend,
-                  static_cast<std::uint8_t>(v.port), v.vc, 0, 0);
-}
-
 std::uint32_t Router::downstream_occupancy(Port out) const {
   if (out == Port::Local) return 0;
   std::uint32_t occupied = 0;
@@ -522,12 +515,7 @@ bool Router::can_sleep() const {
 
 bool Router::no_pending_work(Cycle now) const {
   for (std::size_t p = 0; p < kNumPorts; ++p) {
-    if (in_flit_[p] != nullptr && !in_flit_[p]->empty() &&
-        in_flit_[p]->front_ready() <= now)
-      return false;
-    if (in_credit_[p] != nullptr && !in_credit_[p]->empty() &&
-        in_credit_[p]->front_ready() <= now)
-      return false;
+    if (in_flit_[p].ready(now) || in_credit_[p].ready(now)) return false;
     for (std::uint32_t v = 0; v < num_vcs_; ++v) {
       const VirtualChannel& ch = in_vc(p, v);
       if (ch.stage != VcStage::Idle || !ch.buffer.empty() ||
@@ -551,13 +539,7 @@ bool Router::filter_dead_flit(const Flit& f, std::size_t p, Cycle now) {
   ++stats_.dead_component_drops;
   // The flit never occupies a buffer slot, so the upstream sender's credit
   // comes straight back (conservation holds through the destruction).
-  if (out_credit_[p] != nullptr) {
-    out_credit_[p]->push(now, Credit{f.vc_tag});
-    ++stats_.credits_sent;
-    if (tracer_ != nullptr)
-      tracer_->emit(now, id_, trace::Event::CreditSend,
-                    static_cast<std::uint8_t>(p), f.vc_tag, 0, 0);
-  }
+  push_credit(p, f.vc_tag, now);
   if (tracer_ != nullptr)
     tracer_->emit(now, id_, trace::Event::TopoFlitsKilled,
                   static_cast<std::uint8_t>(p), f.vc_tag, pkt->id, 1);
@@ -565,13 +547,11 @@ bool Router::filter_dead_flit(const Flit& f, std::size_t p, Cycle now) {
 }
 
 void Router::disconnect_port(Port p) {
-  if (in_flit_[idx(p)] != nullptr) in_flit_[idx(p)]->set_port_bit(nullptr, 0);
-  if (in_credit_[idx(p)] != nullptr) in_credit_[idx(p)]->set_port_bit(nullptr, 0);
+  assert(in_flit_[idx(p)].empty() && "severed flit wire not drained");
+  in_credit_[idx(p)].clear();  // credit wires die with the data wires
   flit_wires_ &= ~(1u << idx(p));
   credit_wires_ &= ~(1u << idx(p));
-  in_flit_[idx(p)] = nullptr;
   out_flit_[idx(p)] = nullptr;
-  in_credit_[idx(p)] = nullptr;
   out_credit_[idx(p)] = nullptr;
 }
 

@@ -65,7 +65,8 @@ class RouterExtension {
 class Router {
  public:
   Router(NodeId id, const MeshShape& mesh, const NocConfig& cfg, NocStats& stats);
-  // Connected input wires hold pointers to this router's wire masks.
+  // Senders hold pointers to this router's input wires, which hold
+  // pointers to its wire masks.
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
@@ -73,17 +74,17 @@ class Router {
   const NocConfig& config() const { return cfg_; }
   const MeshShape& mesh() const { return mesh_; }
 
-  /// Wiring (done by Network). Null links mean no neighbour (mesh edge).
-  /// Input wires report pushes into this router's per-port wire masks.
-  void connect_in_flit(Port p, FlitLink* link) {
-    in_flit_[idx(p)] = link;
-    if (link != nullptr) link->set_port_bit(&flit_wires_, 1u << idx(p));
+  /// Wiring (done by Network). Input wires are members of this router and
+  /// senders push on them through these pointers; each push raises `flag`,
+  /// this router's pending-wake flag. Null output links mean no neighbour
+  /// (mesh edge).
+  void set_wake_flag(std::uint8_t* flag) {
+    for (FlitLink& w : in_flit_) w.set_wake(flag);
+    for (CreditLink& w : in_credit_) w.set_wake(flag);
   }
+  FlitLink* in_flit_wire(Port p) { return &in_flit_[idx(p)]; }
+  CreditLink* in_credit_wire(Port p) { return &in_credit_[idx(p)]; }
   void connect_out_flit(Port p, FlitLink* link) { out_flit_[idx(p)] = link; }
-  void connect_in_credit(Port p, CreditLink* link) {
-    in_credit_[idx(p)] = link;
-    if (link != nullptr) link->set_port_bit(&credit_wires_, 1u << idx(p));
-  }
   void connect_out_credit(Port p, CreditLink* link) { out_credit_[idx(p)] = link; }
 
   void set_extension(RouterExtension* ext) { ext_ = ext; }
@@ -103,10 +104,8 @@ class Router {
   void enter_degraded_mode() { degraded_ = true; }
 
   FlitLink* out_flit_link(Port p) const { return out_flit_[idx(p)]; }
-  FlitLink* in_flit_link(Port p) const { return in_flit_[idx(p)]; }
-  CreditLink* out_credit_link(Port p) const { return out_credit_[idx(p)]; }
-  CreditLink* in_credit_link(Port p) const { return in_credit_[idx(p)]; }
-  /// Sever all four wires of a port (the link died).
+  /// Sever all four wires of a port (the link died). The incoming flit
+  /// wire must already be drained; the incoming credit wire is cleared.
   void disconnect_port(Port p);
 
   /// Mid-wormhole packets whose output link just died (state survives at
@@ -167,6 +166,12 @@ class Router {
 
   /// Total buffered flits across all input VCs (diagnostics/energy leakage).
   std::uint64_t total_buffered_flits() const;
+  /// Flits in flight on this router's input wires.
+  std::uint64_t wire_flits() const {
+    std::uint64_t n = 0;
+    for (const FlitLink& w : in_flit_) n += w.size();
+    return n;
+  }
 
   /// Accumulate this router's contribution to a stall census (watchdog).
   void stall_census(StallCensus& c) const;
@@ -193,7 +198,27 @@ class Router {
   void route_compute(Cycle now);
   void vc_allocate(Cycle now);
   void switch_allocate_and_traverse(Cycle now, std::vector<VcId>& losers);
-  void send_credit_for_pop(const VcId& v, Cycle now);
+
+  /// A flit left input VC `v`'s buffer: return its slot upstream, unless
+  /// the slot pays back debt from an earlier in-place expansion.
+  void send_credit_for_pop(const VcId& v, Cycle now) {
+    VirtualChannel& ch = in_vc(idx(v.port), v.vc);
+    if (ch.credit_debt > 0) {
+      --ch.credit_debt;  // absorb the slot consumed by an earlier expansion
+      return;
+    }
+    push_credit(idx(v.port), v.vc, now);
+  }
+  /// Send one credit for VC `vc` back up input port `p`'s wire.
+  void push_credit(std::size_t p, std::uint8_t vc, Cycle now) {
+    CreditLink* link = out_credit_[p];
+    if (link == nullptr) return;
+    link->push(now, vc);
+    ++stats_.credits_sent;
+    if (tracer_ != nullptr)
+      tracer_->emit(now, id_, trace::Event::CreditSend,
+                    static_cast<std::uint8_t>(p), vc, 0, 0);
+  }
 
   /// Whether an Active VC may bid for the switch this cycle.
   bool sa_eligible(const VirtualChannel& ch, Cycle now) const;
@@ -246,9 +271,10 @@ class Router {
     return out_vc_taken_[p * num_vcs_ + v];
   }
 
-  std::array<FlitLink*, kNumPorts> in_flit_{};
+  /// Input wires, consumed here; their senders hold pointers to them.
+  std::array<FlitLink, kNumPorts> in_flit_;
+  std::array<CreditLink, kNumPorts> in_credit_;
   std::array<FlitLink*, kNumPorts> out_flit_{};
-  std::array<CreditLink*, kNumPorts> in_credit_{};
   std::array<CreditLink*, kNumPorts> out_credit_{};
 
   // Round-robin pointers for fairness.

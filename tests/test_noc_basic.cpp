@@ -123,8 +123,8 @@ TEST_F(NocFixture, ManyPacketsAllDeliveredExactlyOnce) {
     expected[id] = dst;
     net_->inject(src, make_packet(src, dst, vnet, rng.chance(0.5), clock_, id),
                  clock_);
-    clock_ += 1 + rng.next_below(2);
-    net_->tick(clock_);
+    const Cycle next = clock_ + 1 + rng.next_below(2);
+    while (clock_ < next) net_->tick(++clock_);
   }
   ASSERT_TRUE(run_until_quiescent(*net_, clock_, 5000));
   EXPECT_TRUE(net_->credits_quiescent()) << "credit leak under random traffic";
@@ -204,8 +204,8 @@ TEST_F(NocFixture, VirtualCutThroughDeliversAll) {
     const auto dst = static_cast<NodeId>(rng.next_below(16));
     net_->inject(src, make_packet(src, dst, VNet::Response, true, clock_, id),
                  clock_);
-    clock_ += 1 + rng.next_below(2);
-    net_->tick(clock_);
+    const Cycle next = clock_ + 1 + rng.next_below(2);
+    while (clock_ < next) net_->tick(++clock_);
   }
   ASSERT_TRUE(run_until_quiescent(*net_, clock_, 20000));
   EXPECT_EQ(stats_.packets_ejected, 150u);
@@ -227,14 +227,92 @@ TEST(PacketModel, FlitCountTracksPayload) {
   EXPECT_EQ(p.flit_count(), 2u);
 }
 
-TEST(PipelinedChannelModel, OneCycleDelay) {
-  PipelinedChannel<int> chan;
-  chan.push(10, 42);
-  int out = 0;
-  EXPECT_FALSE(chan.try_pop(10, out)) << "value must not be visible same cycle";
-  EXPECT_TRUE(chan.try_pop(11, out));
-  EXPECT_EQ(out, 42);
-  EXPECT_FALSE(chan.try_pop(12, out));
+Flit test_flit(std::uint32_t seq) {
+  Flit f;
+  f.pkt = make_packet(0, 1, VNet::Request, false, 0, seq + 1);
+  f.seq = seq;
+  return f;
+}
+
+TEST(WireLink, OneCycleDelay) {
+  FlitLink flits;
+  flits.push(10, test_flit(7));
+  EXPECT_EQ(flits.take(10), nullptr) << "flit must not be visible same cycle";
+  Flit* f = flits.take(11);
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(f->seq, 7u);
+  EXPECT_EQ(flits.take(12), nullptr);
+  EXPECT_TRUE(flits.empty());
+
+  CreditLink credits(4);
+  credits.push(10, 3);
+  EXPECT_TRUE(credits.take(10).empty()) << "credit must not be visible same cycle";
+  const auto batch = credits.take(11);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0], 3u);
+  EXPECT_TRUE(credits.take(12).empty());
+  EXPECT_TRUE(credits.empty());
+}
+
+TEST(WireLink, CreditsArriveInPushOrder) {
+  CreditLink credits(8);
+  const std::vector<std::uint8_t> sent{4, 0, 4, 2, 1};
+  for (std::uint8_t vc : sent) credits.push(20, vc);
+  credits.push(21, 5);  // next cycle's batch stays separate
+  const auto batch = credits.take(21);
+  EXPECT_EQ(std::vector<std::uint8_t>(batch.begin(), batch.end()), sent);
+  const auto next = credits.take(22);
+  ASSERT_EQ(next.size(), 1u);
+  EXPECT_EQ(next[0], 5u);
+}
+
+TEST(WireLink, CreditBatchAtBoundRoundTrips) {
+  const NocConfig cfg;
+  const std::uint32_t bound = cfg.num_vcs() * cfg.vc_depth_flits;
+  CreditLink credits(bound);
+  for (int round = 0; round < 3; ++round) {
+    const Cycle t = 100 + static_cast<Cycle>(round);
+    for (std::uint32_t i = 0; i < bound; ++i)
+      credits.push(t, static_cast<std::uint8_t>(i % cfg.num_vcs()));
+    const auto batch = credits.take(t + 1);
+    ASSERT_EQ(batch.size(), bound);
+    for (std::uint32_t i = 0; i < bound; ++i)
+      EXPECT_EQ(batch[i], i % cfg.num_vcs()) << "credit " << i;
+  }
+}
+
+TEST(WireLink, TakeAllReturnsOldestFlitFirst) {
+  // Both parity orders: the older flit may sit in either slot.
+  for (const Cycle t : {Cycle{30}, Cycle{31}}) {
+    FlitLink flits;
+    flits.push(t, test_flit(1));
+    flits.push(t + 1, test_flit(2));
+    EXPECT_EQ(flits.size(), 2u);
+    const std::vector<Flit> all = flits.take_all();
+    ASSERT_EQ(all.size(), 2u);
+    EXPECT_EQ(all[0].seq, 1u);
+    EXPECT_EQ(all[1].seq, 2u);
+    EXPECT_TRUE(flits.empty());
+  }
+}
+
+TEST(WireLinkDeathTest, SkippedTickAsserts) {
+  EXPECT_DEATH(
+      {
+        NocStats stats;
+        Network net(NocConfig{}, NiPolicy{}, stats);
+        net.tick(1);
+        net.tick(3);
+      },
+      "consecutive");
+  // A flit left on its wire past its one visible cycle trips the next push.
+  EXPECT_DEATH(
+      {
+        FlitLink flits;
+        flits.push(1, test_flit(0));
+        flits.push(3, test_flit(1));
+      },
+      "not drained");
 }
 
 }  // namespace
