@@ -49,10 +49,10 @@ inline sim::SweepOptions sweep_options(int argc, char** argv,
 }
 
 /// Standard bench exit code: 0 all ok, 130 interrupted (partial results were
-/// still flushed), 1 any cell failed/crashed/timed out.
+/// still flushed), 1 any cell failed/crashed/timed out or broke an invariant.
 inline int exit_code(const sim::SweepResult& r) {
   if (r.interrupted) return 130;
-  return r.failed == 0 ? 0 : 1;
+  return r.all_ok() ? 0 : 1;
 }
 
 /// Exit code for run_indexed-based benches, which have no SweepResult: 130
@@ -174,7 +174,7 @@ inline void print_sweep_summary(const sim::SweepResult& r) {
   if (r.interrupted)
     std::printf("sweep: INTERRUPTED — partial results above; rerun with "
                 "--resume <dir>/manifest.jsonl to finish\n");
-  std::size_t checked = 0, dirty = 0;
+  std::size_t checked = 0;
   std::uint64_t events = 0, violations = 0;
   std::string first;
   for (const auto& c : r.cells) {
@@ -182,16 +182,13 @@ inline void print_sweep_summary(const sim::SweepResult& r) {
     ++checked;
     events += c.result.invariants.events_checked;
     violations += c.result.invariants.violations;
-    if (!c.result.invariants.clean()) {
-      ++dirty;
-      if (first.empty()) first = c.result.invariants.first_violation;
-    }
+    if (first.empty()) first = c.result.invariants.first_violation;
   }
   if (checked > 0) {
     std::printf("invariants: %zu cells checked, %llu events, %llu violations"
                 " in %zu cells\n",
                 checked, static_cast<unsigned long long>(events),
-                static_cast<unsigned long long>(violations), dirty);
+                static_cast<unsigned long long>(violations), r.dirty());
     if (!first.empty())
       std::printf("invariants: first violation: %s\n", first.c_str());
   }

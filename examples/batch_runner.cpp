@@ -101,6 +101,8 @@ int main(int argc, char** argv) {
               " shards)\n",
               results.size(), out_path.c_str(), sweep.failed, sweep.crashed,
               sweep.skipped);
+  if (const std::size_t dirty = sweep.dirty(); dirty > 0)
+    std::printf("invariants: %zu cells recorded violations (exit 1)\n", dirty);
   if (sweep.interrupted) {
     std::fprintf(stderr, "interrupted: partial results flushed to %s%s\n",
                  out_path.c_str(),

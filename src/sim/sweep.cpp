@@ -205,6 +205,13 @@ const CellResult* SweepResult::ok(std::size_t index) const {
                                                    : nullptr;
 }
 
+std::size_t SweepResult::dirty() const {
+  std::size_t n = 0;
+  for (const auto& c : cells)
+    if (c.ok() && !c.result.invariants.clean()) ++n;
+  return n;
+}
+
 std::vector<CellResult> SweepResult::ok_results() const {
   std::vector<CellResult> out;
   out.reserve(completed);

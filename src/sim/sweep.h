@@ -156,7 +156,11 @@ struct SweepResult {
   bool interrupted = false;
   double wall_ms = 0;
 
-  bool all_ok() const { return failed == 0 && !interrupted; }
+  /// Ok cells whose invariant checker (--check-invariants) recorded a
+  /// violation. Their numbers exist but cannot be trusted, so a dirty cell
+  /// fails the run like a failed one.
+  std::size_t dirty() const;
+  bool all_ok() const { return failed == 0 && dirty() == 0 && !interrupted; }
   /// The Ok cell at `index`, or nullptr if it failed or was skipped.
   const CellResult* ok(std::size_t index) const;
   /// All Ok results in input order (failed/skipped cells omitted).

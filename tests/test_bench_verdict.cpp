@@ -1,6 +1,7 @@
 // The seed-paired verdict bench_ablation prints for every row: a side is
 // named only when the variant lands on it in at least 9 of 10 seed pairs
-// and the medians differ by more than the baseline's IQR.
+// and the medians differ by more than the baseline's IQR. Also the bench
+// exit code, which fails a run with an invariant-dirty cell.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -70,6 +71,25 @@ TEST(BenchVerdict, AllTiesIsWithinSeedSpread) {
   EXPECT_EQ(v.higher, 0u);
   EXPECT_DOUBLE_EQ(v.gap, 0.0);
   EXPECT_STREQ(v.text, "within seed spread");
+}
+
+// A bench or batch_runner run with --check-invariants must fail when a cell
+// finished but its checker recorded a violation, not only when a cell failed.
+TEST(BenchExitCode, OneDirtyCellFailsTheRun) {
+  sim::SweepResult r;
+  r.cells.resize(3);
+  for (auto& c : r.cells) {
+    c.status = sim::CellStatus::Ok;
+    c.result.invariants.enabled = true;
+  }
+  r.completed = 3;
+  EXPECT_EQ(r.dirty(), 0u);
+  EXPECT_EQ(exit_code(r), 0);
+
+  r.cells[1].result.invariants.violations = 1;
+  EXPECT_EQ(r.dirty(), 1u);
+  EXPECT_FALSE(r.all_ok());
+  EXPECT_EQ(exit_code(r), 1);
 }
 
 }  // namespace
