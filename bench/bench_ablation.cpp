@@ -6,8 +6,10 @@
 //   - extension: adaptive vs static thresholds (the paper's deferred
 //     "on-line threshold calculation") at 1x-4x.
 // Every row runs kSeeds seeds; seed k is seed_group k, so a row and its
-// baseline replay identical traffic at each seed. The tables print medians
-// over the seeds, and the verdict on NUCA latency comes from bench::verdict.
+// baseline replay identical traffic at each seed. A baseline that several
+// blocks share (the paper default at the same workload and load) runs once
+// and each block prints it. The tables print medians over the seeds, and
+// the verdict on NUCA latency comes from bench::verdict.
 #include "bench_util.h"
 
 using namespace disco;
@@ -23,6 +25,9 @@ struct Row {
   std::string variant;
   SystemConfig cfg;
   std::size_t baseline;  ///< row this one is compared with (itself: baseline)
+  /// Row whose cells hold this row's results: itself, unless it is a
+  /// baseline an earlier block already runs.
+  std::size_t source;
 };
 
 const char* const kTitles[] = {
@@ -50,14 +55,21 @@ std::vector<double> per_seed(const std::vector<const sim::CellResult*>& rs,
 std::vector<Row> make_rows(const SystemConfig& base) {
   std::vector<Row> rows;
   // Adds a baseline (the paper default, `base`) and one row per variant.
+  // The baseline reuses the cells of an earlier block's baseline at the
+  // same workload and load.
   const auto add_block = [&](std::size_t ablation, const std::string& workload,
                              double load, const std::string& baseline_label,
                              const std::vector<std::pair<std::string,
                                                          SystemConfig>>& vars) {
     const std::size_t b = rows.size();
-    rows.push_back({ablation, workload, load, baseline_label, base, b});
+    std::size_t source = b;
+    for (std::size_t i = 0; i < b && source == b; ++i)
+      if (rows[i].baseline == i && rows[i].source == i &&
+          rows[i].workload == workload && rows[i].load == load)
+        source = i;
+    rows.push_back({ablation, workload, load, baseline_label, base, b, source});
     for (const auto& [label, cfg] : vars)
-      rows.push_back({ablation, workload, load, label, cfg, b});
+      rows.push_back({ablation, workload, load, label, cfg, b, rows.size()});
   };
 
   struct Point {
@@ -117,17 +129,27 @@ int main(int argc, char** argv) {
   auto opt = bench::standard_options();
   opt.measure_cycles = 60000;
 
-  // Cell r * kSeeds + k is row r at seed k. A row shares its shard group
-  // with its baseline, so --shard never splits the seeds of a comparison.
+  // Each row that runs its own cells gets kSeeds of them from first_cell[r]
+  // on, cell first_cell[r] + k at seed k. Shard groups are numbered densely
+  // by the baselines that run cells, and a row shares the group of its
+  // baseline's cells, so --shard never splits the seeds of a comparison nor
+  // a row from its baseline.
   const std::vector<Row> rows = make_rows(base);
   std::vector<sim::SweepCell> cells;
-  for (const Row& row : rows) {
+  std::vector<std::size_t> first_cell(rows.size());
+  std::vector<std::size_t> group(rows.size());
+  std::size_t groups = 0;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const Row& row = rows[r];
+    if (row.source != r) continue;
+    if (row.baseline == r) group[r] = groups++;
+    first_cell[r] = cells.size();
     workload::BenchmarkProfile profile =
         workload::profile_by_name(row.workload);
     profile.mem_op_rate *= row.load;
     for (std::size_t k = 0; k < kSeeds; ++k) {
       sim::SweepCell c{row.cfg, profile, opt};
-      c.group = row.baseline;
+      c.group = group[rows[row.baseline].source];
       c.seed_group = k;
       cells.push_back(std::move(c));
     }
@@ -140,7 +162,7 @@ int main(int argc, char** argv) {
               kSeeds, static_cast<unsigned long long>(sweep_opt.base_seed),
               kSeeds - 1);
   const auto results = [&](std::size_t r) {
-    return bench::grid_row(sweep, r * kSeeds, kSeeds);
+    return bench::grid_row(sweep, first_cell[rows[r].source], kSeeds);
   };
   using R = sim::CellResult;
   for (std::size_t a = 0; a < std::size(kTitles); ++a) {
