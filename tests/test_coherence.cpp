@@ -1,9 +1,24 @@
 // Coherence-protocol correctness on the mini CMP: single-core semantics,
 // sharing, invalidation, ownership migration, writeback races, inclusive
 // evictions — each scenario drains fully and checks data values end-to-end.
+//
+// CoherencePins.* pin the L2 paths that wait for segment space (a store
+// that grows its line in a full set parks until an eviction frees room):
+// FNV-1a digests of the canonical trace stream and, separately, of the
+// drained CacheStats and NocStats lists. Update a digest only for an
+// intended change to how a parked transaction behaves.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
+#include <string_view>
+
 #include "cache_test_util.h"
+#include "cmp/system.h"
+#include "common/snapshot.h"
+#include "trace/invariants.h"
+#include "trace/trace.h"
+#include "workload/profile.h"
 
 namespace disco::cache {
 namespace {
@@ -169,6 +184,113 @@ TEST(Coherence, ManyRandomAccessesMatchGoldenModel) {
       }
     }
   }
+}
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes)
+    h = (h ^ static_cast<std::uint8_t>(c)) * 0x100000001b3ULL;
+  return h;
+}
+
+std::uint64_t trace_digest(const trace::Tracer& t) {
+  EXPECT_EQ(t.dropped_events(), 0u) << "the ring must hold the whole stream";
+  std::ostringstream os;
+  t.write_canonical(os);
+  return fnv1a(os.str());
+}
+
+std::uint64_t stats_digest(CacheStats cs, noc::NocStats ns) {
+  snap::Writer w;
+  cs.visit(w);
+  ns.visit(w);
+  const auto& b = w.data();
+  return fnv1a({reinterpret_cast<const char*>(b.data()), b.size()});
+}
+
+TraceConfig full_trace() {
+  TraceConfig tc;
+  tc.enabled = true;
+  tc.check_invariants = true;
+  tc.ring_capacity = 1ULL << 22;
+  return tc;
+}
+
+// Small banks overflow: the timed phase evicts hundreds of lines and parks
+// dirty writebacks (PutM) whose line grows in a full set.
+TEST(CoherencePins, SmallBanksParkWritebackGrowths) {
+  SystemConfig cfg;
+  cfg.noc.mesh_cols = 2;
+  cfg.noc.mesh_rows = 2;
+  cfg.l2.total_size_bytes = 4 * 16 * 1024;
+  cfg.scheme = Scheme::DISCO;
+  cfg.algorithm = "delta";
+  cfg.seed = 3;
+  cfg.trace = full_trace();
+  cmp::CmpSystem sys(cfg, workload::profile_by_name("x264"));
+  sys.functional_warmup(2000);
+  sys.run(4000);
+  ASSERT_TRUE(sys.drain(100000)) << "the system must drain";
+  EXPECT_TRUE(sys.tracer()->checker()->summary().clean());
+  EXPECT_GT(sys.cache_stats().l2_evictions, 500u);
+
+  const std::uint64_t t = trace_digest(*sys.tracer());
+  const std::uint64_t s = stats_digest(sys.cache_stats(), sys.noc_stats());
+  EXPECT_EQ(t, 0x612758913f8ba7c3ULL) << std::hex << "trace 0x" << t;
+  EXPECT_EQ(s, 0x7dfebc7337be70e7ULL) << std::hex << "stats 0x" << s;
+}
+
+// A recall returns dirty data that no longer compresses, and the owner's
+// set has no room for the grown line: the recall parks until an eviction
+// frees segments, then grants the new reader the recalled data.
+TEST(CoherencePins, RecallDataGrowthParksForSpace) {
+  MiniCmp cmp(Scheme::CC);
+  trace::Tracer tracer(full_trace());
+  cmp.net_->set_tracer(&tracer);
+  for (auto& l2 : cmp.l2s_) l2->set_tracer(&tracer);
+
+  // Bank 0, one set: the target and one more all-zero block compress to a
+  // few segments; seven incompressible blocks take 8 segments each.
+  const auto& arr = cmp.l2s_[0]->array();
+  std::vector<Addr> same_set;
+  for (Addr idx = 0; same_set.size() < 9; idx += 4)  // idx % 4 == 0: bank 0
+    if (arr.set_of(idx * kBlockBytes) == arr.set_of(0))
+      same_set.push_back(idx * kBlockBytes);
+  const Addr target = same_set[0];
+  const std::set<Addr> zero = {same_set[0], same_set[1]};
+  cmp.set_memory_pattern([zero](Addr a) {
+    BlockBytes b{};
+    if (zero.count(a) != 0) return b;
+    for (std::size_t f = 0; f < kWordsPerBlock; ++f) {
+      const std::uint64_t v = splitmix64(a + f);
+      std::memcpy(b.data() + f * 8, &v, 8);
+    }
+    return b;
+  });
+
+  cmp.load(0, target);  // exclusive-clean at core 0
+  for (std::size_t i = 1; i < same_set.size(); ++i) cmp.load(2, same_set[i]);
+  const std::uint32_t small = arr.lookup(target)->segments;
+  ASSERT_LT(small, 4u);
+  ASSERT_EQ(arr.free_segments(target), arr.segment_capacity() - 56 - 2 * small)
+      << "the set holds two small lines and seven raw ones";
+  ASSERT_EQ(cmp.stats_.l2_evictions, 0u);
+
+  // Core 0 makes the block incompressible (silent E->M upgrade, L1 hits);
+  // core 1's read recalls it and the grown line no longer fits.
+  for (std::size_t w = 0; w < kWordsPerBlock; ++w)
+    cmp.store(0, target + 8 * w, splitmix64(0xD1 + w));
+  const BlockBytes b = cmp.load(1, target);
+  ASSERT_TRUE(cmp.drain());
+  for (std::size_t w = 0; w < kWordsPerBlock; ++w)
+    EXPECT_EQ(word_at(b, 8 * w), splitmix64(0xD1 + w)) << "word " << w;
+  EXPECT_GE(cmp.stats_.l2_evictions, 1u);
+  EXPECT_EQ(arr.lookup(target)->segments, 8u);
+
+  const std::uint64_t t = trace_digest(tracer);
+  const std::uint64_t s = stats_digest(cmp.stats_, cmp.noc_stats_);
+  EXPECT_EQ(t, 0xfe97e8b156ed9d7bULL) << std::hex << "trace 0x" << t;
+  EXPECT_EQ(s, 0xe5748c2897b077efULL) << std::hex << "stats 0x" << s;
 }
 
 }  // namespace
