@@ -25,8 +25,17 @@ void L1Cache::send(Msg m, Addr addr, NodeId dst_node, UnitKind dst_unit,
   out_.schedule(std::move(pkt), now + extra_delay);
 }
 
-void L1Cache::apply_store(BlockBytes& block, Addr word_addr, std::uint64_t value) {
-  apply_store_to_block(block, word_addr, value);
+void L1Cache::allocate_miss(Addr blk, Mshr::Kind kind,
+                            std::vector<Waiter> waiters, Cycle now) {
+  mshrs_.emplace(blk, Mshr{kind, std::move(waiters), false, false, now});
+  ++stats_.l1_misses;
+  send(kind == Mshr::Kind::IS ? Msg::GetS : Msg::GetM, blk, home_of_(blk),
+       UnitKind::L2Bank, now);
+}
+
+void L1Cache::answer_recall(Addr addr, const BlockBytes* dirty_data, Cycle now) {
+  send(dirty_data != nullptr ? Msg::RecallData : Msg::RecallAck, addr,
+       home_of_(addr), UnitKind::L2Bank, now, dirty_data);
 }
 
 L1Cache::Outcome L1Cache::access(std::uint64_t op_id, Addr addr, bool is_store,
@@ -40,48 +49,33 @@ L1Cache::Outcome L1Cache::access(std::uint64_t op_id, Addr addr, bool is_store,
   L1Line* line = array_.lookup(blk);
   ++stats_.l1_array_reads;
 
-  if (line != nullptr) {
-    const bool store_ok = line->state == L1State::M || line->state == L1State::E;
-    if (!is_store || store_ok) {
-      line->lru = now;
-      if (is_store) {
-        line->state = L1State::M;  // silent E->M upgrade
-        apply_store(line->data, addr, store_value);
-        ++stats_.l1_array_writes;
-      }
-      ++stats_.l1_hits;
-      return Outcome::Hit;
+  if (line != nullptr && (!is_store || line->state == L1State::M ||
+                          line->state == L1State::E)) {
+    line->lru = now;
+    if (is_store) {
+      line->state = L1State::M;  // silent E->M upgrade
+      apply_store_to_block(line->data, addr, store_value);
+      ++stats_.l1_array_writes;
     }
-    // Store hit on a Shared line: upgrade (SM).
-    auto it = mshrs_.find(blk);
-    if (it != mshrs_.end()) {
-      it->second.waiters.push_back({op_id, true, store_value, addr});
-      return Outcome::Miss;
-    }
-    if (mshrs_.size() >= cfg_.mshr_entries) return Outcome::Blocked;
-    Mshr m{Mshr::Kind::SM, {}, false, false, now};
-    m.waiters.push_back({op_id, true, store_value, addr});
-    mshrs_.emplace(blk, std::move(m));
-    ++stats_.l1_misses;
-    send(Msg::GetM, blk, home_of_(blk), UnitKind::L2Bank, now);
-    return Outcome::Miss;
+    ++stats_.l1_hits;
+    return Outcome::Hit;
   }
 
-  // Full miss: coalesce or allocate. Stores may coalesce onto an IS miss;
-  // if the grant comes back shared they replay as an upgrade (GetM) instead
-  // of head-of-line-blocking the core.
-  auto it = mshrs_.find(blk);
-  if (it != mshrs_.end()) {
-    it->second.waiters.push_back({op_id, is_store, store_value, addr});
+  // A miss, or a store to a Shared line (an upgrade, SM): coalesce or
+  // allocate. Stores may coalesce onto an IS miss; if the grant comes back
+  // shared they replay as an upgrade (GetM) instead of head-of-line-blocking
+  // the core.
+  const Waiter w{op_id, is_store, store_value, addr};
+  if (auto it = mshrs_.find(blk); it != mshrs_.end()) {
+    it->second.waiters.push_back(w);
     return Outcome::Miss;
   }
   if (mshrs_.size() >= cfg_.mshr_entries) return Outcome::Blocked;
-
-  Mshr m{is_store ? Mshr::Kind::IM : Mshr::Kind::IS, {}, false, false, now};
-  m.waiters.push_back({op_id, is_store, store_value, addr});
-  mshrs_.emplace(blk, std::move(m));
-  ++stats_.l1_misses;
-  send(is_store ? Msg::GetM : Msg::GetS, blk, home_of_(blk), UnitKind::L2Bank, now);
+  allocate_miss(blk,
+                line != nullptr ? Mshr::Kind::SM
+                : is_store      ? Mshr::Kind::IM
+                                : Mshr::Kind::IS,
+                {w}, now);
   return Outcome::Miss;
 }
 
@@ -105,7 +99,7 @@ void L1Cache::make_room_for(Addr addr, Cycle now) {
 void L1Cache::complete_waiters(Mshr& m, BlockBytes& block, bool from_dram,
                                Cycle now) {
   for (const Waiter& w : m.waiters) {
-    if (w.is_store) apply_store(block, w.addr, w.store_value);
+    if (w.is_store) apply_store_to_block(block, w.addr, w.store_value);
     if (on_complete_) on_complete_(w.op_id, now);
   }
   const Cycle latency = now - m.issued;
@@ -152,18 +146,11 @@ void L1Cache::handle_data_grant(const noc::PacketPtr& pkt, Cycle now) {
   if (m.inv_pending || m.recall_pending) {
     if (m.inv_pending) {
       send(Msg::InvAck, blk, home_of_(blk), UnitKind::L2Bank, now);
-    } else if (any_store) {
-      send(Msg::RecallData, blk, home_of_(blk), UnitKind::L2Bank, now, &block);
     } else {
-      send(Msg::RecallAck, blk, home_of_(blk), UnitKind::L2Bank, now);
+      answer_recall(blk, any_store ? &block : nullptr, now);
     }
-    if (must_replay) {
-      // No line retained: the replayed stores are a fresh IM miss.
-      Mshr rm{Mshr::Kind::IM, std::move(replay_stores), false, false, now};
-      mshrs_.emplace(blk, std::move(rm));
-      ++stats_.l1_misses;
-      send(Msg::GetM, blk, home_of_(blk), UnitKind::L2Bank, now);
-    }
+    // No line retained: the replayed stores are a fresh IM miss.
+    if (must_replay) allocate_miss(blk, Mshr::Kind::IM, std::move(replay_stores), now);
     return;
   }
 
@@ -181,12 +168,7 @@ void L1Cache::handle_data_grant(const noc::PacketPtr& pkt, Cycle now) {
   if (any_store) line->state = L1State::M;
   ++stats_.l1_array_writes;
 
-  if (must_replay) {
-    Mshr rm{Mshr::Kind::SM, std::move(replay_stores), false, false, now};
-    mshrs_.emplace(blk, std::move(rm));
-    ++stats_.l1_misses;
-    send(Msg::GetM, blk, home_of_(blk), UnitKind::L2Bank, now);
-  }
+  if (must_replay) allocate_miss(blk, Mshr::Kind::SM, std::move(replay_stores), now);
 }
 
 void L1Cache::handle_inv(Addr addr, Cycle now) {
@@ -215,29 +197,17 @@ void L1Cache::handle_recall(Addr addr, Cycle now) {
   // home treats the eventual PutM/PutE as stale). Checked before the MSHR:
   // the access() guard ensures no grant can be in flight simultaneously.
   if (auto it = evict_buffer_.find(addr); it != evict_buffer_.end()) {
-    if (it->second.dirty) {
-      send(Msg::RecallData, addr, home_of_(addr), UnitKind::L2Bank, now,
-           &it->second.data);
-    } else {
-      send(Msg::RecallAck, addr, home_of_(addr), UnitKind::L2Bank, now);
-    }
+    answer_recall(addr, it->second.dirty ? &it->second.data : nullptr, now);
     return;
   }
   if (auto it = mshrs_.find(addr); it != mshrs_.end()) {
     it->second.recall_pending = true;  // grant still in flight
     return;
   }
-  if (L1Line* line = array_.lookup(addr); line != nullptr && line->valid()) {
-    const bool dirty = line->state == L1State::M;
-    if (dirty) {
-      send(Msg::RecallData, addr, home_of_(addr), UnitKind::L2Bank, now, &line->data);
-    } else {
-      send(Msg::RecallAck, addr, home_of_(addr), UnitKind::L2Bank, now);
-    }
-    line->state = L1State::I;
-    return;
-  }
-  send(Msg::RecallAck, addr, home_of_(addr), UnitKind::L2Bank, now);
+  L1Line* line = array_.lookup(addr);
+  answer_recall(addr, line != nullptr && line->state == L1State::M ? &line->data : nullptr,
+                now);
+  if (line != nullptr) line->state = L1State::I;
 }
 
 void L1Cache::deliver(noc::PacketPtr pkt, Cycle now) {

@@ -102,7 +102,12 @@ class L1Cache final : public noc::PacketSink {
 
   void send(Msg m, Addr addr, NodeId dst_node, UnitKind dst_unit, Cycle now,
             const BlockBytes* data = nullptr, std::uint32_t extra_delay = 0);
-  void apply_store(BlockBytes& block, Addr word_addr, std::uint64_t value);
+  /// Allocate an MSHR for `waiters`, count the miss and send GetS (IS) or
+  /// GetM (IM, SM) to the home.
+  void allocate_miss(Addr blk, Mshr::Kind kind, std::vector<Waiter> waiters,
+                     Cycle now);
+  /// Answer a Recall: RecallData with `dirty_data`, RecallAck without.
+  void answer_recall(Addr addr, const BlockBytes* dirty_data, Cycle now);
   void handle_data_grant(const noc::PacketPtr& pkt, Cycle now);
   void handle_inv(Addr addr, Cycle now);
   void handle_recall(Addr addr, Cycle now);

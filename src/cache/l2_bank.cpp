@@ -6,6 +6,16 @@
 
 namespace disco::cache {
 
+namespace {
+
+/// 8-byte segments a storage image occupies (absent: a raw line).
+std::uint32_t segments_of(const std::optional<compress::Encoded>& image) {
+  return image ? SegmentedArray::segments_for(image->size())
+               : static_cast<std::uint32_t>(kBlockBytes / kFlitBytes);
+}
+
+}  // namespace
+
 L2Bank::L2Bank(NodeId node, const L2Config& cfg, L2BankPolicy policy,
                const compress::Algorithm* algo, std::uint64_t bank_size_bytes,
                std::uint32_t index_shift, noc::NetworkInterface& ni,
@@ -24,15 +34,10 @@ L2Bank::L2Bank(NodeId node, const L2Config& cfg, L2BankPolicy policy,
 }
 
 void L2Bank::send(Msg m, Addr addr, NodeId dst, UnitKind dst_unit, Cycle now,
-                  std::uint32_t delay, const BlockBytes* data,
-                  const std::optional<compress::Encoded>* wire) {
+                  std::uint32_t delay, const BlockBytes* data) {
   noc::PacketPtr pkt = make_packet(out_.ni().mint_protocol_id(), m, addr,
                                    node_, UnitKind::L2Bank, dst, dst_unit, now);
   if (data != nullptr) pkt->data = *data;
-  if (wire != nullptr && wire->has_value()) {
-    pkt->encoded = **wire;
-    pkt->was_compressed = true;
-  }
   out_.schedule(std::move(pkt), now + delay);
 }
 
@@ -46,30 +51,15 @@ std::optional<compress::Encoded> L2Bank::encode_for_store(
   return enc;
 }
 
-bool L2Bank::set_line_data(L2Line& line, const BlockBytes& data, bool dirty,
-                           const std::optional<compress::Encoded>& wire, Cycle now) {
-  std::optional<compress::Encoded> enc = encode_for_store(data, wire);
-  const std::uint32_t new_segs =
-      enc ? SegmentedArray::segments_for(enc->size())
-          : static_cast<std::uint32_t>(kBlockBytes / kFlitBytes);
-  if (new_segs > line.segments &&
-      array_.free_segments(line.addr) < new_segs - line.segments) {
-    return false;  // fat update: the set must shed another line first
-  }
-  array_.resize(line, new_segs);
+void L2Bank::write_line(L2Line& line, std::uint32_t segments,
+                        const BlockBytes& data,
+                        std::optional<compress::Encoded> image, bool dirty,
+                        Cycle now) {
+  array_.resize(line, segments);
   line.data = data;
-  line.stored = std::move(enc);
+  line.stored = std::move(image);
   line.dirty = line.dirty || dirty;
   line.lru = now;
-  ++stats_.l2_array_writes;
-  stats_.stored_line_bytes.add(line.stored
-                                   ? static_cast<double>(line.stored->size())
-                                   : static_cast<double>(kBlockBytes));
-  if (tracer_ != nullptr)
-    tracer_->emit(now, node_, trace::Event::L2Fill, 0, 0, line.addr,
-                  static_cast<std::int64_t>(
-                      line.stored ? line.stored->size() : kBlockBytes));
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -126,33 +116,36 @@ void L2Bank::start_request(Txn& t, Cycle now) {
   ++stats_.l2_hits;
   line->busy = true;
   line->lru = now;
-  const NodeId requester = t.req->src;
 
-  if (line->dir.kind == DirInfo::Kind::Excl) {
-    // Home-mediated downgrade — also when the owner itself re-requests (its
-    // writeback is in flight; the recall answers from its eviction buffer).
+  // An owner is always recalled (home-mediated downgrade), also when it
+  // re-requests itself: its writeback is in flight and the recall answers
+  // from its eviction buffer. Readers share with the sharers; a writer
+  // invalidates every sharer but itself.
+  DirInfo copies = line->dir;
+  if (copies.kind == DirInfo::Kind::Shared) {
+    if (msg_of(*t.req) == Msg::GetS) copies = DirInfo{};
+    else copies.remove_sharer(t.req->src);
+  }
+  if (!collect(t, copies, now)) grant(t, now);
+}
+
+bool L2Bank::collect(Txn& t, const DirInfo& copies, Cycle now) {
+  if (copies.kind == DirInfo::Kind::Excl) {
     ++stats_.recalls_sent;
     t.phase = Txn::Phase::RecallWait;
-    send(Msg::Recall, a, line->dir.owner, UnitKind::Core, now, 1);
-    return;
+    send(Msg::Recall, t.addr, copies.owner, UnitKind::Core, now, 1);
+    return true;
   }
-
-  if (msg_of(*t.req) == Msg::GetM && line->dir.kind == DirInfo::Kind::Shared) {
-    DirInfo others = line->dir;
-    others.remove_sharer(requester);
-    if (others.sharer_count() > 0) {
-      t.phase = Txn::Phase::InvWait;
-      t.pending_acks = others.sharer_count();
-      for (NodeId n = 0; n < 64; ++n) {
-        if (others.is_sharer(n)) {
-          ++stats_.invalidations_sent;
-          send(Msg::Inv, a, n, UnitKind::Core, now, 1);
-        }
-      }
-      return;
+  if (copies.kind != DirInfo::Kind::Shared || copies.sharer_count() == 0) return false;
+  t.phase = Txn::Phase::InvWait;
+  t.pending_acks = copies.sharer_count();
+  for (NodeId n = 0; n < 64; ++n) {
+    if (copies.is_sharer(n)) {
+      ++stats_.invalidations_sent;
+      send(Msg::Inv, t.addr, n, UnitKind::Core, now, 1);
     }
   }
-  grant(t, now);
+  return true;
 }
 
 void L2Bank::handle_put(noc::PacketPtr pkt, Cycle now) {
@@ -183,18 +176,10 @@ void L2Bank::handle_put(noc::PacketPtr pkt, Cycle now) {
   Txn& t = txns_[a];
   t.kind = Txn::Kind::PutAbsorb;
   t.addr = a;
-  t.req = pkt;
   line->busy = true;
-  if (set_line_data(*line, pkt->data, true, pkt->encoded, now)) {
-    send(Msg::WBAck, a, sender, UnitKind::Core, now, cfg_.hit_latency);
-    finish(t, now);
-    return;
-  }
-  t.data = pkt->data;
-  t.wire = pkt->encoded;
-  t.phase = Txn::Phase::SpaceWait;
-  t.after_space = Txn::After::AbsorbPut;
-  space_waiters_.push_back(a);
+  take_data(t, *pkt);
+  t.req = std::move(pkt);
+  store_or_park(t, now);
 }
 
 void L2Bank::handle_ack(noc::PacketPtr pkt, Cycle now) {
@@ -209,83 +194,95 @@ void L2Bank::handle_ack(noc::PacketPtr pkt, Cycle now) {
     if (--t.pending_acks > 0) return;
   } else {
     assert(t.phase == Txn::Phase::RecallWait);
-    if (m == Msg::RecallData) {
-      t.data = pkt->data;
-      t.have_data = true;
-      t.data_dirty = true;
-      t.wire = pkt->encoded;
-    }
   }
 
   L2Line* line = array_.lookup(a);
   assert(line != nullptr && line->busy);
 
   if (t.kind == Txn::Kind::Eviction) {
-    if (t.have_data) {
-      line->data = t.data;
+    if (m == Msg::RecallData) {  // the recalled dirty data is what leaves
+      line->data = pkt->data;
       line->dirty = true;
-      line->stored.reset();  // about to leave; raw writeback below
     }
-    // Fall through to writeback+erase.
-    const bool dirty = line->dirty;
-    const BlockBytes data = line->data;
-    const Addr parent = t.parent;
-    std::deque<noc::PacketPtr> queue = std::move(t.queue);
-    array_.erase(a);
-    ++stats_.l2_evictions;
-    if (tracer_ != nullptr)
-      tracer_->emit(now, node_, trace::Event::L2Evict, 0, 0, a,
-                    dirty ? 1 : 0);
-    txns_.erase(it);
-    if (dirty)
-      send(Msg::MemWB, a, mem_node_of_(a), UnitKind::MemCtrl, now, 1, &data);
-    for (auto& q : queue) replay_.push_back(std::move(q));
-    resume_parent(parent, now);
+    retire_eviction(t, *line, now);
     return;
   }
 
   // Request transaction resuming after recall/invalidation.
   line->dir = DirInfo{};
-  if (t.have_data) {
-    if (!set_line_data(*line, t.data, true, t.wire, now)) {
-      t.phase = Txn::Phase::SpaceWait;
-      t.after_space = Txn::After::UpdateThenGrant;
-      space_waiters_.push_back(a);
-      return;
-    }
+  if (m == Msg::RecallData) {
+    take_data(t, *pkt);
+    store_or_park(t, now);
+  } else {
+    grant(t, now);
   }
-  grant(t, now);
 }
 
 void L2Bank::handle_mem_data(noc::PacketPtr pkt, Cycle now) {
-  const Addr a = pkt->addr;
-  auto it = txns_.find(a);
+  auto it = txns_.find(pkt->addr);
   assert(it != txns_.end() && it->second.phase == Txn::Phase::MemWait);
   Txn& t = it->second;
-  t.data = pkt->data;
-  t.wire = pkt->encoded;
-  t.have_data = true;
+  take_data(t, *pkt);
   t.filled_from_mem = true;
-  t.phase = Txn::Phase::SpaceWait;
-  t.after_space = Txn::After::InstallFill;
-  advance_space_wait(t, now);
-  // advance_space_wait may have completed (and erased) the transaction.
-  if (auto again = txns_.find(a);
-      again != txns_.end() && again->second.phase == Txn::Phase::SpaceWait) {
+  store_or_park(t, now);
+}
+
+void L2Bank::take_data(Txn& t, const noc::Packet& pkt) {
+  t.data = pkt.data;
+  t.image = encode_for_store(pkt.data, pkt.encoded);
+}
+
+// ---------------------------------------------------------------------------
+// The store step, space management and evictions
+
+void L2Bank::store_or_park(Txn& t, Cycle now) {
+  const Addr a = t.addr;
+  store(t, now);
+  // store may have finished (and erased) the transaction.
+  if (auto it = txns_.find(a);
+      it != txns_.end() && it->second.phase == Txn::Phase::SpaceWait) {
     space_waiters_.push_back(a);
   }
 }
 
-// ---------------------------------------------------------------------------
-// Space management and evictions
-
-bool L2Bank::ensure_space(Txn& t, std::uint32_t extra_segments, Cycle now) {
-  const bool need_tag =
-      t.after_space == Txn::After::InstallFill && array_.lookup(t.addr) == nullptr;
-  if ((!need_tag || array_.has_free_tag(t.addr)) &&
-      array_.free_segments(t.addr) >= extra_segments) {
-    return true;
+void L2Bank::store(Txn& t, Cycle now) {
+  L2Line* line = array_.lookup(t.addr);
+  const std::uint32_t segs = segments_of(t.image);
+  const std::uint32_t have = line != nullptr ? line->segments : 0;
+  t.phase = Txn::Phase::SpaceWait;
+  // ensure_space may retire an eviction at once, and resume_parent then
+  // re-enters this step for t, which can finish and erase it: touch
+  // nothing of t after a failure.
+  if (!ensure_space(t, line == nullptr, segs > have ? segs - have : 0, now)) return;
+  if (line == nullptr) {
+    line = &array_.install(t.addr, segs, now);
+    line->busy = true;
+    ++stats_.l2_fills;
   }
+  write_line(*line, segs, t.data, std::move(t.image), !t.filled_from_mem, now);
+  ++stats_.l2_array_writes;
+  const std::size_t bytes = line->stored ? line->stored->size() : kBlockBytes;
+  stats_.stored_line_bytes.add(static_cast<double>(bytes));
+  if (tracer_ != nullptr)
+    tracer_->emit(now, node_, trace::Event::L2Fill, 0, 0, t.addr,
+                  static_cast<std::int64_t>(bytes));
+
+  if (t.kind == Txn::Kind::PutAbsorb) {
+    send(Msg::WBAck, t.addr, t.req->src, UnitKind::Core, now, cfg_.hit_latency);
+    finish(t);
+  } else {
+    grant(t, now);
+  }
+}
+
+bool L2Bank::has_room(Addr addr, bool need_tag, std::uint32_t extra_segments) const {
+  return (!need_tag || array_.has_free_tag(addr)) &&
+         array_.free_segments(addr) >= extra_segments;
+}
+
+bool L2Bank::ensure_space(Txn& t, bool need_tag, std::uint32_t extra_segments,
+                          Cycle now) {
+  if (has_room(t.addr, need_tag, extra_segments)) return true;
   L2Line* victim = array_.lru_victim(t.addr, t.addr);
   if (victim == nullptr) return false;  // every line busy: retry next tick
 
@@ -303,29 +300,14 @@ void L2Bank::start_eviction(Txn& t, Cycle now) {
   L2Line* line = array_.lookup(t.addr);
   assert(line != nullptr && !line->busy);
   line->busy = true;
-
-  if (line->dir.kind == DirInfo::Kind::Excl) {
-    ++stats_.recalls_sent;
-    t.phase = Txn::Phase::RecallWait;
-    send(Msg::Recall, t.addr, line->dir.owner, UnitKind::Core, now, 1);
-    return;
-  }
-  if (line->dir.kind == DirInfo::Kind::Shared && line->dir.sharer_count() > 0) {
-    t.phase = Txn::Phase::InvWait;
-    t.pending_acks = line->dir.sharer_count();
-    for (NodeId n = 0; n < 64; ++n) {
-      if (line->dir.is_sharer(n)) {
-        ++stats_.invalidations_sent;
-        send(Msg::Inv, t.addr, n, UnitKind::Core, now, 1);
-      }
-    }
-    return;
-  }
-
   // No L1 copies: write back and vanish immediately.
-  const bool dirty = line->dirty;
-  const BlockBytes data = line->data;
+  if (!collect(t, line->dir, now)) retire_eviction(t, *line, now);
+}
+
+void L2Bank::retire_eviction(Txn& t, const L2Line& line, Cycle now) {
   const Addr a = t.addr;
+  const bool dirty = line.dirty;
+  const BlockBytes data = line.data;
   const Addr parent = t.parent;
   std::deque<noc::PacketPtr> queue = std::move(t.queue);
   array_.erase(a);
@@ -342,69 +324,7 @@ void L2Bank::resume_parent(Addr parent, Cycle now) {
   if (parent == ~Addr{0}) return;
   auto it = txns_.find(parent);
   if (it == txns_.end()) return;
-  if (it->second.phase == Txn::Phase::SpaceWait) advance_space_wait(it->second, now);
-}
-
-void L2Bank::advance_space_wait(Txn& t, Cycle now) {
-  const Addr a = t.addr;
-  switch (t.after_space) {
-    case Txn::After::InstallFill: {
-      std::optional<compress::Encoded> enc = encode_for_store(t.data, t.wire);
-      const std::uint32_t segs =
-          enc ? SegmentedArray::segments_for(enc->size())
-              : static_cast<std::uint32_t>(kBlockBytes / kFlitBytes);
-      if (!ensure_space(t, segs, now)) return;  // still waiting
-      L2Line& line = array_.install(a, segs, now);
-      line.busy = true;
-      line.data = t.data;
-      line.stored = std::move(enc);
-      line.dirty = false;
-      ++stats_.l2_fills;
-      ++stats_.l2_array_writes;
-      stats_.stored_line_bytes.add(
-          line.stored ? static_cast<double>(line.stored->size())
-                      : static_cast<double>(kBlockBytes));
-      if (tracer_ != nullptr)
-        tracer_->emit(now, node_, trace::Event::L2Fill, 0, 0, line.addr,
-                      static_cast<std::int64_t>(
-                          line.stored ? line.stored->size() : kBlockBytes));
-      grant(t, now);
-      return;
-    }
-    case Txn::After::UpdateThenGrant: {
-      L2Line* line = array_.lookup(a);
-      assert(line != nullptr);
-      std::optional<compress::Encoded> enc = encode_for_store(t.data, t.wire);
-      const std::uint32_t segs =
-          enc ? SegmentedArray::segments_for(enc->size())
-              : static_cast<std::uint32_t>(kBlockBytes / kFlitBytes);
-      const std::uint32_t extra = segs > line->segments ? segs - line->segments : 0;
-      if (!ensure_space(t, extra, now)) return;
-      const bool ok = set_line_data(*line, t.data, true, t.wire, now);
-      assert(ok);
-      (void)ok;
-      grant(t, now);
-      return;
-    }
-    case Txn::After::AbsorbPut: {
-      L2Line* line = array_.lookup(a);
-      assert(line != nullptr);
-      std::optional<compress::Encoded> enc = encode_for_store(t.data, t.wire);
-      const std::uint32_t segs =
-          enc ? SegmentedArray::segments_for(enc->size())
-              : static_cast<std::uint32_t>(kBlockBytes / kFlitBytes);
-      const std::uint32_t extra = segs > line->segments ? segs - line->segments : 0;
-      if (!ensure_space(t, extra, now)) return;
-      const bool ok = set_line_data(*line, t.data, true, t.wire, now);
-      assert(ok);
-      (void)ok;
-      send(Msg::WBAck, a, t.req->src, UnitKind::Core, now, cfg_.hit_latency);
-      finish(t, now);
-      return;
-    }
-    case Txn::After::None:
-      assert(false && "SpaceWait without a continuation");
-  }
+  if (it->second.phase == Txn::Phase::SpaceWait) store(it->second, now);
 }
 
 // ---------------------------------------------------------------------------
@@ -450,11 +370,10 @@ void L2Bank::grant(Txn& t, Cycle now) {
       policy_.injector->corrupt_llc_payload(pkt->encoded->bytes);
   }
   out_.schedule(std::move(pkt), now + delay);
-  finish(t, now);
+  finish(t);
 }
 
-void L2Bank::finish(Txn& t, Cycle now) {
-  (void)now;
+void L2Bank::finish(Txn& t) {
   if (L2Line* line = array_.lookup(t.addr)) line->busy = false;
   for (auto& q : t.queue) replay_.push_back(std::move(q));
   txns_.erase(t.addr);
@@ -470,18 +389,13 @@ void L2Bank::tick(Cycle now) {
   }
 
   if (!space_waiters_.empty()) {
-    std::vector<Addr> still;
-    std::vector<Addr> batch = std::move(space_waiters_);
+    const std::vector<Addr> batch = std::move(space_waiters_);
     space_waiters_.clear();
     for (const Addr a : batch) {
       auto it = txns_.find(a);
-      if (it == txns_.end() || it->second.phase != Txn::Phase::SpaceWait) continue;
-      advance_space_wait(it->second, now);
-      auto again = txns_.find(a);
-      if (again != txns_.end() && again->second.phase == Txn::Phase::SpaceWait)
-        still.push_back(a);
+      if (it != txns_.end() && it->second.phase == Txn::Phase::SpaceWait)
+        store_or_park(it->second, now);
     }
-    for (const Addr a : still) space_waiters_.push_back(a);
   }
 }
 
@@ -544,45 +458,22 @@ void L2Bank::dump_transactions(std::FILE* out) const {
 // ---------------------------------------------------------------------------
 // Functional warmup
 
-L2Line& L2Bank::warm_install(Addr blk, const BlockBytes& data, bool dirty,
-                             Cycle now, const WarmEvictFn& on_evict) {
+L2Line& L2Bank::warm_store(Addr blk, const BlockBytes& data, bool dirty,
+                           Cycle now, const WarmEvictFn& on_evict) {
   assert(txns_.empty() && "functional warmup must precede timing simulation");
-  assert(array_.lookup(blk) == nullptr);
-  std::optional<compress::Encoded> enc = encode_for_store(data, std::nullopt);
-  const std::uint32_t segs =
-      enc ? SegmentedArray::segments_for(enc->size())
-          : static_cast<std::uint32_t>(kBlockBytes / kFlitBytes);
-  while (!array_.fits(blk, segs)) {
+  std::optional<compress::Encoded> image = encode_for_store(data, std::nullopt);
+  const std::uint32_t segs = segments_of(image);
+  L2Line* line = array_.lookup(blk);
+  const std::uint32_t have = line != nullptr ? line->segments : 0;
+  while (!has_room(blk, line == nullptr, segs > have ? segs - have : 0)) {
     L2Line* victim = array_.lru_victim(blk, blk);
-    assert(victim != nullptr && "warm install cannot find a victim");
+    assert(victim != nullptr && "functional store cannot find a victim");
     on_evict(victim->addr, victim->data, victim->dirty, victim->dir);
     array_.erase(victim->addr);
   }
-  L2Line& line = array_.install(blk, segs, now);
-  line.data = data;
-  line.stored = std::move(enc);
-  line.dirty = dirty;
-  return line;
-}
-
-void L2Bank::warm_update(L2Line& line, const BlockBytes& data, bool dirty,
-                         Cycle now, const WarmEvictFn& on_evict) {
-  std::optional<compress::Encoded> enc = encode_for_store(data, std::nullopt);
-  const std::uint32_t segs =
-      enc ? SegmentedArray::segments_for(enc->size())
-          : static_cast<std::uint32_t>(kBlockBytes / kFlitBytes);
-  while (segs > line.segments &&
-         array_.free_segments(line.addr) < segs - line.segments) {
-    L2Line* victim = array_.lru_victim(line.addr, line.addr);
-    assert(victim != nullptr && "warm update cannot find a victim");
-    on_evict(victim->addr, victim->data, victim->dirty, victim->dir);
-    array_.erase(victim->addr);
-  }
-  array_.resize(line, segs);
-  line.data = data;
-  line.stored = std::move(enc);
-  line.dirty = line.dirty || dirty;
-  line.lru = now;
+  if (line == nullptr) line = &array_.install(blk, segs, now);
+  write_line(*line, segs, data, std::move(image), dirty, now);
+  return *line;
 }
 
 }  // namespace disco::cache

@@ -82,11 +82,10 @@ class L2Bank final : public noc::PacketSink {
   using WarmEvictFn = std::function<void(Addr addr, const BlockBytes& data,
                                          bool dirty, const DirInfo& dir)>;
   L2Line* warm_lookup(Addr blk) { return array_.lookup(blk); }
-  L2Line& warm_install(Addr blk, const BlockBytes& data, bool dirty, Cycle now,
-                       const WarmEvictFn& on_evict);
-  /// Refresh a resident line's data (re-encodes; may evict neighbours).
-  void warm_update(L2Line& line, const BlockBytes& data, bool dirty, Cycle now,
-                   const WarmEvictFn& on_evict);
+  /// Install `blk` with `data`, or refresh its resident line (re-encodes;
+  /// may evict neighbours through `on_evict`).
+  L2Line& warm_store(Addr blk, const BlockBytes& data, bool dirty, Cycle now,
+                     const WarmEvictFn& on_evict);
 
  private:
   struct Txn {
@@ -100,16 +99,11 @@ class L2Bank final : public noc::PacketSink {
     std::uint32_t pending_acks = 0;
     Addr parent = ~Addr{0};             ///< eviction: transaction to resume
 
-    // Data in hand (fill / recall result / writeback payload).
+    /// Data to store (fill, recalled dirty data or writeback payload) and
+    /// its storage image, encoded once when the data arrives (absent: raw).
     BlockBytes data{};
-    bool have_data = false;
-    bool data_dirty = false;
+    std::optional<compress::Encoded> image;
     bool filled_from_mem = false;  ///< grant will be marked as DRAM-served
-    /// Network-compressed image that matches `data` (reusable for storage).
-    std::optional<compress::Encoded> wire;
-
-    enum class After { None, InstallFill, UpdateThenGrant, AbsorbPut };
-    After after_space = After::None;
   };
 
   // --- message handlers ---
@@ -121,20 +115,33 @@ class L2Bank final : public noc::PacketSink {
   // --- transaction engine ---
   void start_request(Txn& t, Cycle now);
   void start_eviction(Txn& t, Cycle now);
-  void advance_space_wait(Txn& t, Cycle now);
+  /// Recall the owner (RecallWait) or invalidate the sharers (InvWait)
+  /// that `copies` names; false when it names no L1 copy.
+  bool collect(Txn& t, const DirInfo& copies, Cycle now);
+  /// Write the line back if dirty, erase it and resume the parent.
+  void retire_eviction(Txn& t, const L2Line& line, Cycle now);
+  /// Keep `data` for the store step with its storage image.
+  void take_data(Txn& t, const noc::Packet& pkt);
+  /// Run the store step; a store that does not fit stays parked in
+  /// SpaceWait and is retried every tick.
+  void store_or_park(Txn& t, Cycle now);
+  /// The one store step: size t's image, make room, install or resize the
+  /// line, write and count it, then grant (Request) or acknowledge the
+  /// writeback (PutAbsorb).
+  void store(Txn& t, Cycle now);
+  /// Resize `line` to `segments` and write its data, image and dirty bit.
+  void write_line(L2Line& line, std::uint32_t segments, const BlockBytes& data,
+                  std::optional<compress::Encoded> image, bool dirty, Cycle now);
   void grant(Txn& t, Cycle now);
-  void finish(Txn& t, Cycle now);
+  void finish(Txn& t);
   void resume_parent(Addr parent, Cycle now);
 
-  /// Try to make `extra_segments` available in addr's set; launches one
-  /// eviction child transaction and returns false if not yet possible.
-  bool ensure_space(Txn& t, std::uint32_t extra_segments, Cycle now);
-
-  /// Write `data` (+optional matching wire encoding) into the line,
-  /// re-encoding for storage. Returns false if the line grew and the set is
-  /// out of segments — caller parks in SpaceWait.
-  bool set_line_data(L2Line& line, const BlockBytes& data, bool dirty,
-                     const std::optional<compress::Encoded>& wire, Cycle now);
+  /// True when addr's set can take `extra_segments` more (and a new tag if
+  /// `need_tag`).
+  bool has_room(Addr addr, bool need_tag, std::uint32_t extra_segments) const;
+  /// Try to make room for t's store; launches one eviction child
+  /// transaction and returns false if not yet possible.
+  bool ensure_space(Txn& t, bool need_tag, std::uint32_t extra_segments, Cycle now);
 
   /// Encode `data` per storage policy. Counts energy. Returns nullopt when
   /// stored raw.
@@ -142,8 +149,7 @@ class L2Bank final : public noc::PacketSink {
       const BlockBytes& data, const std::optional<compress::Encoded>& wire);
 
   void send(Msg m, Addr addr, NodeId dst, UnitKind dst_unit, Cycle now,
-            std::uint32_t delay, const BlockBytes* data = nullptr,
-            const std::optional<compress::Encoded>* wire = nullptr);
+            std::uint32_t delay, const BlockBytes* data = nullptr);
 
   NodeId node_;
   L2Config cfg_;
@@ -157,7 +163,7 @@ class L2Bank final : public noc::PacketSink {
   DelayedInjector out_;
   std::unordered_map<Addr, Txn> txns_;
   std::deque<noc::PacketPtr> replay_;   ///< queued requests re-dispatched next tick
-  std::vector<Addr> space_waiters_;     ///< txns parked for segment space
+  std::vector<Addr> space_waiters_;     ///< txns parked in SpaceWait
 };
 
 }  // namespace disco::cache

@@ -155,19 +155,22 @@ CmpSystem::~CmpSystem() {
 cache::L2Bank::WarmEvictFn CmpSystem::warm_evict_fn() {
   return [this](Addr addr, const BlockBytes& data, bool dirty,
                 const cache::DirInfo& dir) {
-    BlockBytes final = data;
-    bool final_dirty = dirty;
-    if (dir.kind == cache::DirInfo::Kind::Excl) {
-      if (auto d = l1s_[dir.owner]->warm_invalidate(addr)) {
-        final = *d;
-        final_dirty = true;
-      }
-    } else if (dir.kind == cache::DirInfo::Kind::Shared) {
-      for (NodeId n = 0; n < cfg_.noc.num_nodes(); ++n)
-        if (dir.is_sharer(n)) l1s_[n]->warm_invalidate(addr);
-    }
-    if (final_dirty) mem_for(addr).write_block(addr, final);
+    if (const auto owned = warm_invalidate_copies(addr, dir))
+      mem_for(addr).write_block(addr, *owned);
+    else if (dirty)
+      mem_for(addr).write_block(addr, data);
   };
+}
+
+std::optional<BlockBytes> CmpSystem::warm_invalidate_copies(
+    Addr blk, const cache::DirInfo& dir, NodeId keep) {
+  if (dir.kind == cache::DirInfo::Kind::Excl) {
+    if (dir.owner != keep) return l1s_[dir.owner]->warm_invalidate(blk);
+  } else if (dir.kind == cache::DirInfo::Kind::Shared) {
+    for (NodeId n = 0; n < cfg_.noc.num_nodes(); ++n)
+      if (dir.is_sharer(n) && n != keep) l1s_[n]->warm_invalidate(blk);
+  }
+  return std::nullopt;
 }
 
 void CmpSystem::warm_access(NodeId node, Addr addr, bool is_store,
@@ -177,31 +180,24 @@ void CmpSystem::warm_access(NodeId node, Addr addr, bool is_store,
   const auto on_evict = warm_evict_fn();
 
   cache::L2Line* line = bank.warm_lookup(blk);
-  if (line == nullptr) {
-    const BlockBytes& mem_data = mem_for(blk).read_block(blk);
-    line = &bank.warm_install(blk, mem_data, false, cycle_, on_evict);
-  }
+  if (line == nullptr)
+    line = &bank.warm_store(blk, mem_for(blk).read_block(blk), false, cycle_, on_evict);
   cache::L1Cache& l1 = *l1s_[node];
   using Kind = cache::DirInfo::Kind;
+  const bool owner = line->dir.kind == Kind::Excl && line->dir.owner == node;
 
   std::optional<cache::L1Cache::WarmVictim> victim;
   if (is_store) {
+    if (cache::L1Line* ll = l1.warm_lookup(blk); owner && ll != nullptr) {
+      ll->state = cache::L1State::M;
+      cache::apply_store_to_block(ll->data, addr, value);
+      ll->lru = cycle_;
+      return;
+    }
     BlockBytes current = line->data;
-    if (line->dir.kind == Kind::Excl && line->dir.owner != node) {
-      if (auto d = l1s_[line->dir.owner]->warm_invalidate(blk)) {
-        current = *d;
-        bank.warm_update(*line, current, true, cycle_, on_evict);
-      }
-    } else if (line->dir.kind == Kind::Excl && line->dir.owner == node) {
-      if (cache::L1Line* ll = l1.warm_lookup(blk)) {
-        ll->state = cache::L1State::M;
-        cache::apply_store_to_block(ll->data, addr, value);
-        ll->lru = cycle_;
-        return;
-      }
-    } else if (line->dir.kind == Kind::Shared) {
-      for (NodeId n = 0; n < cfg_.noc.num_nodes(); ++n)
-        if (line->dir.is_sharer(n) && n != node) l1s_[n]->warm_invalidate(blk);
+    if (auto d = warm_invalidate_copies(blk, line->dir, node)) {
+      current = *d;
+      bank.warm_store(blk, current, true, cycle_, on_evict);
     }
     line->dir = cache::DirInfo{Kind::Excl, 0, node};
     cache::apply_store_to_block(current, addr, value);
@@ -211,15 +207,14 @@ void CmpSystem::warm_access(NodeId node, Addr addr, bool is_store,
       ll->lru = cycle_;
       return;
     }
-    if (line->dir.kind == Kind::Excl && line->dir.owner != node) {
-      if (auto d = l1s_[line->dir.owner]->warm_invalidate(blk))
-        bank.warm_update(*line, *d, true, cycle_, on_evict);
+    if (line->dir.kind == Kind::Excl && !owner) {
+      if (auto d = warm_invalidate_copies(blk, line->dir))
+        bank.warm_store(blk, *d, true, cycle_, on_evict);
       cache::DirInfo dir{Kind::Shared, 0, kInvalidNode};
       dir.add_sharer(node);
       line->dir = dir;
       victim = l1.warm_install(blk, line->data, cache::L1State::S, cycle_);
-    } else if (line->dir.kind == Kind::Uncached ||
-               (line->dir.kind == Kind::Excl && line->dir.owner == node)) {
+    } else if (line->dir.kind == Kind::Uncached || owner) {
       line->dir = cache::DirInfo{Kind::Excl, 0, node};
       victim = l1.warm_install(blk, line->data, cache::L1State::E, cycle_);
     } else {
@@ -233,7 +228,7 @@ void CmpSystem::warm_access(NodeId node, Addr addr, bool is_store,
     cache::L2Line* vline = vbank.warm_lookup(victim->addr);
     // Inclusive hierarchy: the L2 line must still exist for any L1 copy.
     assert(vline != nullptr);
-    if (victim->dirty) vbank.warm_update(*vline, victim->data, true, cycle_, on_evict);
+    if (victim->dirty) vbank.warm_store(victim->addr, victim->data, true, cycle_, on_evict);
     if (vline->dir.kind == Kind::Excl && vline->dir.owner == node) {
       vline->dir = cache::DirInfo{};
     } else if (vline->dir.kind == Kind::Shared) {
@@ -433,6 +428,17 @@ void CmpSystem::resolve_protocol_orphan(const noc::PacketPtr& pkt, Cycle at) {
     ++noc_stats_.synth_completions;
     sink.deliver(std::move(resp), at);
   };
+  // A completion already formed by a now-dead or cut-off component goes to
+  // its waiting consumer directly. An earlier transmission of it may sit
+  // parked at the consumer's NI (corrupted arrival awaiting a retransmit
+  // that will now never come): retire that recovery state, or the dead-peer
+  // fallback would deliver the transaction a second time.
+  auto forward = [&](noc::PacketSink& sink) {
+    network_->ni(pkt->dst).note_external_completion(
+        pkt->retransmit_of != 0 ? pkt->retransmit_of : pkt->id);
+    ++noc_stats_.synth_completions;
+    sink.deliver(pkt, at);
+  };
 
   switch (m) {
     // --- requests whose service component died: synthesize the completion
@@ -495,15 +501,7 @@ void CmpSystem::resolve_protocol_orphan(const noc::PacketPtr& pkt, Cycle at) {
     case Msg::WBAck: {
       if (!topo.unit_alive(pkt->dst, UnitKind::Core)) return;
       cache::L1Cache& l1 = *l1s_[pkt->dst];
-      if (!l1.expects(m, a)) return;
-      // An earlier transmission of this completion may sit parked at the
-      // consumer's NI (corrupted arrival awaiting a retransmit that will now
-      // never come): retire that recovery state, or the dead-peer fallback
-      // would deliver the transaction a second time.
-      network_->ni(pkt->dst).note_external_completion(
-          pkt->retransmit_of != 0 ? pkt->retransmit_of : pkt->id);
-      ++noc_stats_.synth_completions;
-      l1.deliver(pkt, at);
+      if (l1.expects(m, a)) forward(l1);
       return;
     }
     case Msg::InvAck:
@@ -512,10 +510,7 @@ void CmpSystem::resolve_protocol_orphan(const noc::PacketPtr& pkt, Cycle at) {
     case Msg::MemData: {
       if (topo.unit_alive(pkt->dst, UnitKind::L2Bank) &&
           l2s_[pkt->dst]->expects(m, a)) {
-        network_->ni(pkt->dst).note_external_completion(
-            pkt->retransmit_of != 0 ? pkt->retransmit_of : pkt->id);
-        ++noc_stats_.synth_completions;
-        l2s_[pkt->dst]->deliver(pkt, at);
+        forward(*l2s_[pkt->dst]);
       } else if (m == Msg::RecallData) {
         // Last live copy of a dirty block: park it in the DRAM image.
         mem_for(a).write_block(a, pkt->data);

@@ -161,6 +161,10 @@ class CmpSystem {
     return *mems_[(addr / kBlockBytes) % mems_.size()];
   }
   cache::L2Bank::WarmEvictFn warm_evict_fn();
+  /// Functionally drop every L1 copy of `blk` that `dir` names, except
+  /// `keep`'s; returns the owner's data if it held the block dirty.
+  std::optional<BlockBytes> warm_invalidate_copies(
+      Addr blk, const cache::DirInfo& dir, NodeId keep = kInvalidNode);
 
   SystemConfig cfg_;
   std::unique_ptr<compress::Algorithm> algo_;

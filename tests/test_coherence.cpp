@@ -236,8 +236,8 @@ TEST(CoherencePins, SmallBanksParkWritebackGrowths) {
 
   const std::uint64_t t = trace_digest(*sys.tracer());
   const std::uint64_t s = stats_digest(sys.cache_stats(), sys.noc_stats());
-  EXPECT_EQ(t, 0x612758913f8ba7c3ULL) << std::hex << "trace 0x" << t;
-  EXPECT_EQ(s, 0x7dfebc7337be70e7ULL) << std::hex << "stats 0x" << s;
+  EXPECT_EQ(t, 0xe5fa9e0635fadc1eULL) << std::hex << "trace 0x" << t;
+  EXPECT_EQ(s, 0xf78daf9d1b1ff588ULL) << std::hex << "stats 0x" << s;
 }
 
 // A recall returns dirty data that no longer compresses, and the owner's
@@ -289,8 +289,8 @@ TEST(CoherencePins, RecallDataGrowthParksForSpace) {
 
   const std::uint64_t t = trace_digest(tracer);
   const std::uint64_t s = stats_digest(cmp.stats_, cmp.noc_stats_);
-  EXPECT_EQ(t, 0xfe97e8b156ed9d7bULL) << std::hex << "trace 0x" << t;
-  EXPECT_EQ(s, 0xe5748c2897b077efULL) << std::hex << "stats 0x" << s;
+  EXPECT_EQ(t, 0x3366592e3fe3c6c1ULL) << std::hex << "trace 0x" << t;
+  EXPECT_EQ(s, 0x538705d7b73896dcULL) << std::hex << "stats 0x" << s;
 }
 
 }  // namespace
