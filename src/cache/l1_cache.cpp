@@ -142,13 +142,13 @@ void L1Cache::handle_data_grant(const noc::PacketPtr& pkt, Cycle now) {
 
   const bool must_replay = !replay_stores.empty();
 
-  // Coherence that overtook the grant: honour it without installing.
-  if (m.inv_pending || m.recall_pending) {
-    if (m.inv_pending) {
-      send(Msg::InvAck, blk, home_of_(blk), UnitKind::L2Bank, now);
-    } else {
-      answer_recall(blk, any_store ? &block : nullptr, now);
-    }
+  // Coherence that overtook the grant. A Recall is answered from the grant,
+  // which is not installed. An Inv was acked when it arrived: a shared grant
+  // may be the very copy it invalidated, so it serves its loads once and is
+  // not installed; an exclusive grant is installed, since the home sends Inv
+  // only to sharers and that Inv was for an older copy.
+  if (m.recall_pending || (m.inv_pending && !exclusive)) {
+    if (m.recall_pending) answer_recall(blk, any_store ? &block : nullptr, now);
     // No line retained: the replayed stores are a fresh IM miss.
     if (must_replay) allocate_miss(blk, Mshr::Kind::IM, std::move(replay_stores), now);
     return;
@@ -172,18 +172,14 @@ void L1Cache::handle_data_grant(const noc::PacketPtr& pkt, Cycle now) {
 }
 
 void L1Cache::handle_inv(Addr addr, Cycle now) {
-  if (auto it = mshrs_.find(addr); it != mshrs_.end()) {
-    // Grant may still be in flight: ack only after it arrives (keeps the
-    // home's serialization sound).
-    if (it->second.kind == Mshr::Kind::IS) {
-      it->second.inv_pending = true;
-      return;
-    }
-    // SM upgrade in flight: our S copy is invalidated; the DataM grant will
-    // bring fresh data. Ack now — we hold no readable copy afterwards.
-    if (L1Line* line = array_.lookup(addr)) line->state = L1State::I;
-    send(Msg::InvAck, addr, home_of_(addr), UnitKind::L2Bank, now);
-    return;
+  // Ack at once, whatever is in flight: no readable copy is left afterwards,
+  // and a grant this node waits for may be queued at the home behind the
+  // very transaction that sent the Inv. A read miss (IS) remembers the Inv
+  // for its grant; an SM upgrade just loses its S copy (DataM brings fresh
+  // data).
+  if (auto it = mshrs_.find(addr);
+      it != mshrs_.end() && it->second.kind == Mshr::Kind::IS) {
+    it->second.inv_pending = true;
   }
   if (L1Line* line = array_.lookup(addr)) {
     assert(line->state == L1State::S && "home invalidated an owner");

@@ -1,7 +1,7 @@
 // Private per-core L1 data cache controller: MESI states, MSHR-based miss
 // handling with coalescing, eviction buffer for in-flight writebacks, and
-// handling of the home bank's invalidations/recalls (including the
-// grant-overtaken-by-coherence races, which park until the data arrives).
+// handling of the home bank's invalidations/recalls. An Inv is acked at
+// once; a Recall that overtakes its grant parks until the data arrives.
 //
 // The L1 is where the paper's performance metric is measured: every miss
 // records request-creation -> data-delivery latency into CacheStats.
@@ -91,7 +91,7 @@ class L1Cache final : public noc::PacketSink {
   struct Mshr {
     enum class Kind { IS, IM, SM } kind;
     std::vector<Waiter> waiters;
-    bool inv_pending = false;     ///< Inv overtook the DataS grant
+    bool inv_pending = false;     ///< Inv acked while the read miss was open
     bool recall_pending = false;  ///< Recall overtook the DataE/M grant
     Cycle issued = 0;
   };

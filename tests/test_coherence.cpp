@@ -186,6 +186,53 @@ TEST(Coherence, ManyRandomAccessesMatchGoldenModel) {
   }
 }
 
+// A stale sharer: core 3 held the block in S from warmup, dropped it
+// silently to a conflict, and reads it again while core 0's GetM is
+// invalidating the sharers the home still lists. Its read miss must answer
+// the Inv at once: its GetS is queued behind that GetM, so holding the
+// InvAck back until the grant arrives deadlocks the block.
+TEST(Coherence, StaleSharerRereadDuringWriterInvalidationDrains) {
+  MiniCmp cmp;
+  const Addr blk = 0x40000;  // home bank 0
+  const NodeId reader = 3, writer = 0;
+  ASSERT_EQ((blk / kBlockBytes) % 4, 0u);
+  const BlockBytes data = cmp.mem_->read_block(blk);
+  L2Line& line = cmp.l2s_[0]->warm_store(
+      blk, data, false, 0, [](Addr, const BlockBytes&, bool, const DirInfo&) {});
+  line.dir = DirInfo{DirInfo::Kind::Shared, 0, kInvalidNode};
+  line.dir.add_sharer(reader);
+  cmp.l1s_[reader]->warm_install(blk, data, L1State::S, 0);
+
+  // Four more blocks of the reader's L1 set evict the S copy silently.
+  const Addr stride = 128 * kBlockBytes;
+  for (int i = 1; i <= 4; ++i) cmp.load(reader, blk + i * stride);
+  ASSERT_EQ(cmp.l1s_[reader]->peek(blk), nullptr);
+  ASSERT_TRUE(cmp.l2s_[0]->warm_lookup(blk)->dir.is_sharer(reader));
+
+  // The writer sits at the home, so its GetM wins; the reader's GetS queues
+  // behind it while the Inv is on its way to the reader.
+  cmp.issue(writer, blk, true, 0x5EED);
+  cmp.issue(reader, blk, false, 0);
+  ASSERT_TRUE(cmp.drain()) << "the stale sharer's read miss must not block the writer";
+  EXPECT_EQ(word_at(cmp.load(reader, blk), 0), 0x5EEDu);
+}
+
+// The same defect in a whole system: perfbench's fig5-delta cell
+// canneal/delta/CC at seed 15 left three transactions open forever.
+TEST(Coherence, CannealSeed15CellDrains) {
+  SystemConfig cfg;
+  cfg.scheme = Scheme::CC;
+  cfg.algorithm = "delta";
+  cfg.seed = 15;
+  cmp::CmpSystem sys(cfg, workload::profile_by_name("canneal"));
+  sys.functional_warmup(6000);
+  sys.run(3000);
+  sys.reset_stats();
+  sys.run(12000);
+  ASSERT_TRUE(sys.drain(40000)) << "every coherence transaction must retire";
+  EXPECT_TRUE(sys.network().credits_quiescent());
+}
+
 std::uint64_t fnv1a(std::string_view bytes) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : bytes)
