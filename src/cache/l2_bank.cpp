@@ -248,17 +248,17 @@ void L2Bank::store_or_park(Txn& t, Cycle now) {
 void L2Bank::store(Txn& t, Cycle now) {
   L2Line* line = array_.lookup(t.addr);
   const std::uint32_t segs = segments_of(t.image);
-  const std::uint32_t have = line != nullptr ? line->segments : 0;
   t.phase = Txn::Phase::SpaceWait;
   // ensure_space may retire an eviction at once, and resume_parent then
   // re-enters this step for t, which can finish and erase it: touch
   // nothing of t after a failure.
-  if (!ensure_space(t, line == nullptr, segs > have ? segs - have : 0, now)) return;
+  if (!ensure_space(t, line, segs, now)) return;
   if (line == nullptr) {
     line = &array_.install(t.addr, segs, now);
     line->busy = true;
     ++stats_.l2_fills;
   }
+  // A fill is clean; recalled data and a writeback are dirty.
   write_line(*line, segs, t.data, std::move(t.image), !t.filled_from_mem, now);
   ++stats_.l2_array_writes;
   const std::size_t bytes = line->stored ? line->stored->size() : kBlockBytes;
@@ -275,14 +275,16 @@ void L2Bank::store(Txn& t, Cycle now) {
   }
 }
 
-bool L2Bank::has_room(Addr addr, bool need_tag, std::uint32_t extra_segments) const {
-  return (!need_tag || array_.has_free_tag(addr)) &&
-         array_.free_segments(addr) >= extra_segments;
+bool L2Bank::has_room(Addr addr, const L2Line* line, std::uint32_t segments) const {
+  if (line == nullptr)
+    return array_.has_free_tag(addr) && array_.free_segments(addr) >= segments;
+  return segments <= line->segments ||
+         array_.free_segments(addr) >= segments - line->segments;
 }
 
-bool L2Bank::ensure_space(Txn& t, bool need_tag, std::uint32_t extra_segments,
+bool L2Bank::ensure_space(Txn& t, const L2Line* line, std::uint32_t segments,
                           Cycle now) {
-  if (has_room(t.addr, need_tag, extra_segments)) return true;
+  if (has_room(t.addr, line, segments)) return true;
   L2Line* victim = array_.lru_victim(t.addr, t.addr);
   if (victim == nullptr) return false;  // every line busy: retry next tick
 
@@ -464,8 +466,7 @@ L2Line& L2Bank::warm_store(Addr blk, const BlockBytes& data, bool dirty,
   std::optional<compress::Encoded> image = encode_for_store(data, std::nullopt);
   const std::uint32_t segs = segments_of(image);
   L2Line* line = array_.lookup(blk);
-  const std::uint32_t have = line != nullptr ? line->segments : 0;
-  while (!has_room(blk, line == nullptr, segs > have ? segs - have : 0)) {
+  while (!has_room(blk, line, segs)) {
     L2Line* victim = array_.lru_victim(blk, blk);
     assert(victim != nullptr && "functional store cannot find a victim");
     on_evict(victim->addr, victim->data, victim->dirty, victim->dir);

@@ -120,7 +120,8 @@ class L2Bank final : public noc::PacketSink {
   bool collect(Txn& t, const DirInfo& copies, Cycle now);
   /// Write the line back if dirty, erase it and resume the parent.
   void retire_eviction(Txn& t, const L2Line& line, Cycle now);
-  /// Keep `data` for the store step with its storage image.
+  /// Keep the packet's data for the store step and encode its storage
+  /// image (the one encode per data arrival).
   void take_data(Txn& t, const noc::Packet& pkt);
   /// Run the store step; a store that does not fit stays parked in
   /// SpaceWait and is retried every tick.
@@ -136,12 +137,12 @@ class L2Bank final : public noc::PacketSink {
   void finish(Txn& t);
   void resume_parent(Addr parent, Cycle now);
 
-  /// True when addr's set can take `extra_segments` more (and a new tag if
-  /// `need_tag`).
-  bool has_room(Addr addr, bool need_tag, std::uint32_t extra_segments) const;
+  /// True when addr's set can hold `segments` for `line`, or for a new line
+  /// (a free tag too) when `line` is null.
+  bool has_room(Addr addr, const L2Line* line, std::uint32_t segments) const;
   /// Try to make room for t's store; launches one eviction child
   /// transaction and returns false if not yet possible.
-  bool ensure_space(Txn& t, bool need_tag, std::uint32_t extra_segments, Cycle now);
+  bool ensure_space(Txn& t, const L2Line* line, std::uint32_t segments, Cycle now);
 
   /// Encode `data` per storage policy. Counts energy. Returns nullopt when
   /// stored raw.
