@@ -275,16 +275,27 @@ void L2Bank::store(Txn& t, Cycle now) {
   }
 }
 
-bool L2Bank::has_room(Addr addr, const L2Line* line, std::uint32_t segments) const {
+bool L2Bank::has_room(Addr addr, const L2Line* line, std::uint32_t segments,
+                      std::uint32_t freeing_segments, bool freeing_tag) const {
+  const std::uint32_t free = array_.free_segments(addr) + freeing_segments;
   if (line == nullptr)
-    return array_.has_free_tag(addr) && array_.free_segments(addr) >= segments;
-  return segments <= line->segments ||
-         array_.free_segments(addr) >= segments - line->segments;
+    return (freeing_tag || array_.has_free_tag(addr)) && free >= segments;
+  return segments <= line->segments || free >= segments - line->segments;
 }
 
 bool L2Bank::ensure_space(Txn& t, const L2Line* line, std::uint32_t segments,
                           Cycle now) {
   if (has_room(t.addr, line, segments)) return true;
+  // The evictions already started for t free their lines when they retire:
+  // start another only if those still leave the store short.
+  std::uint32_t freeing = 0;
+  bool evicting = false;
+  for (const auto& [a, ev] : txns_) {
+    if (ev.kind != Txn::Kind::Eviction || ev.parent != t.addr) continue;
+    freeing += array_.lookup(a)->segments;
+    evicting = true;
+  }
+  if (evicting && has_room(t.addr, line, segments, freeing, true)) return false;
   L2Line* victim = array_.lru_victim(t.addr, t.addr);
   if (victim == nullptr) return false;  // every line busy: retry next tick
 

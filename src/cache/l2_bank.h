@@ -138,10 +138,13 @@ class L2Bank final : public noc::PacketSink {
   void resume_parent(Addr parent, Cycle now);
 
   /// True when addr's set can hold `segments` for `line`, or for a new line
-  /// (a free tag too) when `line` is null.
-  bool has_room(Addr addr, const L2Line* line, std::uint32_t segments) const;
-  /// Try to make room for t's store; launches one eviction child
-  /// transaction and returns false if not yet possible.
+  /// (a free tag too) when `line` is null, once `freeing_segments` more
+  /// segments (and a tag, if `freeing_tag`) are free.
+  bool has_room(Addr addr, const L2Line* line, std::uint32_t segments,
+                std::uint32_t freeing_segments = 0, bool freeing_tag = false) const;
+  /// Try to make room for t's store; returns false if not yet possible,
+  /// after launching one more eviction child transaction unless those
+  /// already started for t will free enough.
   bool ensure_space(Txn& t, const L2Line* line, std::uint32_t segments, Cycle now);
 
   /// Encode `data` per storage policy. Counts energy. Returns nullopt when

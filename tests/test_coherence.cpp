@@ -279,12 +279,12 @@ TEST(CoherencePins, SmallBanksParkWritebackGrowths) {
   sys.run(4000);
   ASSERT_TRUE(sys.drain(100000)) << "the system must drain";
   EXPECT_TRUE(sys.tracer()->checker()->summary().clean());
-  EXPECT_GT(sys.cache_stats().l2_evictions, 500u);
+  EXPECT_GT(sys.cache_stats().l2_evictions, 250u);
 
   const std::uint64_t t = trace_digest(*sys.tracer());
   const std::uint64_t s = stats_digest(sys.cache_stats(), sys.noc_stats());
-  EXPECT_EQ(t, 0xe5fa9e0635fadc1eULL) << std::hex << "trace 0x" << t;
-  EXPECT_EQ(s, 0xf78daf9d1b1ff588ULL) << std::hex << "stats 0x" << s;
+  EXPECT_EQ(t, 0x0aa80df58ceea472ULL) << std::hex << "trace 0x" << t;
+  EXPECT_EQ(s, 0xc6380be81b63259aULL) << std::hex << "stats 0x" << s;
 }
 
 // A recall returns dirty data that no longer compresses, and the owner's
@@ -331,13 +331,16 @@ TEST(CoherencePins, RecallDataGrowthParksForSpace) {
   ASSERT_TRUE(cmp.drain());
   for (std::size_t w = 0; w < kWordsPerBlock; ++w)
     EXPECT_EQ(word_at(b, 8 * w), splitmix64(0xD1 + w)) << "word " << w;
-  EXPECT_GE(cmp.stats_.l2_evictions, 1u);
+  // Evicting the LRU line, the other small one, frees exactly the growth:
+  // one eviction, not one more per tick the store waits for it.
+  EXPECT_EQ(cmp.stats_.l2_evictions, 1u);
+  EXPECT_EQ(arr.lookup(same_set[1]), nullptr);
   EXPECT_EQ(arr.lookup(target)->segments, 8u);
 
   const std::uint64_t t = trace_digest(tracer);
   const std::uint64_t s = stats_digest(cmp.stats_, cmp.noc_stats_);
-  EXPECT_EQ(t, 0x3366592e3fe3c6c1ULL) << std::hex << "trace 0x" << t;
-  EXPECT_EQ(s, 0x538705d7b73896dcULL) << std::hex << "stats 0x" << s;
+  EXPECT_EQ(t, 0x9108e11e2601e0a7ULL) << std::hex << "trace 0x" << t;
+  EXPECT_EQ(s, 0x637ac1ef8cd10dc0ULL) << std::hex << "stats 0x" << s;
 }
 
 }  // namespace
