@@ -1,6 +1,6 @@
 // Shared plumbing for the figure/table benches: standard run options, the
-// Table-2 banner, sweep-cell grid builders, normalization helpers and the
-// seed-paired verdict of bench_ablation. Every
+// Table-2 banner, grid-row lookup and the seed-paired verdict of
+// bench_ablation (the Fig. 5-8 grid is in figures.h). Every
 // bench prints through TablePrinter so outputs are uniform and diffable
 // against EXPERIMENTS.md, and every bench runs its cells through the
 // parallel sweep engine (--threads N, --shard i/k; see sim/sweep.h).
@@ -76,26 +76,6 @@ inline void print_banner(const char* title, const SystemConfig& cfg) {
 /// Shorthand for the 13 PARSEC-like workloads.
 inline const std::vector<workload::BenchmarkProfile>& workloads() {
   return workload::parsec_profiles();
-}
-
-/// (workload x scheme) cell grid in row-major order. Each workload is one
-/// sweep group, so its schemes share a seed (identical traffic — required
-/// for per-row normalization) and are never split across shards.
-inline std::vector<sim::SweepCell> scheme_grid(
-    const SystemConfig& base,
-    const std::vector<workload::BenchmarkProfile>& profiles,
-    const std::vector<Scheme>& schemes, const sim::RunOptions& opt) {
-  std::vector<sim::SweepCell> cells;
-  cells.reserve(profiles.size() * schemes.size());
-  for (std::size_t w = 0; w < profiles.size(); ++w) {
-    for (const Scheme s : schemes) {
-      sim::SweepCell c{base, profiles[w], opt};
-      c.cfg.scheme = s;
-      c.group = w;
-      cells.push_back(std::move(c));
-    }
-  }
-  return cells;
 }
 
 /// The `count` results of a grid row starting at cell `first`, or an empty
