@@ -25,6 +25,7 @@ namespace {
 
 using noc::testutil::CollectingSink;
 using noc::testutil::make_packet;
+using noc::testutil::run_until_quiescent;
 
 TEST(PacketPool, LiveCountTracksAllocAndRelease) {
   auto& pool = noc::packet_pool();
@@ -168,6 +169,87 @@ TEST(PacketPool, NoLeakAfterRetryExhaustionDrain) {
     for (auto& s : sinks) s.arrivals.clear();
     EXPECT_EQ(pool.live(), base)
         << "retry-exhaustion drain still pins packets";
+  }
+  EXPECT_EQ(pool.live(), base);
+}
+
+// Hard-fault kills destroy flits wherever they sit: on wires (take_all), in
+// live routers' buffers (scrub_condemned), in a dead router (drain_dead) and
+// on arrival at a live router (filter_dead_flit). A link and then a router
+// die with 8-flit packets in flight on every row; once drained, nothing may
+// still pin a packet.
+TEST(PacketPool, NoLeakAfterHardFaultDrain) {
+  auto& pool = noc::packet_pool();
+  const std::size_t base = pool.live();
+  {
+    FaultConfig fc;
+    fc.enabled = true;  // recovery on, every random fault site at rate 0
+    fc.reassembly_timeout_cycles = 64;
+    fc.nack_retry_interval = 32;
+    fault::FaultInjector injector(fc, 11);
+
+    noc::NocStats stats;
+    noc::Network net(NocConfig{}, noc::NiPolicy{}, stats);
+    net.set_fault_injector(&injector);
+    std::vector<CollectingSink> sinks(16);
+    for (NodeId n = 0; n < 16; ++n) net.register_sink(n, UnitKind::Core, &sinks[n]);
+    std::uint64_t doomed = 0;
+    net.set_unreachable_handler([&doomed](const noc::PacketPtr&, Cycle) { ++doomed; });
+
+    Cycle clock = 0;
+    std::uint64_t id = 0;
+    for (int wave = 0; wave < 3; ++wave) {
+      for (NodeId src = 0; src < 16; ++src) {
+        const NodeId dst = static_cast<NodeId>((src + 6 + wave) % 16);
+        net.inject(src, make_packet(src, dst, VNet::Response, true, clock, ++id), clock);
+      }
+      for (int i = 0; i < 3; ++i) net.tick(++clock);
+    }
+    ASSERT_GT(net.inflight_flits(), 0u);
+    EXPECT_TRUE(net.kill_link(5, noc::Port::East, clock));
+    for (int i = 0; i < 2; ++i) net.tick(++clock);
+    ASSERT_GT(net.inflight_flits(), 0u);
+    EXPECT_TRUE(net.kill_router(10, clock));
+    ASSERT_TRUE(run_until_quiescent(net, clock, 20000));
+
+    EXPECT_GT(stats.flits_destroyed, 0u);
+    EXPECT_GT(stats.dead_component_drops, 0u) << "no flit reached the arrival filter";
+    EXPECT_GT(doomed, 0u);
+    for (auto& s : sinks) s.arrivals.clear();
+    EXPECT_EQ(pool.live(), base) << "a hard-fault drain still pins packets";
+  }
+  EXPECT_EQ(pool.live(), base);
+}
+
+// Every ejected flit replayed into the NI: the duplicates are dropped by the
+// reassembly dedup, and none of them may keep its packet alive.
+TEST(PacketPool, NoLeakAfterDuplicatedFlitDrain) {
+  auto& pool = noc::packet_pool();
+  const std::size_t base = pool.live();
+  {
+    FaultConfig fc;
+    fc.enabled = true;
+    fc.flit_duplicate_rate = 1.0;
+    fault::FaultInjector injector(fc, 5);
+
+    NocConfig noc_cfg;
+    noc_cfg.mesh_cols = 2;
+    noc_cfg.mesh_rows = 2;
+    noc::NocStats stats;
+    noc::Network net(noc_cfg, noc::NiPolicy{}, stats);
+    net.set_fault_injector(&injector);
+    std::vector<CollectingSink> sinks(4);
+    for (NodeId n = 0; n < 4; ++n) net.register_sink(n, UnitKind::Core, &sinks[n]);
+
+    Cycle clock = 0;
+    for (std::uint64_t id = 1; id <= 6; ++id)
+      net.inject(0, make_packet(0, 3, VNet::Response, id % 2 == 0, clock, id), clock);
+    ASSERT_TRUE(run_until_quiescent(net, clock, 4000));
+    EXPECT_EQ(sinks[3].arrivals.size(), 6u);
+    EXPECT_GE(stats.duplicate_flits_dropped, 6u);
+
+    for (auto& s : sinks) s.arrivals.clear();
+    EXPECT_EQ(pool.live(), base) << "a duplicated flit still pins its packet";
   }
   EXPECT_EQ(pool.live(), base);
 }
