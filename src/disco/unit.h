@@ -45,6 +45,7 @@ class DiscoUnit final : public noc::RouterExtension {
   /// The adaptive-threshold window survives skipped cycles because
   /// adapt_thresholds() re-aligns to the fixed window grid on wake.
   bool idle() const override { return !busy(); }
+  bool out_of_service() const override { return engine_.quarantined; }
 
   /// Confidence values (exposed for unit tests and threshold sweeps).
   double compression_confidence(const noc::VcId& v) const;

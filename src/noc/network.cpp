@@ -52,6 +52,7 @@ Network::Network(const NocConfig& cfg, NiPolicy ni_policy, NocStats& stats,
     for (NodeId node = 0; node < n; ++node) {
       extensions_.push_back(make_extension(*routers_[node]));
       routers_[node]->set_extension(extensions_.back().get());
+      nis_[node]->set_engine(extensions_.back().get());
     }
   }
 

@@ -61,7 +61,9 @@ void NetworkInterface::tick(Cycle now) {
 }
 
 void NetworkInterface::pump_source_compression(Cycle now) {
-  if (bypass_) return;  // the tile's compression hardware is dead
+  // The tile's compression hardware is dead, or its engine quarantined
+  // itself after repeated decode errors.
+  if (bypass_ || (engine_ != nullptr && engine_->out_of_service())) return;
   // One engine operation per cycle: find the oldest queued compressible
   // packet whose wait already covers the compression latency.
   PendingInject* best = nullptr;

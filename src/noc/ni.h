@@ -29,6 +29,7 @@
 #include "fault/fault.h"
 #include "noc/link.h"
 #include "noc/noc_stats.h"
+#include "noc/router.h"
 #include "noc/topology.h"
 #include "noc/vc.h"
 #include "trace/trace.h"
@@ -94,6 +95,10 @@ class NetworkInterface {
   void set_condemned(const std::unordered_set<PacketId>* c) { condemned_ = c; }
   void set_doomed_callback(DoomedPacketFn fn) { doomed_cb_ = std::move(fn); }
   void enter_degraded_mode() { degraded_ = true; }
+
+  /// The router's in-router machinery, whose engine source-queue
+  /// compression shares (null for plain routers).
+  void set_engine(const RouterExtension* ext) { engine_ = ext; }
 
   /// The tile's compression hardware is permanently dead: stop compressing
   /// here; compressed arrivals that need raw delivery are NACKed for a raw
@@ -234,6 +239,7 @@ class NetworkInterface {
   fault::FaultInjector* injector_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
   std::uint8_t* wake_self_ = nullptr;  ///< idle elision (see set_wake_flag)
+  const RouterExtension* engine_ = nullptr;  ///< see set_engine
 
   FlitLink* to_router_ = nullptr;
   FlitLink from_router_;

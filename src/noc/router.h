@@ -60,6 +60,10 @@ class RouterExtension {
   /// Idle elision: true when skipping this extension's tick would be a
   /// no-op (no engine mid-operation, no deferred work). Default: stateless.
   virtual bool idle() const { return true; }
+  /// The tile's engine was taken out of service (a hard fault or a
+  /// self-quarantine): the NI's source-queue compression, which runs on
+  /// the same engine, stops too. Default: nothing to lose.
+  virtual bool out_of_service() const { return false; }
 };
 
 class Router {

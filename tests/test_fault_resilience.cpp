@@ -4,8 +4,10 @@
 // under injected faults (the "no silent corruption ever" invariant).
 #include <gtest/gtest.h>
 
+#include "cmp/scheme.h"
 #include "cmp/system.h"
 #include "compress/registry.h"
+#include "disco/unit.h"
 #include "fault/fault.h"
 #include "noc_test_util.h"
 #include "workload/profile.h"
@@ -312,6 +314,44 @@ TEST(FaultSystem, FaultyEnginesSelfQuarantine) {
         << "threshold 1: the first decode error must quarantine the engine";
   }
   EXPECT_TRUE(sys.drain(60000));
+}
+
+// A DISCO engine that quarantined itself after decode errors is out of
+// service, and the NI's source-queue compression runs on that engine, so it
+// stops too. DiscoUnit::on_hard_fault takes the engine out of service the
+// way a decode-error quarantine does, without the NI bypass that
+// Network::kill_engine adds, which would stop the pump on its own.
+TEST(FaultSystem, QuarantinedEngineStopsSourceCompression) {
+  const auto algo = compress::make_algorithm("delta");
+  const cmp::SchemeSetup setup = cmp::make_scheme_setup(Scheme::DISCO, *algo);
+  auto run = [&](bool quarantine) {
+    FaultConfig fc;
+    fc.enabled = true;
+    fault::FaultInjector injector(fc, 3);
+    NocConfig cfg;
+    cfg.mesh_cols = 2;
+    cfg.mesh_rows = 2;
+    noc::NocStats stats;
+    noc::Network net(cfg, setup.ni, stats, [&](noc::Router& r) {
+      return std::make_unique<core::DiscoUnit>(r, DiscoConfig{}, *algo,
+                                               algo->latency(), stats, &injector);
+    });
+    net.set_fault_injector(&injector);
+    std::vector<CollectingSink> sinks(4);
+    for (NodeId n = 0; n < 4; ++n) net.register_sink(n, UnitKind::Core, &sinks[n]);
+    Cycle clock = 0;
+    if (quarantine) net.extension(0)->on_hard_fault(clock);
+    // One vnet sends one packet at a time: the rest wait in the source
+    // queue long enough for the pump to pick them.
+    for (std::uint64_t id = 1; id <= 6; ++id)
+      net.inject(0, make_packet(0, 3, VNet::Response, true, clock, id), clock);
+    EXPECT_TRUE(run_until_quiescent(net, clock, 4000));
+    EXPECT_EQ(sinks[3].arrivals.size(), 6u);
+    EXPECT_FALSE(net.ni(0).bypassed());
+    return stats.source_compressions;
+  };
+  EXPECT_GT(run(false), 0u) << "the healthy engine compresses queued packets";
+  EXPECT_EQ(run(true), 0u) << "a quarantined engine still compressed at the source";
 }
 
 }  // namespace
