@@ -17,6 +17,8 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -39,6 +41,11 @@ inline constexpr Cycle kEmpty = ~Cycle{0};
 /// covers every non-empty wire and the receive stages visit only those).
 class WireBase {
  public:
+  WireBase() = default;
+  // The consumer hooks point into this object until the wire is wired.
+  WireBase(const WireBase&) = delete;
+  WireBase& operator=(const WireBase&) = delete;
+
   void set_wake(std::uint8_t* flag) { wake_ = flag; }
   void set_port_bit(std::uint32_t* mask, std::uint32_t bit) {
     port_mask_ = mask;
@@ -52,31 +59,48 @@ class WireBase {
 
  protected:
   void notify() {
-    if (wake_ != nullptr) *wake_ = 1;
-    if (port_mask_ != nullptr) *port_mask_ |= port_bit_;
+    *wake_ = 1;
+    *port_mask_ |= port_bit_;
   }
 
   std::array<Cycle, 2> stamp_{kEmpty, kEmpty};
 
  private:
-  std::uint8_t* wake_ = nullptr;        ///< consumer's pending-wake flag
-  std::uint32_t* port_mask_ = nullptr;  ///< consumer router's wire mask
+  std::uint8_t* wake_ = &unwired_wake_;        ///< consumer's pending-wake flag
+  std::uint32_t* port_mask_ = &unwired_mask_;  ///< consumer router's wire mask
   std::uint32_t port_bit_ = 0;
+  // Sinks for a wire nobody consumes through masks (NI wires, tests).
+  std::uint8_t unwired_wake_ = 0;
+  std::uint32_t unwired_mask_ = 0;
 };
 
 }  // namespace wire_detail
 
 /// Flit wire: at most one flit per cycle is pushed by the sender (enforced
 /// by switch allocation, asserted here).
+///
+/// Slot contract: the two slots are raw storage. A push move-constructs its
+/// flit into an empty slot. take() hands the visible flit to the consumer,
+/// which must leave it owning nothing — move it out, or reset its packet —
+/// so the slot is raw storage again without a destructor call. take_all()
+/// and the destructor end every flit still in flight.
 class FlitLink : public wire_detail::WireBase {
  public:
-  void push(Cycle now, Flit flit) {
+  FlitLink() = default;
+  FlitLink(const FlitLink&) = delete;
+  FlitLink& operator=(const FlitLink&) = delete;
+  ~FlitLink() {
+    for (std::size_t s = 0; s < 2; ++s)
+      if (stamp_[s] != wire_detail::kEmpty) std::destroy_at(slot(s));
+  }
+
+  void push(Cycle now, Flit&& flit) {
     const std::size_t s = (now + 1) & 1;
     assert(stamp_[s] != now + 1 && "two flits on one link in one cycle");
     assert(stamp_[s] == wire_detail::kEmpty &&
            "flit wire slot not drained: a network tick was skipped");
     stamp_[s] = now + 1;
-    slot_[s] = std::move(flit);
+    ::new (static_cast<void*>(slot(s))) Flit(std::move(flit));
     notify();
   }
 
@@ -86,7 +110,7 @@ class FlitLink : public wire_detail::WireBase {
     const std::size_t s = now & 1;
     if (stamp_[s] != now) return nullptr;
     stamp_[s] = wire_detail::kEmpty;
-    return &slot_[s];
+    return slot(s);
   }
 
   std::size_t size() const {
@@ -102,13 +126,16 @@ class FlitLink : public wire_detail::WireBase {
     for (const std::size_t s : {first, 1 - first}) {
       if (stamp_[s] == wire_detail::kEmpty) continue;
       stamp_[s] = wire_detail::kEmpty;
-      out.push_back(std::move(slot_[s]));
+      out.push_back(std::move(*slot(s)));
+      std::destroy_at(slot(s));
     }
     return out;
   }
 
  private:
-  std::array<Flit, 2> slot_{};
+  Flit* slot(std::size_t s) { return std::launder(reinterpret_cast<Flit*>(slots_[s])); }
+
+  alignas(Flit) unsigned char slots_[2][sizeof(Flit)];
 };
 
 /// Credit wire: each entry returns one buffer slot of one VC (its index).
@@ -118,8 +145,12 @@ class FlitLink : public wire_detail::WireBase {
 class CreditLink : public wire_detail::WireBase {
  public:
   CreditLink() = default;
-  explicit CreditLink(std::uint32_t capacity)
-      : capacity_(capacity), vcs_(2 * static_cast<std::size_t>(capacity)) {}
+  explicit CreditLink(std::uint32_t capacity) { set_capacity(capacity); }
+  void set_capacity(std::uint32_t capacity) {
+    capacity_ = capacity;
+    vcs_.assign(2 * static_cast<std::size_t>(capacity), 0);
+    batch_ = {vcs_.data(), vcs_.data() + capacity};
+  }
 
   void push(Cycle now, std::uint8_t vc) {
     const std::size_t s = (now + 1) & 1;
@@ -130,7 +161,7 @@ class CreditLink : public wire_detail::WireBase {
       count_[s] = 0;
     }
     assert(count_[s] < capacity_ && "more credits in flight than buffer slots");
-    vcs_[s * capacity_ + count_[s]++] = vc;
+    batch_[s][count_[s]++] = vc;
     notify();
   }
 
@@ -141,7 +172,7 @@ class CreditLink : public wire_detail::WireBase {
     const std::size_t s = now & 1;
     if (stamp_[s] != now) return {};
     stamp_[s] = wire_detail::kEmpty;
-    return {vcs_.data() + s * capacity_, count_[s]};
+    return {batch_[s], count_[s]};
   }
 
   /// Destroy everything in flight (hard-fault link/router kill).
@@ -149,8 +180,9 @@ class CreditLink : public wire_detail::WireBase {
 
  private:
   std::array<std::uint32_t, 2> count_{};
+  std::array<std::uint8_t*, 2> batch_{};  ///< batch s: [batch_[s], +count_[s])
   std::uint32_t capacity_ = 0;
-  std::vector<std::uint8_t> vcs_;  ///< batch s at [s * capacity_, +count_[s])
+  std::vector<std::uint8_t> vcs_;  ///< storage of both batches
 };
 
 }  // namespace disco::noc

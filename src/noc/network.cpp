@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 namespace disco::noc {
 namespace {
@@ -25,7 +26,6 @@ Network::Network(const NocConfig& cfg, NiPolicy ni_policy, NocStats& stats,
   // Idle elision: everyone starts awake; the flag vectors are sized once
   // here and never resized (wires hold raw pointers into them).
   pending_wake_.assign(2 * n, 1);
-  stay_awake_.assign(2 * n, 1);
   run_.assign(2 * n, 0);
 
   // Every wire is a member of its consumer, which it wakes on push. One
@@ -58,7 +58,7 @@ Network::Network(const NocConfig& cfg, NiPolicy ni_policy, NocStats& stats,
 
   // Hard-fault wiring: pointers are always installed, but every degraded
   // check is behind a flag that only a kill can set.
-  node_dead_.assign(n, false);
+  node_dead_.assign(n, 0);
   const DoomedPacketFn doomed = [this](const PacketPtr& p, Cycle c) {
     note_doomed(p, c);
   };
@@ -85,31 +85,35 @@ void Network::tick(Cycle now) {
   // component's push (visible at now+1) be cleared by a later latch and the
   // consumer would sleep through its delivery.
   const std::size_t n = routers_.size();
-  for (std::size_t i = 0; i < run_.size(); ++i) {
-    run_[i] = pending_wake_[i] | stay_awake_[i];
-    pending_wake_[i] = 0;
-  }
+  std::uint8_t* const pending = pending_wake_.data();
+  std::uint8_t* const run = run_.data();
+  std::memcpy(run, pending, run_.size());
+  std::memset(pending, 0, run_.size());
 
   // Phase 2: tick awake components; each decides afterwards whether it may
-  // sleep. A skipped tick is a provable no-op: every state change that
-  // could give a sleeping component work raises its pending flag.
+  // sleep, and one that may not raises its own flag for the next cycle. A
+  // skipped tick is a provable no-op: every state change that could give a
+  // sleeping component work raises its pending flag.
+  const std::uint8_t* const dead = node_dead_.data();
   for (std::size_t i = 0; i < n; ++i) {
-    if (node_dead_[i]) continue;
-    if (run_[i] == 0) {
+    if (dead[i] != 0) continue;
+    if (run[i] == 0) {
       ++router_ticks_elided_;
       continue;
     }
-    routers_[i]->tick(now);
-    stay_awake_[i] = routers_[i]->can_sleep() ? 0 : 1;
+    Router& r = *routers_[i];
+    r.tick(now);
+    if (!r.can_sleep()) pending[i] = 1;
   }
   for (std::size_t i = 0; i < n; ++i) {
-    if (node_dead_[i]) continue;
-    if (run_[n + i] == 0) {
+    if (dead[i] != 0) continue;
+    if (run[n + i] == 0) {
       ++ni_ticks_elided_;
       continue;
     }
-    nis_[i]->tick(now);
-    stay_awake_[n + i] = nis_[i]->can_sleep() ? 0 : 1;
+    NetworkInterface& ni = *nis_[i];
+    ni.tick(now);
+    if (!ni.can_sleep()) pending[n + i] = 1;
   }
 
   // Traced (validated) runs double-check the elision decisions every cycle;
@@ -247,7 +251,7 @@ bool Network::kill_router(NodeId n, Cycle now) {
   // Abort the tile's engines while their (non-topology) trace events are
   // still legal at this node, then mark it dead.
   if (RouterExtension* ext = extension(n)) ext->on_hard_fault(now);
-  node_dead_[n] = true;
+  node_dead_[n] = 1;
   if (tracer_ != nullptr)
     tracer_->emit(now, n, trace::Event::TopoKill, 0, 0, 0,
                   static_cast<std::int64_t>(HardFaultKind::Router));

@@ -52,7 +52,7 @@ class Network {
 
   // --- permanent (hard) faults ---
   const Topology& topology() const { return topo_; }
-  bool node_dead(NodeId n) const { return node_dead_[n]; }
+  bool node_dead(NodeId n) const { return node_dead_[n] != 0; }
   RouterExtension* extension(NodeId n) {
     return extensions_.empty() ? nullptr : extensions_[n].get();
   }
@@ -146,13 +146,12 @@ class Network {
 
   // Idle-elision state. Slot i is router i; slot num_nodes+i is NI i. A
   // component ticks on a cycle iff its pending-wake flag was raised since
-  // the last cycle (link push, NI inject, wake_all) or it declared itself
-  // unable to sleep after its previous tick. Flags are latched — copied to
+  // the last cycle (link push, NI inject, wake_all, or the component itself
+  // after a tick when it could not sleep). Flags are latched — copied to
   // run_ and cleared — for ALL components before ANY component ticks, so a
   // push made during cycle t (visible at t+1) can never be consumed by the
   // same cycle's latch and lost. Not simulated state.
   std::vector<std::uint8_t> pending_wake_;
-  std::vector<std::uint8_t> stay_awake_;
   std::vector<std::uint8_t> run_;  ///< this cycle's latched flags (scratch)
   std::uint64_t router_ticks_elided_ = 0;
   std::uint64_t ni_ticks_elided_ = 0;
@@ -161,7 +160,7 @@ class Network {
   trace::Tracer* tracer_ = nullptr;
   DoomedPacketFn unreachable_;
   bool degraded_ = false;
-  std::vector<bool> node_dead_;
+  std::vector<std::uint8_t> node_dead_;  ///< bytes: read every tick
   /// Packets cut apart by a kill: their remaining flits are destroyed
   /// wherever they surface. Kept for the rest of the run (stragglers can
   /// arrive arbitrarily late through 1-cycle links).

@@ -13,7 +13,7 @@ NetworkInterface::NetworkInterface(NodeId node, const NocConfig& cfg,
     : node_(node), cfg_(cfg), policy_(policy), stats_(stats),
       credits_in_(cfg.num_vcs() * cfg.vc_depth_flits) {
   vc_credits_.assign(cfg_.num_vcs(), cfg_.vc_depth_flits);
-  vc_taken_.assign(cfg_.num_vcs(), false);
+  vc_taken_.assign(cfg_.num_vcs(), 0);
 }
 
 void NetworkInterface::inject(PacketPtr pkt, Cycle now, Cycle extra_delay) {
@@ -51,15 +51,6 @@ void NetworkInterface::inject(PacketPtr pkt, Cycle now, Cycle extra_delay) {
   if (wake_self_ != nullptr) *wake_self_ = 1;
 }
 
-void NetworkInterface::tick(Cycle now) {
-  pump_credits(now);
-  pump_ejection(now);
-  pump_delivery(now);
-  if (fault_mode()) scan_recovery(now);
-  if (policy_.compress_when_source_queued) pump_source_compression(now);
-  pump_injection(now);
-}
-
 void NetworkInterface::pump_source_compression(Cycle now) {
   // The tile's compression hardware is dead, or its engine quarantined
   // itself after repeated decode errors.
@@ -95,7 +86,7 @@ void NetworkInterface::pump_source_compression(Cycle now) {
   }
 }
 
-void NetworkInterface::pump_credits(Cycle now) {
+[[gnu::always_inline]] inline void NetworkInterface::pump_credits(Cycle now) {
   for (const std::uint8_t vc : credits_in_.take(now)) {
     assert(vc < vc_credits_.size());
     ++vc_credits_[vc];
@@ -110,7 +101,7 @@ bool NetworkInterface::consumer_decodes(const Packet& pkt) const {
           pkt.dst_unit != UnitKind::L2Bank);
 }
 
-void NetworkInterface::pump_ejection(Cycle now) {
+[[gnu::always_inline]] inline void NetworkInterface::pump_ejection(Cycle now) {
   Flit* f = from_router_.take(now);
   if (f == nullptr) return;
   if (tracer_ != nullptr)
@@ -376,7 +367,7 @@ void NetworkInterface::forget_clones_of(PacketId oid) {
   }
 }
 
-void NetworkInterface::pump_delivery(Cycle now) {
+[[gnu::always_inline]] inline void NetworkInterface::pump_delivery(Cycle now) {
   for (std::size_t i = 0; i < delivery_.size();) {
     if (delivery_[i].deliver_at > now) {
       ++i;
@@ -415,7 +406,7 @@ void NetworkInterface::pump_delivery(Cycle now) {
   }
 }
 
-void NetworkInterface::pump_injection(Cycle now) {
+[[gnu::always_inline]] inline void NetworkInterface::pump_injection(Cycle now) {
   // Start new sends: allocate a free VC in the vnet's range for queue heads.
   for (std::size_t vn = 0; vn < kNumVNets; ++vn) {
     if (active_[vn].has_value()) continue;
@@ -433,8 +424,8 @@ void NetworkInterface::pump_injection(Cycle now) {
     const std::uint32_t lo = static_cast<std::uint32_t>(vn) * cfg_.vcs_per_vnet;
     const std::uint32_t hi = lo + cfg_.vcs_per_vnet;
     for (std::uint32_t v = lo; v < hi; ++v) {
-      if (vc_taken_[v]) continue;
-      vc_taken_[v] = true;
+      if (vc_taken_[v] != 0) continue;
+      vc_taken_[v] = 1;
       active_[vn] = ActiveSend{std::move(q.front().pkt), static_cast<std::uint8_t>(v), 0};
       q.pop_front();
       break;
@@ -444,7 +435,7 @@ void NetworkInterface::pump_injection(Cycle now) {
   // One flit per cycle across all vnets, round-robin.
   if (to_router_ == nullptr) return;
   for (std::size_t i = 0; i < kNumVNets; ++i) {
-    const std::size_t vn = (rr_vnet_ + i) % kNumVNets;
+    const std::size_t vn = rr_vnet_ + i < kNumVNets ? rr_vnet_ + i : rr_vnet_ + i - kNumVNets;
     if (!active_[vn].has_value()) continue;
     ActiveSend& send = *active_[vn];
     std::uint32_t needed = 1;
@@ -454,14 +445,10 @@ void NetworkInterface::pump_injection(Cycle now) {
     }
     if (vc_credits_[send.vc] < needed) continue;
 
-    Flit f;
-    f.pkt = send.pkt;
-    f.seq = send.next_seq;
-    f.vc_tag = send.vc;
     if (tracer_ != nullptr)
       tracer_->emit(now, node_, trace::Event::NiFlitInject, 0, send.vc,
-                    send.pkt->id, static_cast<std::int64_t>(f.seq));
-    to_router_->push(now, std::move(f));
+                    send.pkt->id, static_cast<std::int64_t>(send.next_seq));
+    to_router_->push(now, Flit{send.pkt, send.next_seq, send.vc, 0});
     --vc_credits_[send.vc];
     ++stats_.flits_injected;
     if (send.next_seq == 0) {
@@ -470,12 +457,22 @@ void NetworkInterface::pump_injection(Cycle now) {
     }
     ++send.next_seq;
     if (send.next_seq == send.pkt->flit_count()) {
-      vc_taken_[send.vc] = false;
+      vc_taken_[send.vc] = 0;
       active_[vn].reset();
     }
-    rr_vnet_ = static_cast<std::uint32_t>(vn + 1) % kNumVNets;
+    rr_vnet_ = vn + 1 == kNumVNets ? 0 : static_cast<std::uint32_t>(vn + 1);
     break;
   }
+}
+
+// The per-cycle pumps above are inlined into tick().
+void NetworkInterface::tick(Cycle now) {
+  pump_credits(now);
+  pump_ejection(now);
+  pump_delivery(now);
+  if (fault_mode()) scan_recovery(now);
+  if (policy_.compress_when_source_queued) pump_source_compression(now);
+  pump_injection(now);
 }
 
 bool NetworkInterface::idle() const {
@@ -562,7 +559,7 @@ void NetworkInterface::on_topology_change(Cycle now) {
     const bool doomed = dest_doomed(*pkt);
     if (!cond && !doomed) continue;
     if (doomed && !cond) drop_doomed(pkt, now);
-    vc_taken_[a->vc] = false;
+    vc_taken_[a->vc] = 0;
     a.reset();
   }
 }
@@ -596,7 +593,7 @@ void NetworkInterface::collect_dead_orphans(std::vector<PacketPtr>& out) {
   std::sort(keys.begin(), keys.end());
   for (const PacketId id : keys) out.push_back(std::move(parked_.at(id).pkt));
   parked_.clear();
-  std::fill(vc_taken_.begin(), vc_taken_.end(), false);
+  std::fill(vc_taken_.begin(), vc_taken_.end(), 0);
 }
 
 }  // namespace disco::noc

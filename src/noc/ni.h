@@ -248,7 +248,7 @@ class NetworkInterface {
   std::array<Ring<PendingInject>, kNumVNets> inject_q_;
   std::array<std::optional<ActiveSend>, kNumVNets> active_;
   std::vector<std::uint32_t> vc_credits_;
-  std::vector<bool> vc_taken_;
+  std::vector<std::uint8_t> vc_taken_;
   std::uint32_t rr_vnet_ = 0;
 
   std::unordered_map<PacketId, Reassembly> reassembly_;

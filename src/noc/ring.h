@@ -11,17 +11,24 @@
 //   - NO iterator/reference stability: any mutation invalidates iterators
 //     and references (growth moves elements; erase shifts them). Call sites
 //     were audited for this during the deque migration (see the erase()
-//     return-value pattern in router.cpp / ni.cpp).
-//   - Popped slots are reset to a default-constructed T immediately, so a
-//     Ring never pins resources (e.g. packet refcounts) of elements that
-//     have logically left the queue.
+//     return-value pattern in router.cpp / ni.cpp). A pushed value must not
+//     alias an element of the same ring (growth may free it first).
+//
+// Slot contract: the buffer is raw storage. A push move- or copy-constructs
+// its element into an empty slot; pop_front, pop_back, erase and clear
+// destroy the element they remove, so a Ring never pins resources (e.g.
+// packet refcounts) of elements that have logically left the queue, and a
+// slot outside [head, head + size) holds no object at all. Nothing is
+// default-constructed or assigned over a live element on the push/pop path.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <iterator>
+#include <memory>
+#include <new>
 #include <utility>
-#include <vector>
 
 namespace disco::noc {
 
@@ -31,6 +38,24 @@ class Ring {
   using value_type = T;
 
   Ring() = default;
+  Ring(Ring&& o) noexcept
+      : buf_(std::exchange(o.buf_, nullptr)), head_(std::exchange(o.head_, 0)),
+        mask_(std::exchange(o.mask_, 0)), size_(std::exchange(o.size_, 0)),
+        cap_(std::exchange(o.cap_, 0)) {}
+  Ring& operator=(Ring&& o) noexcept {
+    if (this != &o) {
+      release();
+      buf_ = std::exchange(o.buf_, nullptr);
+      head_ = std::exchange(o.head_, 0);
+      mask_ = std::exchange(o.mask_, 0);
+      size_ = std::exchange(o.size_, 0);
+      cap_ = std::exchange(o.cap_, 0);
+    }
+    return *this;
+  }
+  Ring(const Ring&) = delete;
+  Ring& operator=(const Ring&) = delete;
+  ~Ring() { release(); }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -44,39 +69,52 @@ class Ring {
     return buf_[(head_ + i) & mask_];
   }
 
-  T& front() { return (*this)[0]; }
-  const T& front() const { return (*this)[0]; }
+  T& front() {
+    assert(size_ > 0);
+    return buf_[head_];
+  }
+  const T& front() const {
+    assert(size_ > 0);
+    return buf_[head_];
+  }
   T& back() { return (*this)[size_ - 1]; }
   const T& back() const { return (*this)[size_ - 1]; }
 
-  void push_back(T v) {
-    reserve_one();
-    buf_[(head_ + size_) & mask_] = std::move(v);
+  /// Construct an element in the empty slot behind the back.
+  template <typename... Args>
+  T& emplace_back(Args&&... args) {
+    if (size_ == cap_) grow();
+    T* slot = ::new (static_cast<void*>(buf_ + ((head_ + size_) & mask_)))
+        T(std::forward<Args>(args)...);
     ++size_;
+    return *slot;
   }
+  void push_back(const T& v) { emplace_back(v); }
+  void push_back(T&& v) { emplace_back(std::move(v)); }
 
+  /// Construct an element in the empty slot before the front.
   void push_front(T v) {
-    reserve_one();
+    if (size_ == cap_) grow();
     head_ = (head_ + mask_) & mask_;  // head - 1, mod capacity
-    buf_[head_] = std::move(v);
+    ::new (static_cast<void*>(buf_ + head_)) T(std::move(v));
     ++size_;
   }
 
   void pop_front() {
     assert(size_ > 0);
-    buf_[head_] = T();  // release held resources right away
+    std::destroy_at(buf_ + head_);  // release held resources right away
     head_ = (head_ + 1) & mask_;
     --size_;
   }
 
   void pop_back() {
     assert(size_ > 0);
-    buf_[(head_ + size_ - 1) & mask_] = T();
     --size_;
+    std::destroy_at(buf_ + ((head_ + size_) & mask_));
   }
 
   void clear() {
-    for (std::size_t i = 0; i < size_; ++i) buf_[(head_ + i) & mask_] = T();
+    for (std::uint32_t i = 0; i < size_; ++i) std::destroy_at(buf_ + ((head_ + i) & mask_));
     head_ = 0;
     size_ = 0;
   }
@@ -153,23 +191,37 @@ class Ring {
   }
 
  private:
-  void reserve_one() {
-    if (size_ < buf_.size()) return;
-    const std::size_t cap = buf_.empty() ? kInitialCapacity : buf_.size() * 2;
-    std::vector<T> next(cap);
-    for (std::size_t i = 0; i < size_; ++i)
-      next[i] = std::move(buf_[(head_ + i) & mask_]);
-    buf_ = std::move(next);
+  void grow() {
+    const std::uint32_t cap = cap_ == 0 ? kInitialCapacity : cap_ * 2;
+    T* next = std::allocator<T>().allocate(cap);
+    for (std::uint32_t i = 0; i < size_; ++i) {
+      T* from = buf_ + ((head_ + i) & mask_);
+      ::new (static_cast<void*>(next + i)) T(std::move(*from));
+      std::destroy_at(from);
+    }
+    if (buf_ != nullptr) std::allocator<T>().deallocate(buf_, cap_);
+    buf_ = next;
     head_ = 0;
     mask_ = cap - 1;
+    cap_ = cap;
   }
 
-  static constexpr std::size_t kInitialCapacity = 8;
+  void release() {
+    if (buf_ == nullptr) return;
+    clear();
+    std::allocator<T>().deallocate(buf_, cap_);
+    buf_ = nullptr;
+    mask_ = 0;
+    cap_ = 0;
+  }
 
-  std::vector<T> buf_;
-  std::size_t head_ = 0;
-  std::size_t mask_ = 0;  // capacity - 1 (capacity is a power of two)
-  std::size_t size_ = 0;
+  static constexpr std::uint32_t kInitialCapacity = 8;
+
+  T* buf_ = nullptr;  ///< cap_ slots; live elements at [head_, head_ + size_)
+  std::uint32_t head_ = 0;
+  std::uint32_t mask_ = 0;  // capacity - 1 (capacity is a power of two)
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = 0;
 };
 
 }  // namespace disco::noc

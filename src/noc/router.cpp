@@ -21,12 +21,13 @@ Router::Router(NodeId id, const MeshShape& mesh, const NocConfig& cfg, NocStats&
   assert(kNumPorts * vcs <= 64 && "stage masks are one 64-bit word per router");
   num_vcs_ = vcs;
   input_.resize(static_cast<std::size_t>(kNumPorts) * vcs);
-  out_vc_taken_.assign(static_cast<std::size_t>(kNumPorts) * vcs, 0);
-  credits_.resize(static_cast<std::size_t>(kNumPorts) * vcs);
+  losers_scratch_.reserve(static_cast<std::size_t>(kNumPorts) * vcs);
   for (std::size_t p = 0; p < kNumPorts; ++p) {
     in_flit_[p].set_port_bit(&flit_wires_, 1u << p);
-    in_credit_[p] = CreditLink(vcs * cfg_.vc_depth_flits);
+    in_credit_[p].set_capacity(vcs * cfg_.vc_depth_flits);
     in_credit_[p].set_port_bit(&credit_wires_, 1u << p);
+    port_bits_[p] = ((std::uint64_t{1} << vcs) - 1) << (p * vcs);
+    sa_in_rr_[p] = static_cast<std::uint32_t>(p * vcs);
     const bool ejection = static_cast<Port>(p) == Port::Local;
     for (std::uint32_t v = 0; v < vcs; ++v) {
       credit(p, v) = ejection ? kEjectionCredits : cfg_.vc_depth_flits;
@@ -35,40 +36,28 @@ Router::Router(NodeId id, const MeshShape& mesh, const NocConfig& cfg, NocStats&
   }
 }
 
-void Router::tick(Cycle now) {
-  did_work_ = false;
-  receive_credits(now);
-  receive_flits(now);
-  route_compute(now);
-  vc_allocate(now);
+// The stages run once per tick, in this order; each is inlined into tick().
 
-  losers_scratch_.clear();
-  switch_allocate_and_traverse(now, losers_scratch_);
-
-  if (ext_ != nullptr) {
-    ext_->after_allocation(now, losers_scratch_);
-    ext_->tick(now);
-  }
-}
-
-void Router::receive_credits(Cycle now) {
+[[gnu::always_inline]] inline void Router::receive_credits(Cycle now) {
   for (std::uint32_t wires = credit_wires_; wires != 0; wires &= wires - 1) {
     const auto p = static_cast<std::size_t>(std::countr_zero(wires));
     CreditLink& link = in_credit_[p];
     const std::span<const std::uint8_t> batch = link.take(now);
     did_work_ |= !batch.empty();
+    std::uint32_t* const credits = &credits_[p * num_vcs_];
+    trace::Tracer* const tracer = tracer_;
     for (const std::uint8_t vc : batch) {
       assert(vc < num_vcs_);
-      ++credit(p, vc);
-      if (tracer_ != nullptr)
-        tracer_->emit(now, id_, trace::Event::CreditRecv,
-                      static_cast<std::uint8_t>(p), vc, 0, 0);
+      ++credits[vc];
+      if (tracer != nullptr)
+        tracer->emit(now, id_, trace::Event::CreditRecv,
+                     static_cast<std::uint8_t>(p), vc, 0, 0);
     }
     if (link.empty()) credit_wires_ &= ~(1u << p);
   }
 }
 
-void Router::receive_flits(Cycle now) {
+[[gnu::always_inline]] inline void Router::receive_flits(Cycle now) {
   for (std::uint32_t wires = flit_wires_; wires != 0; wires &= wires - 1) {
     const auto p = static_cast<std::size_t>(std::countr_zero(wires));
     FlitLink& link = in_flit_[p];
@@ -84,8 +73,9 @@ void Router::receive_flits(Cycle now) {
                         static_cast<std::uint8_t>(p), f->vc_tag, f->pkt->id,
                         static_cast<std::int64_t>(f->seq));
         did_work_ = true;
-        occupied_ |= std::uint64_t{1} << (p * num_vcs_ + f->vc_tag);
-        in_vc(p, f->vc_tag).buffer.push_back(std::move(*f));
+        const std::size_t i = p * num_vcs_ + f->vc_tag;
+        occupied_ |= std::uint64_t{1} << i;
+        input_[i].buffer.emplace_back(std::move(*f));
         ++stats_.buffer_writes;
       }
     }
@@ -93,7 +83,7 @@ void Router::receive_flits(Cycle now) {
   }
 }
 
-void Router::route_compute(Cycle now) {
+[[gnu::always_inline]] inline void Router::route_compute(Cycle now) {
   for (std::uint64_t mask = occupied_ & ~(alloc_ | active_); mask != 0;
        mask &= mask - 1) {
     const auto i = static_cast<std::size_t>(std::countr_zero(mask));
@@ -140,7 +130,7 @@ void Router::route_compute(Cycle now) {
   }
 }
 
-void Router::vc_allocate(Cycle now) {
+[[gnu::always_inline]] inline void Router::vc_allocate(Cycle now) {
   // Grant order per output: priority class first, then round-robin distance
   // of the request's position key p*8+v from va_rr_[out], modulo 64. The key
   // is unique per (port, VC) only while num_vcs <= 8; above that, (p, v) and
@@ -157,6 +147,7 @@ void Router::vc_allocate(Cycle now) {
   // and read.
   std::array<std::array<LayerMasks, kPrioClasses>, kNumPorts> requests;
   std::uint32_t outs = 0;  // outputs with at least one request
+  std::uint64_t n_requests = 0;
   for (std::uint64_t mask = alloc_; mask != 0; mask &= mask - 1) {
     const auto i = static_cast<std::size_t>(std::countr_zero(mask));
     const VirtualChannel& ch = input_[i];
@@ -169,22 +160,26 @@ void Router::vc_allocate(Cycle now) {
     const VcId vid = vc_of_bit_[i];
     requests[out][ch.head_prio][vid.vc >> 3] |=
         1ULL << (static_cast<std::uint32_t>(vid.port) * 8u + vid.vc);
+    ++n_requests;
   }
+  stats_.alloc_ops += n_requests;
 
   // Grants (p, v) the first free downstream VC of its vnet on `out`.
   auto grant = [&](std::size_t out, std::size_t p, std::uint32_t v) {
     const std::size_t i = p * num_vcs_ + v;
     VirtualChannel& ch = input_[i];
-    const std::uint32_t lo = ch.head_vnet * cfg_.vcs_per_vnet;
-    for (std::uint32_t ov = lo; ov < lo + cfg_.vcs_per_vnet; ++ov) {
-      if (taken(out, ov) != 0) continue;
-      taken(out, ov) = 1;
-      ch.out_vc = static_cast<std::uint8_t>(ov);
+    const std::size_t lo = out * num_vcs_ + ch.head_vnet * cfg_.vcs_per_vnet;
+    for (std::size_t slot = lo; slot < lo + cfg_.vcs_per_vnet; ++slot) {
+      if (out_vc_taken_[slot] != 0) continue;
+      out_vc_taken_[slot] = 1;
+      ch.out_slot = static_cast<std::uint8_t>(slot);
+      ch.out_vc = static_cast<std::uint8_t>(slot - out * num_vcs_);
       set_stage(i, VcStage::Active);
       if (tracer_ != nullptr)
         tracer_->emit(now, id_, trace::Event::VcAllocGrant,
                       static_cast<std::uint8_t>(p), static_cast<std::uint8_t>(v),
-                      ch.head_raw()->id, static_cast<std::int64_t>((out << 8) | ov));
+                      ch.head_raw()->id,
+                      static_cast<std::int64_t>((out << 8) | ch.out_vc));
       return true;
     }
     return false;
@@ -196,11 +191,8 @@ void Router::vc_allocate(Cycle now) {
     const std::uint32_t rr = va_rr_[out];
     bool granted_any = false;
     for (const LayerMasks& m : requests[out]) {
-      std::uint64_t keys = 0;
-      for (std::uint32_t layer = 0; layer < layers; ++layer) {
-        keys |= m[layer];
-        stats_.alloc_ops += static_cast<std::uint64_t>(std::popcount(m[layer]));
-      }
+      std::uint64_t keys = m[0];
+      if (layers > 1) keys |= m[1];
       for (std::uint64_t r = std::rotr(keys, static_cast<int>(rr)); r != 0; r &= r - 1) {
         const std::uint32_t key = (static_cast<std::uint32_t>(std::countr_zero(r)) + rr) & 63u;
         for (std::uint32_t layer = layers; layer-- > 0;) {
@@ -209,181 +201,186 @@ void Router::vc_allocate(Cycle now) {
         }
       }
     }
-    if (granted_any) va_rr_[out] = (va_rr_[out] + 1) % 64u;
+    if (granted_any) va_rr_[out] = (va_rr_[out] + 1) & 63u;
   }
 }
 
-bool Router::sa_eligible(const VirtualChannel& ch, Cycle now) const {
-  assert(ch.stage == VcStage::Active);
-  if (ch.buffer.empty()) return false;
-  // Output link severed by a hard fault mid-allocation; the kill scrub
-  // resets or condemns this VC before forwarding could resume, so this
-  // only guards the same-cycle window. Never fires on a healthy mesh (XY
-  // stays on-mesh).
-  if (out_flit_[idx(ch.out_port)] == nullptr && ch.out_port != Port::Local)
-    return false;
-  return ch.buffer.front().arrival + 2 <= now;
+[[gnu::always_inline]] inline void Router::lose(std::size_t i, SaInputs& in) {
+  // Losers always hold flits: a VcAlloc loser was checked, an Active one
+  // passed the SA eligibility test, and only winners traverse.
+  in.lost[in.n_lost++] = static_cast<std::uint8_t>(i);
+  ++input_[i].buffer.front().pkt->idle_cycles;
 }
 
-void Router::switch_allocate_and_traverse(Cycle now, std::vector<VcId>& losers) {
-  // Eligible work that cannot move this cycle is appended to `losers` as it
-  // is found (stage 1, then stage 2) and reported after traversal.
-  //
-  // Stage 1 (input arbitration): one candidate VC per input port. Each
-  // winner's input bit goes into the mask of the output it chose.
-  //
-  // One pass over the VCs in VcAlloc or Active, in (port, VC) order, keeps
-  // each port's best candidate; a fixed pass over the ports then files the
-  // winners by output.
-  std::array<int, kNumPorts> chosen_vc;
-  chosen_vc.fill(-1);
-  std::array<int, kNumPorts> chosen_prio{};  // winner's priority, for stage 2
-  std::array<std::uint32_t, kNumPorts> chosen_rr{};
-  std::array<std::uint32_t, kNumPorts> inputs_for{};  // per output: input bits
-  std::uint32_t outs = 0;  // outputs chosen by at least one input
-
-  for (std::uint64_t mask = alloc_ | active_; mask != 0; mask &= mask - 1) {
-    const auto i = static_cast<std::size_t>(std::countr_zero(mask));
-    const VirtualChannel& ch = input_[i];
-    const VcId vid = vc_of_bit_[i];
-    if (ch.stage == VcStage::VcAlloc) {
-      // VA-blocked packets are also idling candidates for DISCO.
-      if (!ch.buffer.empty() && now > ch.head_arrival) losers.push_back(vid);
-      continue;
-    }
-    if (!sa_eligible(ch, now)) continue;
-    // Wormhole forwards flit by flit; virtual cut-through (section 3.3A)
-    // only starts a packet when the downstream VC can hold all of it, so
-    // packets always sit whole in one node.
-    std::uint32_t needed_credits = 1;
-    if (cfg_.flow_control == FlowControl::VirtualCutThrough && ch.sent_flits == 0)
-      needed_credits = ch.head_flits;
-    if (credit(idx(ch.out_port), ch.out_vc) < needed_credits) {
-      losers.push_back(vid);
-      continue;
-    }
-    const std::size_t p = idx(vid.port);
-    const int prio = ch.head_prio;
-    const std::uint32_t rr = sa_in_rr_[p];
-    const std::uint32_t rr_pos = vid.vc >= rr ? vid.vc - rr : vid.vc + num_vcs_ - rr;
-    int& best = chosen_vc[p];
-    if (best < 0 || prio < chosen_prio[p] ||
-        (prio == chosen_prio[p] && rr_pos < chosen_rr[p])) {
-      if (best >= 0) losers.push_back({vid.port, static_cast<std::uint8_t>(best)});
-      best = vid.vc;
-      chosen_prio[p] = prio;
-      chosen_rr[p] = rr_pos;
-    } else {
-      losers.push_back(vid);
-    }
-  }
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    if (chosen_vc[p] < 0) continue;
-    stats_.alloc_ops += 1;
-    const std::size_t out =
-        idx(in_vc(p, static_cast<std::uint32_t>(chosen_vc[p])).out_port);
-    inputs_for[out] |= 1u << p;
-    outs |= 1u << out;
-  }
-
-  // Stage 2 (output arbitration): one input per chosen output, visiting the
-  // inputs that chose it in ascending port order.
-  std::array<int, kNumPorts> winner_input{};
-  for (std::uint32_t o = outs; o != 0; o &= o - 1) {
-    const auto out = static_cast<std::size_t>(std::countr_zero(o));
-    int best_in = -1;
-    int best_prio = 0;
+[[gnu::always_inline]] inline void Router::sa_inputs(Cycle now, SaInputs& in) {
+  // One candidate VC per input port. The VCs in VcAlloc or Active are
+  // visited port by port, in (port, VC) order; each port's winner's input
+  // bit goes into the mask of the output it chose.
+  const VirtualChannel* const vcs = input_.data();
+  for (std::uint64_t mask = alloc_ | active_; mask != 0;) {
+    const std::size_t p = idx(vc_of_bit_[std::countr_zero(mask)].port);
+    const std::uint64_t bits = mask & port_bits_[p];
+    mask &= ~bits;
+    const std::uint32_t rr = sa_in_rr_[p];  // absolute bit index
+    int best = -1;
+    std::uint32_t best_prio = 0;
     std::uint32_t best_rr = 0;
-    for (std::uint32_t ins = inputs_for[out]; ins != 0; ins &= ins - 1) {
-      const auto p = static_cast<std::uint32_t>(std::countr_zero(ins));
-      const int prio = chosen_prio[p];  // computed on the same head in stage 1
-      const std::uint32_t rr_pos = (p + kNumPorts - sa_out_rr_[out]) % kNumPorts;
-      if (best_in < 0 || prio < best_prio || (prio == best_prio && rr_pos < best_rr)) {
-        if (best_in >= 0)
-          losers.push_back({static_cast<Port>(best_in),
-                            static_cast<std::uint8_t>(chosen_vc[best_in])});
-        best_in = static_cast<int>(p);
+    for (std::uint64_t b = bits; b != 0; b &= b - 1) {
+      const auto i = static_cast<std::uint32_t>(std::countr_zero(b));
+      const VirtualChannel& ch = vcs[i];
+      if (ch.stage == VcStage::VcAlloc) {
+        // VA-blocked packets are also idling candidates for DISCO.
+        if (!ch.buffer.empty() && now > ch.head_arrival) lose(i, in);
+        continue;
+      }
+      // Output link severed by a hard fault mid-allocation; the kill scrub
+      // resets or condemns this VC before forwarding could resume, so this
+      // only guards the same-cycle window. Never fires on a healthy mesh (XY
+      // stays on-mesh, and a live router's Local output is always wired).
+      if (ch.buffer.empty() || out_flit_[idx(ch.out_port)] == nullptr ||
+          ch.buffer.front().arrival + 2 > now)
+        continue;
+      // Wormhole forwards flit by flit; virtual cut-through (section 3.3A)
+      // only starts a packet when the downstream VC can hold all of it, so
+      // packets always sit whole in one node.
+      std::uint32_t needed_credits = 1;
+      if (cfg_.flow_control == FlowControl::VirtualCutThrough && ch.sent_flits == 0)
+        needed_credits = ch.head_flits;
+      if (credits_[ch.out_slot] < needed_credits) {
+        lose(i, in);
+        continue;
+      }
+      const std::uint32_t prio = ch.head_prio;
+      const std::uint32_t rr_pos = i >= rr ? i - rr : i + num_vcs_ - rr;
+      if (best < 0 || prio < best_prio || (prio == best_prio && rr_pos < best_rr)) {
+        if (best >= 0) lose(static_cast<std::size_t>(best), in);
+        best = static_cast<int>(i);
         best_prio = prio;
         best_rr = rr_pos;
       } else {
-        losers.push_back(
-            {static_cast<Port>(p), static_cast<std::uint8_t>(chosen_vc[p])});
+        lose(i, in);
       }
     }
-    winner_input[out] = best_in;
-    sa_out_rr_[out] = (static_cast<std::uint32_t>(best_in) + 1) % kNumPorts;
+    if (best < 0) continue;
+    ++stats_.alloc_ops;
+    const std::size_t out = idx(vcs[best].out_port);
+    in.chosen[p] = static_cast<std::uint8_t>(best);
+    in.prio[p] = static_cast<std::uint8_t>(best_prio);
+    in.inputs_for[out] |= 1u << p;
+    in.outs |= 1u << out;
+  }
+}
+
+[[gnu::always_inline]] inline std::size_t Router::sa_output(std::size_t out,
+                                                            SaInputs& in) {
+  // One input per chosen output, visiting the inputs that chose it in
+  // ascending port order.
+  const std::uint32_t rr = sa_out_rr_[out];
+  std::uint32_t best_in = kNumPorts;
+  std::uint32_t best_prio = 0;
+  std::uint32_t best_rr = 0;
+  for (std::uint32_t ins = in.inputs_for[out]; ins != 0; ins &= ins - 1) {
+    const auto p = static_cast<std::uint32_t>(std::countr_zero(ins));
+    const std::uint32_t prio = in.prio[p];  // computed on the same head in stage 1
+    const std::uint32_t rr_pos = p >= rr ? p - rr : p + kNumPorts - rr;
+    if (best_in == kNumPorts || prio < best_prio ||
+        (prio == best_prio && rr_pos < best_rr)) {
+      if (best_in != kNumPorts) lose(in.chosen[best_in], in);
+      best_in = p;
+      best_prio = prio;
+      best_rr = rr_pos;
+    } else {
+      lose(in.chosen[p], in);
+    }
+  }
+  sa_out_rr_[out] = best_in + 1 == kNumPorts ? 0 : best_in + 1;
+  return best_in;
+}
+
+[[gnu::always_inline]] inline void Router::traverse(std::size_t p, std::size_t i,
+                                                    std::size_t out, Cycle now) {
+  VirtualChannel& ch = input_[i];
+  const std::uint8_t vc = vc_of_bit_[i].vc;
+  did_work_ = true;
+  const std::uint32_t next_rr = static_cast<std::uint32_t>(i) + 1;
+  sa_in_rr_[p] = (port_bits_[p] >> next_rr) & 1u
+                     ? next_rr
+                     : static_cast<std::uint32_t>(p) * num_vcs_;
+
+  Flit& f = ch.buffer.front();
+  const bool tail = f.seq + 1 == ch.head_flits;
+  if (ch.sent_flits == 0) ch.active_pkt = f.pkt;
+  f.vc_tag = ch.out_vc;
+
+  bool dropped = false;
+  if (injector_ != nullptr && injector_->enabled()) {
+    // One bit-flip coin per packet per link hop, tossed at the head flit.
+    if (f.seq == 0 && f.pkt->has_data && f.pkt->compressed())
+      injector_->corrupt_link_payload(f.pkt->encoded->bytes);
+    // Only body non-tail flits may be lost: the head keeps routing/VA
+    // state sane downstream and the tail keeps wormhole framing intact.
+    if (f.seq > 0 && !tail && f.pkt->has_data &&
+        injector_->should_drop_flit())
+      dropped = true;
   }
 
-  // Stage 3: switch traversal for winners.
-  for (std::uint32_t o = outs; o != 0; o &= o - 1) {
+  ++stats_.buffer_reads;
+  if (!dropped) {
+    assert(out_flit_[out] != nullptr && "ST to unconnected port");
+    if (tracer_ != nullptr)
+      tracer_->emit(now, id_, trace::Event::SwitchTraversal,
+                    static_cast<std::uint8_t>(p), vc, f.pkt->id,
+                    trace::st_arg(tail, static_cast<std::uint8_t>(out),
+                                  ch.out_vc, f.seq));
+    out_flit_[out]->push(now, std::move(f));
+    ++stats_.crossbar_traversals;
+    ++stats_.link_flits;
+    assert(credits_[ch.out_slot] > 0);
+    --credits_[ch.out_slot];
+  }
+  ch.buffer.pop_front();
+  // A dropped flit still frees its input buffer slot, so the upstream
+  // credit must be returned either way (credit conservation).
+  send_credit_for_pop(ch, p, vc, now);
+
+  ++ch.sent_flits;
+  if (ch.engine_busy && ch.sent_flits == 1 && ext_ != nullptr) {
+    ext_->on_shadow_departed(now, vc_of_bit_[i]);
+  }
+  if (tail) {
+    out_vc_taken_[ch.out_slot] = 0;
+    set_stage(i, VcStage::Idle);
+    ch.sent_flits = 0;
+    ch.active_pkt.reset();
+  }
+}
+
+void Router::tick(Cycle now) {
+  did_work_ = false;
+  receive_credits(now);
+  receive_flits(now);
+  route_compute(now);
+  vc_allocate(now);
+
+  // Switch allocation, then traversal. Eligible work that cannot move this
+  // cycle is recorded as it is found (stage 1, then stage 2 output by
+  // output); the extension reads the list after traversal.
+  SaInputs in;
+  sa_inputs(now, in);
+  for (std::uint32_t o = in.outs; o != 0; o &= o - 1) {
     const auto out = static_cast<std::size_t>(std::countr_zero(o));
-    const int p = winner_input[out];
-    const VcId vid{static_cast<Port>(p), static_cast<std::uint8_t>(chosen_vc[p])};
-    did_work_ = true;
-    const std::size_t i = bit_index(vid);
-    VirtualChannel& ch = input_[i];
-    const std::uint32_t next_rr = vid.vc + 1u;
-    sa_in_rr_[p] = next_rr == num_vcs_ ? 0 : next_rr;
-
-    Flit f = std::move(ch.buffer.front());
-    ch.buffer.pop_front();
-    const bool tail = f.seq + 1 == ch.head_flits;
-    if (ch.sent_flits == 0) ch.active_pkt = f.pkt;
-    f.vc_tag = ch.out_vc;
-
-    bool dropped = false;
-    if (injector_ != nullptr && injector_->enabled()) {
-      // One bit-flip coin per packet per link hop, tossed at the head flit.
-      if (f.seq == 0 && f.pkt->has_data && f.pkt->compressed())
-        injector_->corrupt_link_payload(f.pkt->encoded->bytes);
-      // Only body non-tail flits may be lost: the head keeps routing/VA
-      // state sane downstream and the tail keeps wormhole framing intact.
-      if (f.seq > 0 && !tail && f.pkt->has_data &&
-          injector_->should_drop_flit())
-        dropped = true;
-    }
-
-    ++stats_.buffer_reads;
-    if (!dropped) {
-      assert(out_flit_[out] != nullptr && "ST to unconnected port");
-      if (tracer_ != nullptr)
-        tracer_->emit(now, id_, trace::Event::SwitchTraversal,
-                      static_cast<std::uint8_t>(p),
-                      static_cast<std::uint8_t>(chosen_vc[p]), f.pkt->id,
-                      trace::st_arg(tail, static_cast<std::uint8_t>(out),
-                                    ch.out_vc, f.seq));
-      out_flit_[out]->push(now, std::move(f));
-      ++stats_.crossbar_traversals;
-      ++stats_.link_flits;
-      assert(credit(out, ch.out_vc) > 0);
-      --credit(out, ch.out_vc);
-    }
-    // A dropped flit still frees its input buffer slot, so the upstream
-    // credit must be returned either way (credit conservation).
-    send_credit_for_pop(vid, now);
-
-    ++ch.sent_flits;
-    if (ch.engine_busy && ch.sent_flits == 1 && ext_ != nullptr) {
-      ext_->on_shadow_departed(now, vid);
-    }
-    if (tail) {
-      taken(out, ch.out_vc) = 0;
-      set_stage(i, VcStage::Idle);
-      ch.sent_flits = 0;
-      ch.active_pkt.reset();
-    }
+    const std::size_t p = sa_output(out, in);
+    traverse(p, in.chosen[p], out, now);
   }
+  stats_.sa_idle_losses += in.n_lost;
 
-  // Report stalls: eligible-but-not-moved VCs idle this cycle.
-  std::size_t kept = 0;
-  for (const VcId& v : losers) {
-    const VirtualChannel& ch = in_vc(idx(v.port), v.vc);
-    if (ch.buffer.empty()) continue;
-    ++ch.head_raw()->idle_cycles;
-    ++stats_.sa_idle_losses;
-    losers[kept++] = v;
+  if (ext_ != nullptr) {
+    losers_scratch_.clear();
+    for (std::uint32_t k = 0; k < in.n_lost; ++k)
+      losers_scratch_.push_back(vc_of_bit_[in.lost[k]]);
+    ext_->after_allocation(now, losers_scratch_);
+    ext_->tick(now);
   }
-  losers.resize(kept);
 }
 
 std::uint32_t Router::downstream_occupancy(Port out) const {
@@ -438,7 +435,7 @@ bool Router::rebuild_head_packet(const VcId& v, std::uint32_t old_flit_count, Cy
     // Compression shrank the packet: retrieve the saved buffer space by
     // sending bonus credits upstream (paper section 3.2 step 3).
     for (std::uint32_t i = 0; i < old_flit_count - new_count; ++i)
-      send_credit_for_pop(v, now);
+      send_credit_for_pop(ch, idx(v.port), v.vc, now);
   } else {
     // Decompression grew the packet: swallow future credits until the
     // engine-staging overflow is paid back.
@@ -462,7 +459,7 @@ void Router::stall_census(StallCensus& c) const {
         ++c.waiting_alloc_vcs;
       } else if (ch.stage == VcStage::Active) {
         ++c.active_vcs;
-        if (credit(idx(ch.out_port), ch.out_vc) == 0) ++c.blocked_vcs;
+        if (credits_[ch.out_slot] == 0) ++c.blocked_vcs;
       }
     }
   }
@@ -595,7 +592,7 @@ std::uint64_t Router::scrub_condemned(Cycle now) {
         condemned_->count(owner->id) > 0) {
       if (ch.engine_busy && ext_ != nullptr)
         ext_->on_shadow_departed(now, vid);  // abort the engine's copy
-      if (ch.stage == VcStage::Active) taken(idx(ch.out_port), ch.out_vc) = 0;
+      if (ch.stage == VcStage::Active) out_vc_taken_[ch.out_slot] = 0;
       set_stage(i, VcStage::Idle);
       ch.sent_flits = 0;
       ch.active_pkt.reset();
@@ -610,7 +607,7 @@ std::uint64_t Router::scrub_condemned(Cycle now) {
       if (condemned_->count(it->pkt->id) > 0) {
         it = ch.buffer.erase(it);
         ++killed;
-        send_credit_for_pop(vid, now);
+        send_credit_for_pop(ch, idx(vid.port), vid.vc, now);
       } else {
         ++it;
       }
@@ -629,7 +626,7 @@ void Router::reset_unsent_vcs(Cycle now) {
   for (std::size_t i = 0; i < input_.size(); ++i) {
     VirtualChannel& ch = input_[i];
     if (ch.stage == VcStage::Idle || ch.sent_flits > 0) continue;
-    if (ch.stage == VcStage::Active) taken(idx(ch.out_port), ch.out_vc) = 0;
+    if (ch.stage == VcStage::Active) out_vc_taken_[ch.out_slot] = 0;
     set_stage(i, VcStage::Idle);
     ch.active_pkt.reset();
     // engine_busy survives: the compression still targets the head

@@ -197,21 +197,43 @@ class Router {
  private:
   static constexpr std::size_t idx(Port p) { return static_cast<std::size_t>(p); }
 
+  /// One tick's switch allocation state. Stage 1 fills, per input port,
+  /// its winning VC (bit index) and that VC's priority, and per output the
+  /// input ports whose winners chose it. Both stages record the allocation
+  /// losers, as bit indices in report order. Every VC loses at most once.
+  struct SaInputs {
+    std::array<std::uint8_t, kNumPorts> chosen;
+    std::array<std::uint8_t, kNumPorts> prio;
+    std::array<std::uint32_t, kNumPorts> inputs_for{};
+    std::uint32_t outs = 0;  ///< outputs chosen by at least one input
+    std::uint32_t n_lost = 0;
+    std::array<std::uint8_t, 64> lost;
+  };
+
+  // Pipeline stages, in tick() order.
   void receive_credits(Cycle now);
   void receive_flits(Cycle now);
   void route_compute(Cycle now);
   void vc_allocate(Cycle now);
-  void switch_allocate_and_traverse(Cycle now, std::vector<VcId>& losers);
+  /// SA stage 1: one candidate VC per input port.
+  void sa_inputs(Cycle now, SaInputs& in);
+  /// SA stage 2: the winning input port of output `out`.
+  std::size_t sa_output(std::size_t out, SaInputs& in);
+  /// Switch traversal of input VC `i` (input port `p`) to output `out`.
+  void traverse(std::size_t p, std::size_t i, std::size_t out, Cycle now);
+  /// Record input VC `i` as an allocation loser idling this cycle.
+  void lose(std::size_t i, SaInputs& in);
 
-  /// A flit left input VC `v`'s buffer: return its slot upstream, unless
-  /// the slot pays back debt from an earlier in-place expansion.
-  void send_credit_for_pop(const VcId& v, Cycle now) {
-    VirtualChannel& ch = in_vc(idx(v.port), v.vc);
+  /// A flit left input VC `ch` (VC `vc` of port `p`): return its slot
+  /// upstream, unless the slot pays back debt from an earlier in-place
+  /// expansion.
+  void send_credit_for_pop(VirtualChannel& ch, std::size_t p, std::uint8_t vc,
+                           Cycle now) {
     if (ch.credit_debt > 0) {
       --ch.credit_debt;  // absorb the slot consumed by an earlier expansion
       return;
     }
-    push_credit(idx(v.port), v.vc, now);
+    push_credit(p, vc, now);
   }
   /// Send one credit for VC `vc` back up input port `p`'s wire.
   void push_credit(std::size_t p, std::uint8_t vc, Cycle now) {
@@ -223,9 +245,6 @@ class Router {
       tracer_->emit(now, id_, trace::Event::CreditSend,
                     static_cast<std::uint8_t>(p), vc, 0, 0);
   }
-
-  /// Whether an Active VC may bid for the switch this cycle.
-  bool sa_eligible(const VirtualChannel& ch, Cycle now) const;
 
   /// The one writer of VirtualChannel::stage: keeps alloc_ / active_ exact.
   void set_stage(std::size_t i, VcStage s) {
@@ -251,12 +270,14 @@ class Router {
   /// All hot per-VC state lives in flat [port * num_vcs + vc] arrays: one
   /// contiguous block each for the VCs themselves, the downstream credit
   /// counters and the downstream VC ownership flags. At the default 6 VCs
-  /// per port, input_ is 30 VCs of 88 bytes (2.6 KB).
+  /// per port, input_ is 30 VCs of 64 bytes (1.9 KB). The two downstream
+  /// arrays are sized for the widest router (5 ports x 12 VCs) and
+  /// indexed by a VC's out_slot.
   std::vector<VirtualChannel> input_;
   /// Credits available for each downstream (out port, vc).
-  std::vector<std::uint32_t> credits_;
+  std::array<std::uint32_t, 64> credits_{};
   /// Downstream VC ownership (held between VA grant and tail departure).
-  std::vector<std::uint8_t> out_vc_taken_;
+  std::array<std::uint8_t, 64> out_vc_taken_{};
   std::uint32_t num_vcs_ = 0;
 
   VirtualChannel& in_vc(std::size_t p, std::uint32_t v) {
@@ -271,9 +292,6 @@ class Router {
   const std::uint32_t& credit(std::size_t p, std::uint32_t v) const {
     return credits_[p * num_vcs_ + v];
   }
-  std::uint8_t& taken(std::size_t p, std::uint32_t v) {
-    return out_vc_taken_[p * num_vcs_ + v];
-  }
 
   /// Input wires, consumed here; their senders hold pointers to them.
   std::array<FlitLink, kNumPorts> in_flit_;
@@ -281,16 +299,20 @@ class Router {
   std::array<FlitLink*, kNumPorts> out_flit_{};
   std::array<CreditLink*, kNumPorts> out_credit_{};
 
-  // Round-robin pointers for fairness.
+  // Round-robin pointers for fairness. sa_in_rr_[p] is a bit index inside
+  // port p's block of VCs.
   std::array<std::uint32_t, kNumPorts> va_rr_{};
   std::array<std::uint32_t, kNumPorts> sa_in_rr_{};
   std::array<std::uint32_t, kNumPorts> sa_out_rr_{};
+  /// Per input port: the mask of its VCs' bits.
+  std::array<std::uint64_t, kNumPorts> port_bits_{};
 
   RouterExtension* ext_ = nullptr;
   fault::FaultInjector* injector_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
 
-  /// Per-tick loser list, kept as a member so the hot loop never reallocates.
+  /// The losers handed to the extension, kept as a member and reserved for
+  /// every VC, so a tick never reallocates.
   std::vector<VcId> losers_scratch_;
 
   /// Per-port input wire masks: bit p set => in_flit_[p] / in_credit_[p]

@@ -47,6 +47,9 @@ class VirtualChannel {
   /// engine; the copy in this buffer is the shadow (paper section 3.2 step 3).
   bool engine_busy = false;
   std::uint8_t head_vnet = 0;  ///< head packet's vnet (latched with head_prio)
+  /// out_port * num_vcs + out_vc: the granted downstream VC's index into the
+  /// router's credit and ownership arrays (valid while Active).
+  std::uint8_t out_slot = 0;
 
   PacketPtr head_packet() const {
     return buffer.empty() ? nullptr : buffer.front().pkt;
