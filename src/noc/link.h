@@ -37,8 +37,9 @@ inline constexpr Cycle kEmpty = ~Cycle{0};
 /// consumer's pending-wake flag, so a sleeping consumer ticks on the cycle
 /// the item becomes visible (the network latches pending flags at the top
 /// of each cycle), and sets the wire's port bit in the consumer router's
-/// wire mask (the router clears it once the wire is empty, so a set bit
-/// covers every non-empty wire and the receive stages visit only those).
+/// wire mask of the slot's parity. The router reads and clears mask
+/// now&1 as it drains those slots, so its receive stages visit exactly the
+/// wires with an item visible this cycle.
 class WireBase {
  public:
   WireBase() = default;
@@ -47,8 +48,9 @@ class WireBase {
   WireBase& operator=(const WireBase&) = delete;
 
   void set_wake(std::uint8_t* flag) { wake_ = flag; }
-  void set_port_bit(std::uint32_t* mask, std::uint32_t bit) {
-    port_mask_ = mask;
+  /// `masks` points to the consumer's two parity masks.
+  void set_port_bit(std::uint32_t* masks, std::uint32_t bit) {
+    port_masks_ = masks;
     port_bit_ = bit;
   }
 
@@ -58,20 +60,21 @@ class WireBase {
   bool ready(Cycle now) const { return stamp_[0] <= now || stamp_[1] <= now; }
 
  protected:
-  void notify() {
+  /// An item went into slot `s`.
+  void notify(std::size_t s) {
     *wake_ = 1;
-    *port_mask_ |= port_bit_;
+    port_masks_[s] |= port_bit_;
   }
 
   std::array<Cycle, 2> stamp_{kEmpty, kEmpty};
 
  private:
-  std::uint8_t* wake_ = &unwired_wake_;        ///< consumer's pending-wake flag
-  std::uint32_t* port_mask_ = &unwired_mask_;  ///< consumer router's wire mask
+  std::uint8_t* wake_ = &unwired_wake_;          ///< consumer's pending-wake flag
+  std::uint32_t* port_masks_ = unwired_masks_;  ///< consumer router's wire masks
   std::uint32_t port_bit_ = 0;
   // Sinks for a wire nobody consumes through masks (NI wires, tests).
   std::uint8_t unwired_wake_ = 0;
-  std::uint32_t unwired_mask_ = 0;
+  std::uint32_t unwired_masks_[2] = {0, 0};
 };
 
 }  // namespace wire_detail
@@ -101,7 +104,7 @@ class FlitLink : public wire_detail::WireBase {
            "flit wire slot not drained: a network tick was skipped");
     stamp_[s] = now + 1;
     ::new (static_cast<void*>(slot(s))) Flit(std::move(flit));
-    notify();
+    notify(s);
   }
 
   /// The flit visible at `now`, or null. The slot counts as empty from
@@ -162,7 +165,7 @@ class CreditLink : public wire_detail::WireBase {
     }
     assert(count_[s] < capacity_ && "more credits in flight than buffer slots");
     batch_[s][count_[s]++] = vc;
-    notify();
+    notify(s);
   }
 
   /// The batch visible at `now`, in push order (empty if none). The batch

@@ -52,9 +52,7 @@ void NetworkInterface::inject(PacketPtr pkt, Cycle now, Cycle extra_delay) {
 }
 
 void NetworkInterface::pump_source_compression(Cycle now) {
-  // The tile's compression hardware is dead, or its engine quarantined
-  // itself after repeated decode errors.
-  if (bypass_ || (engine_ != nullptr && engine_->out_of_service())) return;
+  if (bypass_) return;  // the tile's compression hardware is dead
   // One engine operation per cycle: find the oldest queued compressible
   // packet whose wait already covers the compression latency.
   PendingInject* best = nullptr;
@@ -69,7 +67,8 @@ void NetworkInterface::pump_source_compression(Cycle now) {
       if (best == nullptr || entry.queued_at < best->queued_at) best = &entry;
     }
   }
-  if (best == nullptr) return;
+  // The engine may have quarantined itself after repeated decode errors.
+  if (best == nullptr || (engine_ != nullptr && engine_->out_of_service())) return;
   assert(policy_.algo != nullptr);
   // This runs on the tile's DISCO engine, so it takes the same transient
   // stall and silent output faults as an in-router operation

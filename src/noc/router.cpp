@@ -23,9 +23,9 @@ Router::Router(NodeId id, const MeshShape& mesh, const NocConfig& cfg, NocStats&
   input_.resize(static_cast<std::size_t>(kNumPorts) * vcs);
   losers_scratch_.reserve(static_cast<std::size_t>(kNumPorts) * vcs);
   for (std::size_t p = 0; p < kNumPorts; ++p) {
-    in_flit_[p].set_port_bit(&flit_wires_, 1u << p);
+    in_flit_[p].set_port_bit(flit_wires_.data(), 1u << p);
     in_credit_[p].set_capacity(vcs * cfg_.vc_depth_flits);
-    in_credit_[p].set_port_bit(&credit_wires_, 1u << p);
+    in_credit_[p].set_port_bit(credit_wires_.data(), 1u << p);
     port_bits_[p] = ((std::uint64_t{1} << vcs) - 1) << (p * vcs);
     sa_in_rr_[p] = static_cast<std::uint32_t>(p * vcs);
     const bool ejection = static_cast<Port>(p) == Port::Local;
@@ -39,7 +39,8 @@ Router::Router(NodeId id, const MeshShape& mesh, const NocConfig& cfg, NocStats&
 // The stages run once per tick, in this order; each is inlined into tick().
 
 [[gnu::always_inline]] inline void Router::receive_credits(Cycle now) {
-  for (std::uint32_t wires = credit_wires_; wires != 0; wires &= wires - 1) {
+  std::uint32_t& visible = credit_wires_[now & 1];
+  for (std::uint32_t wires = visible; wires != 0; wires &= wires - 1) {
     const auto p = static_cast<std::size_t>(std::countr_zero(wires));
     CreditLink& link = in_credit_[p];
     const std::span<const std::uint8_t> batch = link.take(now);
@@ -53,12 +54,13 @@ Router::Router(NodeId id, const MeshShape& mesh, const NocConfig& cfg, NocStats&
         tracer->emit(now, id_, trace::Event::CreditRecv,
                      static_cast<std::uint8_t>(p), vc, 0, 0);
     }
-    if (link.empty()) credit_wires_ &= ~(1u << p);
   }
+  visible = 0;
 }
 
 [[gnu::always_inline]] inline void Router::receive_flits(Cycle now) {
-  for (std::uint32_t wires = flit_wires_; wires != 0; wires &= wires - 1) {
+  std::uint32_t& visible = flit_wires_[now & 1];
+  for (std::uint32_t wires = visible; wires != 0; wires &= wires - 1) {
     const auto p = static_cast<std::size_t>(std::countr_zero(wires));
     FlitLink& link = in_flit_[p];
     // At most one flit per wire is visible per cycle.
@@ -79,8 +81,8 @@ Router::Router(NodeId id, const MeshShape& mesh, const NocConfig& cfg, NocStats&
         ++stats_.buffer_writes;
       }
     }
-    if (link.empty()) flit_wires_ &= ~(1u << p);
   }
+  visible = 0;
 }
 
 [[gnu::always_inline]] inline void Router::route_compute(Cycle now) {
@@ -274,12 +276,18 @@ Router::Router(NodeId id, const MeshShape& mesh, const NocConfig& cfg, NocStats&
 [[gnu::always_inline]] inline std::size_t Router::sa_output(std::size_t out,
                                                             SaInputs& in) {
   // One input per chosen output, visiting the inputs that chose it in
-  // ascending port order.
+  // ascending port order. A lone input wins outright.
+  const std::uint32_t inputs = in.inputs_for[out];
+  if ((inputs & (inputs - 1)) == 0) {
+    const auto p = static_cast<std::uint32_t>(std::countr_zero(inputs));
+    sa_out_rr_[out] = p + 1 == kNumPorts ? 0 : p + 1;
+    return p;
+  }
   const std::uint32_t rr = sa_out_rr_[out];
   std::uint32_t best_in = kNumPorts;
   std::uint32_t best_prio = 0;
   std::uint32_t best_rr = 0;
-  for (std::uint32_t ins = in.inputs_for[out]; ins != 0; ins &= ins - 1) {
+  for (std::uint32_t ins = inputs; ins != 0; ins &= ins - 1) {
     const auto p = static_cast<std::uint32_t>(std::countr_zero(ins));
     const std::uint32_t prio = in.prio[p];  // computed on the same head in stage 1
     const std::uint32_t rr_pos = p >= rr ? p - rr : p + kNumPorts - rr;
@@ -375,10 +383,12 @@ void Router::tick(Cycle now) {
   stats_.sa_idle_losses += in.n_lost;
 
   if (ext_ != nullptr) {
-    losers_scratch_.clear();
-    for (std::uint32_t k = 0; k < in.n_lost; ++k)
-      losers_scratch_.push_back(vc_of_bit_[in.lost[k]]);
-    ext_->after_allocation(now, losers_scratch_);
+    if (in.n_lost != 0) {
+      losers_scratch_.clear();
+      for (std::uint32_t k = 0; k < in.n_lost; ++k)
+        losers_scratch_.push_back(vc_of_bit_[in.lost[k]]);
+      ext_->after_allocation(now, losers_scratch_);
+    }
     ext_->tick(now);
   }
 }
@@ -495,7 +505,8 @@ bool Router::can_sleep() const {
   // Anything still in flight on an input wire needs a tick to be received,
   // even though the push already raised the pending-wake flag. Every
   // non-empty wire has its bit set.
-  if ((flit_wires_ | credit_wires_) != 0) return false;
+  if ((flit_wires_[0] | flit_wires_[1] | credit_wires_[0] | credit_wires_[1]) != 0)
+    return false;
   // Occupied VCs all have their bit set (conservative superset), so only
   // set bits need inspecting. no_pending_work() below deliberately keeps
   // the full scan so traced runs cross-check this shortcut.
@@ -546,8 +557,10 @@ bool Router::filter_dead_flit(const Flit& f, std::size_t p, Cycle now) {
 void Router::disconnect_port(Port p) {
   assert(in_flit_[idx(p)].empty() && "severed flit wire not drained");
   in_credit_[idx(p)].clear();  // credit wires die with the data wires
-  flit_wires_ &= ~(1u << idx(p));
-  credit_wires_ &= ~(1u << idx(p));
+  for (std::size_t s = 0; s < 2; ++s) {
+    flit_wires_[s] &= ~(1u << idx(p));
+    credit_wires_[s] &= ~(1u << idx(p));
+  }
   out_flit_[idx(p)] = nullptr;
   out_credit_[idx(p)] = nullptr;
 }

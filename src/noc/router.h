@@ -47,7 +47,8 @@ struct StallCensus {
 class RouterExtension {
  public:
   virtual ~RouterExtension() = default;
-  /// After VA/SA: `losers` are VCs that requested allocation and lost.
+  /// After VA/SA, on a tick with at least one loser: `losers` are the VCs
+  /// that requested allocation and lost.
   virtual void after_allocation(Cycle now, const std::vector<VcId>& losers) = 0;
   /// A shadow packet's first flit departed while an engine held its copy.
   virtual void on_shadow_departed(Cycle now, const VcId& vc) = 0;
@@ -315,12 +316,13 @@ class Router {
   /// every VC, so a tick never reallocates.
   std::vector<VcId> losers_scratch_;
 
-  /// Per-port input wire masks: bit p set => in_flit_[p] / in_credit_[p]
-  /// may hold items. Set by every push on the wire, cleared by the receive
-  /// stages once they drain it, so they skip empty wires without touching
-  /// them. Derived state.
-  std::uint32_t flit_wires_ = 0;
-  std::uint32_t credit_wires_ = 0;
+  /// Per-port input wire masks, one per slot parity: bit p of mask s set
+  /// => in_flit_[p] / in_credit_[p] may hold an item in slot s. Set by
+  /// every push on the wire; the receive stages drain the wires of mask
+  /// now&1 and clear it, so they visit exactly the wires with an item
+  /// visible this cycle. Derived state.
+  std::array<std::uint32_t, 2> flit_wires_{};
+  std::array<std::uint32_t, 2> credit_wires_{};
 
   /// Router-wide VC masks: bit i stands for input_[i], so walking set bits
   /// upward visits VCs in (port, VC) order. 5 ports x at most 12 VCs fit
