@@ -210,7 +210,8 @@ Router::Router(NodeId id, const MeshShape& mesh, const NocConfig& cfg, NocStats&
 [[gnu::always_inline]] inline void Router::lose(std::size_t i, SaInputs& in) {
   // Losers always hold flits: a VcAlloc loser was checked, an Active one
   // passed the SA eligibility test, and only winners traverse.
-  in.lost[in.n_lost++] = static_cast<std::uint8_t>(i);
+  assert(in.n_lost < lost_.size());
+  lost_[in.n_lost++] = static_cast<std::uint8_t>(i);
   ++input_[i].buffer.front().pkt->idle_cycles;
 }
 
@@ -386,7 +387,7 @@ void Router::tick(Cycle now) {
     if (in.n_lost != 0) {
       losers_scratch_.clear();
       for (std::uint32_t k = 0; k < in.n_lost; ++k)
-        losers_scratch_.push_back(vc_of_bit_[in.lost[k]]);
+        losers_scratch_.push_back(vc_of_bit_[lost_[k]]);
       ext_->after_allocation(now, losers_scratch_);
     }
     ext_->tick(now);

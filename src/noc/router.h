@@ -201,14 +201,13 @@ class Router {
   /// One tick's switch allocation state. Stage 1 fills, per input port,
   /// its winning VC (bit index) and that VC's priority, and per output the
   /// input ports whose winners chose it. Both stages record the allocation
-  /// losers, as bit indices in report order. Every VC loses at most once.
+  /// losers in lost_, in report order.
   struct SaInputs {
-    std::array<std::uint8_t, kNumPorts> chosen;
-    std::array<std::uint8_t, kNumPorts> prio;
+    std::array<std::uint8_t, kNumPorts> chosen{};
+    std::array<std::uint8_t, kNumPorts> prio{};
     std::array<std::uint32_t, kNumPorts> inputs_for{};
     std::uint32_t outs = 0;  ///< outputs chosen by at least one input
     std::uint32_t n_lost = 0;
-    std::array<std::uint8_t, 64> lost;
   };
 
   // Pipeline stages, in tick() order.
@@ -312,8 +311,10 @@ class Router {
   fault::FaultInjector* injector_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
 
-  /// The losers handed to the extension, kept as a member and reserved for
-  /// every VC, so a tick never reallocates.
+  /// This tick's allocation losers as bit indices, in report order (each VC
+  /// loses at most once per tick), and the same list as VcIds for an
+  /// extension, reserved for every VC so a tick never reallocates.
+  std::array<std::uint8_t, 64> lost_{};
   std::vector<VcId> losers_scratch_;
 
   /// Per-port input wire masks, one per slot parity: bit p of mask s set
