@@ -89,9 +89,6 @@ class WireBase {
 /// and the destructor end every flit still in flight.
 class FlitLink : public wire_detail::WireBase {
  public:
-  FlitLink() = default;
-  FlitLink(const FlitLink&) = delete;
-  FlitLink& operator=(const FlitLink&) = delete;
   ~FlitLink() {
     for (std::size_t s = 0; s < 2; ++s)
       if (stamp_[s] != wire_detail::kEmpty) std::destroy_at(slot(s));

@@ -42,20 +42,14 @@ class Ring {
       : buf_(std::exchange(o.buf_, nullptr)), head_(std::exchange(o.head_, 0)),
         mask_(std::exchange(o.mask_, 0)), size_(std::exchange(o.size_, 0)),
         cap_(std::exchange(o.cap_, 0)) {}
-  Ring& operator=(Ring&& o) noexcept {
-    if (this != &o) {
-      release();
-      buf_ = std::exchange(o.buf_, nullptr);
-      head_ = std::exchange(o.head_, 0);
-      mask_ = std::exchange(o.mask_, 0);
-      size_ = std::exchange(o.size_, 0);
-      cap_ = std::exchange(o.cap_, 0);
-    }
-    return *this;
-  }
+  // Moved only while a vector of VCs is built; never assigned or copied.
+  Ring& operator=(Ring&&) = delete;
   Ring(const Ring&) = delete;
   Ring& operator=(const Ring&) = delete;
-  ~Ring() { release(); }
+  ~Ring() {
+    clear();
+    if (buf_ != nullptr) std::allocator<T>().deallocate(buf_, cap_);
+  }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -204,15 +198,6 @@ class Ring {
     head_ = 0;
     mask_ = cap - 1;
     cap_ = cap;
-  }
-
-  void release() {
-    if (buf_ == nullptr) return;
-    clear();
-    std::allocator<T>().deallocate(buf_, cap_);
-    buf_ = nullptr;
-    mask_ = 0;
-    cap_ = 0;
   }
 
   static constexpr std::uint32_t kInitialCapacity = 8;
