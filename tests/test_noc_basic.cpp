@@ -241,6 +241,7 @@ TEST(WireLink, OneCycleDelay) {
   Flit* f = flits.take(11);
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->seq, 7u);
+  f->pkt.reset();  // a consumer leaves a taken flit owning nothing
   EXPECT_EQ(flits.take(12), nullptr);
   EXPECT_TRUE(flits.empty());
 
