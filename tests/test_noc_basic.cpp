@@ -316,5 +316,18 @@ TEST(WireLinkDeathTest, SkippedTickAsserts) {
       "not drained");
 }
 
+TEST(WireLinkDeathTest, TakenFlitThatKeepsItsPacketAsserts) {
+  // A consumer that reads a taken flit but leaves it owning its packet
+  // would pin the packet; the wire's next push into that slot catches it.
+  EXPECT_DEATH(
+      {
+        FlitLink flits;
+        flits.push(1, test_flit(0));
+        const Flit copy = *flits.take(2);
+        flits.push(3, test_flit(1));
+      },
+      "kept the packet");
+}
+
 }  // namespace
 }  // namespace disco::noc
