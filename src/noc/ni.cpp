@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "noc/packet_pool.h"
+#include "noc/router.h"
 
 namespace disco::noc {
 

@@ -29,12 +29,13 @@
 #include "fault/fault.h"
 #include "noc/link.h"
 #include "noc/noc_stats.h"
-#include "noc/router.h"
 #include "noc/topology.h"
 #include "noc/vc.h"
 #include "trace/trace.h"
 
 namespace disco::noc {
+
+class RouterExtension;
 
 /// Endpoint consuming ejected packets (cache controllers, memory controller).
 class PacketSink {
