@@ -6,11 +6,11 @@
 // stage and to a function. The result is instructions per flit moved (per
 // link or ejection traversal, NocStats::link_flits).
 //
-//   ./build/tools/flit_icount [--top N] [--lines] [--disco]
+//   ./build/tools/flit_icount [--disco]
 //
-// --top N keeps the N largest rows of each table (default 25); --lines adds
-// a table of the hottest source lines (innermost inline frame); --disco
-// runs the workload's other cell, the same traffic on DISCO routers.
+// Each table (per stage, per function, per source line of the innermost
+// inline frame) keeps its kTopRows largest rows. --disco runs the
+// workload's other cell, the same traffic on DISCO routers.
 //
 // Instruction counts do not move with host load, so they compare two
 // builds of the router on a shared host where wall-clock pairs are noisy.
@@ -34,7 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -55,13 +54,14 @@ namespace {
 
 using namespace disco;
 
-// The noc-8x8 cell (perfbench/src/noc_cells.cpp), plain routers only.
+// The noc-8x8 cell (perfbench/src/noc_cells.cpp).
 constexpr std::uint32_t kSide = 8;
 constexpr double kInjectionRate = 0.03;
 constexpr double kCompressible = 0.8;
 constexpr std::uint64_t kSeed = 1;
 constexpr Cycle kWarmCycles = 3000;
 constexpr Cycle kWindowCycles = 20;
+constexpr std::size_t kTopRows = 25;  ///< rows each table prints
 
 class CountingSink final : public noc::PacketSink {
  public:
@@ -252,13 +252,13 @@ std::string short_name(std::string s) {
 }
 
 void print_table(const char* title, const std::map<std::string, std::uint64_t>& rows,
-                 double flits, std::size_t top) {
+                 double flits) {
   std::vector<std::pair<std::string, std::uint64_t>> v(rows.begin(), rows.end());
   std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
     return a.second != b.second ? a.second > b.second : a.first < b.first;
   });
   std::printf("\n%-48s %12s %10s\n", title, "instr", "per flit");
-  for (std::size_t i = 0; i < v.size() && i < top; ++i)
+  for (std::size_t i = 0; i < v.size() && i < kTopRows; ++i)
     std::printf("%-48.48s %12" PRIu64 " %10.1f\n", v[i].first.c_str(), v[i].second,
                 static_cast<double>(v[i].second) / flits);
 }
@@ -266,18 +266,12 @@ void print_table(const char* title, const std::map<std::string, std::uint64_t>& 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t top = 25;
-  bool lines = false;
   Scheme scheme = Scheme::Baseline;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-      top = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--lines") == 0) {
-      lines = true;
-    } else if (std::strcmp(argv[i], "--disco") == 0) {
+    if (std::strcmp(argv[i], "--disco") == 0) {
       scheme = Scheme::DISCO;
     } else {
-      std::fprintf(stderr, "usage: %s [--top N] [--lines] [--disco]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--disco]\n", argv[0]);
       return std::strcmp(argv[i], "--help") == 0 ? 0 : 2;
     }
   }
@@ -361,8 +355,8 @@ int main(int argc, char** argv) {
               "\n",
               steps, moved[0], moved[1]);
   std::printf("instructions per flit: %.1f\n", static_cast<double>(steps) / flits);
-  print_table("per stage", by_stage, flits, top);
-  print_table("per function", by_function, flits, top);
-  if (lines) print_table("per source line", by_line, flits, top);
+  print_table("per stage", by_stage, flits);
+  print_table("per function", by_function, flits);
+  print_table("per source line", by_line, flits);
   return 0;
 }
