@@ -5,94 +5,27 @@
 // in-network compressor buys headroom.
 #include <cstdio>
 #include <iostream>
-#include <memory>
 
 #include "bench_util.h"
-#include "cmp/scheme.h"
-#include "compress/registry.h"
-#include "disco/unit.h"
-#include "noc/network.h"
-#include "trace/invariants.h"
-#include "trace/trace.h"
-#include "workload/synthetic.h"
+#include "sim/noc_run.h"
 
 using namespace disco;
 
 namespace {
 
-class CountingSink final : public noc::PacketSink {
- public:
-  void deliver(noc::PacketPtr pkt, Cycle now) override {
-    ++delivered;
-    total_latency += static_cast<double>(now - pkt->injected);
-  }
-  std::uint64_t delivered = 0;
-  double total_latency = 0;
-};
-
+/// Mean packet latency of one curve point; `inv_out` gets its checker's
+/// verdict.
 double run_point(FlowControl fc, bool with_disco, double rate,
                  const TraceConfig& tc, trace::InvariantSummary* inv_out) {
   NocConfig cfg;
   cfg.flow_control = fc;
-  noc::NocStats stats;
-  auto algo = compress::make_algorithm("delta");
-  DiscoConfig dcfg;
-
-  const cmp::SchemeSetup setup = cmp::make_scheme_setup(
-      with_disco ? Scheme::DISCO : Scheme::Baseline, *algo);
-  noc::Network::ExtensionFactory factory;
-  if (setup.use_disco_units) {
-    factory = [&](noc::Router& r) {
-      return std::make_unique<core::DiscoUnit>(r, dcfg, *algo, algo->latency(),
-                                               stats);
-    };
-  }
-  noc::Network net(cfg, setup.ni, stats, factory);
-  std::vector<CountingSink> sinks(cfg.num_nodes());
-  for (NodeId n = 0; n < cfg.num_nodes(); ++n)
-    net.register_sink(n, UnitKind::Core, &sinks[n]);
-
-  // Network-only runs bypass CmpSystem, so the trace layer is wired here.
-  std::unique_ptr<trace::Tracer> tracer;
-  std::unique_ptr<trace::InvariantChecker> checker;
-  if (tc.active()) {
-    tracer = std::make_unique<trace::Tracer>(tc);
-    if (tc.check_invariants) {
-      checker = std::make_unique<trace::InvariantChecker>(
-          noc::invariant_params(cfg, dcfg));
-      tracer->set_checker(checker.get());
-    }
-    net.set_tracer(tracer.get());
-  }
-
-  Rng rng(77);
-  workload::TrafficChooser chooser(workload::TrafficPattern::UniformRandom, 4, 3);
-  std::uint64_t id = 1;
-  Cycle clock = 0;
-  for (; clock < 20000; ++clock) {
-    for (NodeId src = 0; src < cfg.num_nodes(); ++src) {
-      if (!rng.chance(rate)) continue;
-      net.inject(src,
-                 workload::make_synthetic_packet(src, chooser.pick(src), id++,
-                                                 clock, 0.8, rng),
-                 clock);
-    }
-    net.tick(clock);
-    if (checker) checker->end_of_cycle(clock, net.inflight_flits());
-  }
-  for (Cycle i = 0; i < 100000 && !net.quiescent(); ++i) {
-    net.tick(++clock);
-    if (checker) checker->end_of_cycle(clock, net.inflight_flits());
-  }
-  if (checker && inv_out != nullptr) *inv_out = checker->summary();
-
-  double total = 0;
-  std::uint64_t n = 0;
-  for (const auto& s : sinks) {
-    total += s.total_latency;
-    n += s.delivered;
-  }
-  return n ? total / static_cast<double>(n) : -1.0;
+  sim::NocRun run(cfg, with_disco ? Scheme::DISCO : Scheme::Baseline, tc,
+                  {.rate = rate, .compressible = 0.8, .inject_seed = 77,
+                   .dest_seed = 3});
+  while (run.cycle() < 20000) run.step();
+  run.drain(100000);
+  *inv_out = run.invariants();
+  return run.stats().avg_packet_latency();
 }
 
 }  // namespace

@@ -277,8 +277,6 @@ void CmpSystem::step(bool with_cores) {
     for (NodeId i = 0; i < n; ++i)
       if (live(i)) cores_[i]->tick(cycle_);
   }
-  if (checker_ != nullptr)
-    checker_->end_of_cycle(cycle_, network_->inflight_flits());
 }
 
 void CmpSystem::check_cancel() const {

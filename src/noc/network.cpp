@@ -116,17 +116,16 @@ void Network::tick(Cycle now) {
     if (!ni.can_sleep()) pending[n + i] = 1;
   }
 
-  // Traced (validated) runs double-check the elision decisions every cycle;
-  // untraced performance runs skip the scan.
-  if (tracer_ != nullptr) check_elision_invariants(now);
+  // Traced (validated) runs check every cycle; untraced performance runs
+  // skip the scans.
+  if (tracer_ != nullptr) check_invariants(now);
 }
 
 void Network::wake_all() {
   std::fill(pending_wake_.begin(), pending_wake_.end(), 1);
 }
 
-void Network::check_elision_invariants(Cycle now) const {
-  static_cast<void>(now);
+void Network::check_invariants(Cycle now) const {
   const std::size_t n = routers_.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (node_dead_[i]) continue;
@@ -137,6 +136,8 @@ void Network::check_elision_invariants(Cycle now) const {
     assert((run_[n + i] != 0 || nis_[i]->no_pending_work(now)) &&
            "idle elision skipped an NI with pending work");
   }
+  if (trace::InvariantChecker* c = tracer_->checker())
+    c->end_of_cycle(now, inflight_flits());
 }
 
 StallCensus Network::stall_census() const {

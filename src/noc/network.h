@@ -94,7 +94,8 @@ class Network {
 
   /// Advance one cycle. Call once per cycle with consecutive `now`
   /// values after the first call (asserted): the wires' parity slots hold
-  /// an item for exactly the one cycle it is visible.
+  /// an item for exactly the one cycle it is visible. When the tracer
+  /// carries an invariant checker, the tick ends with its end_of_cycle.
   void tick(Cycle now);
 
   /// Idle elision: force every live component to tick on the next cycle.
@@ -129,9 +130,11 @@ class Network {
   /// scrub every live router, re-route unsent VCs, purge NI queues.
   void finish_topology_kill(std::vector<PacketPtr> severed, Cycle now,
                             bool routes_changed);
-  /// Idle-elision invariant (traced runs only): every component whose tick
-  /// was skipped this cycle must have had no pending work.
-  void check_elision_invariants(Cycle now) const;
+  /// Traced runs only, once per tick: the checker's flit reconciliation
+  /// (when the tracer carries one), and the idle-elision invariant: every
+  /// component whose tick was skipped this cycle had no pending work. Cold,
+  /// so the untraced tick keeps its code size.
+  [[gnu::cold]] void check_invariants(Cycle now) const;
 
   MeshShape mesh_;
   NocConfig cfg_;

@@ -44,6 +44,12 @@ class PacketSink {
   virtual void deliver(PacketPtr pkt, Cycle now) = 0;
 };
 
+/// Drops every packet: the consumer of network-only runs.
+class NullSink final : public PacketSink {
+ public:
+  void deliver(PacketPtr, Cycle) override {}
+};
+
 /// Per-scheme NI compression behaviour.
 struct NiPolicy {
   const compress::Algorithm* algo = nullptr;

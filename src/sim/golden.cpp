@@ -16,11 +16,6 @@
 namespace disco::sim {
 namespace {
 
-class NullSink final : public noc::PacketSink {
- public:
-  void deliver(noc::PacketPtr, Cycle) override {}
-};
-
 noc::PacketPtr make_data_packet(NodeId src, NodeId dst, std::uint64_t id,
                                 Cycle now) {
   auto pkt = noc::make_packet();
@@ -58,16 +53,16 @@ GoldenRun run_network_scenario(const NocConfig& cfg, const DiscoConfig& dcfg,
 
   noc::NocStats stats;
   noc::Network net(cfg, policy, stats, factory);
-  std::vector<NullSink> sinks(cfg.num_nodes());
+  noc::NullSink sink;
   for (NodeId n = 0; n < cfg.num_nodes(); ++n)
-    net.register_sink(n, UnitKind::Core, &sinks[n]);
+    net.register_sink(n, UnitKind::Core, &sink);
 
   trace::Tracer tracer(tc);
   trace::InvariantChecker checker(noc::invariant_params(cfg, dcfg));
   tracer.set_checker(&checker);
   net.set_tracer(&tracer);
 
-  drive(net, checker);
+  drive(net);
 
   GoldenRun out;
   std::ostringstream os;
@@ -87,26 +82,20 @@ GoldenRun ping_2x2() {
   noc::NiPolicy policy;  // raw packets end to end
   return run_network_scenario(
       cfg, DiscoConfig{}, policy, {}, "",
-      [&](noc::Network& net, trace::InvariantChecker& checker) {
+      [&](noc::Network& net) {
         Cycle clock = 0;
         std::uint64_t id = 1;
         // Two waves: all-to-one (contention at node 0), then pairwise swaps.
         for (NodeId src = 1; src < cfg.num_nodes(); ++src)
           net.inject(src, make_data_packet(src, 0, id++, clock), clock);
-        for (Cycle i = 0; i < 12; ++i) {
-          net.tick(clock);
-          checker.end_of_cycle(clock, net.inflight_flits());
-          ++clock;
-        }
+        for (Cycle i = 0; i < 12; ++i)
+          net.tick(clock++);
         net.inject(0, make_data_packet(0, 3, id++, clock), clock);
         net.inject(3, make_data_packet(3, 0, id++, clock), clock);
         net.inject(1, make_data_packet(1, 2, id++, clock), clock);
         net.inject(2, make_data_packet(2, 1, id++, clock), clock);
-        for (Cycle i = 0; i < 400 && !net.quiescent(); ++i) {
-          net.tick(clock);
-          checker.end_of_cycle(clock, net.inflight_flits());
-          ++clock;
-        }
+        for (Cycle i = 0; i < 400 && !net.quiescent(); ++i)
+          net.tick(clock++);
       });
 }
 
@@ -138,7 +127,7 @@ GoldenRun disco_compress_2x2() {
   };
   return run_network_scenario(
       cfg, dcfg, policy, factory, "disco,ni",
-      [&](noc::Network& net, trace::InvariantChecker& checker) {
+      [&](noc::Network& net) {
         Cycle clock = 0;
         std::uint64_t id = 1;
         // Three bursts of all-to-one traffic; the backlog at node 0's
@@ -147,17 +136,11 @@ GoldenRun disco_compress_2x2() {
           for (int k = 0; k < 4; ++k)
             for (NodeId src = 1; src < cfg.num_nodes(); ++src)
               net.inject(src, make_data_packet(src, 0, id++, clock), clock);
-          for (Cycle i = 0; i < 30; ++i) {
-            net.tick(clock);
-            checker.end_of_cycle(clock, net.inflight_flits());
-            ++clock;
-          }
+          for (Cycle i = 0; i < 30; ++i)
+            net.tick(clock++);
         }
-        for (Cycle i = 0; i < 2000 && !net.quiescent(); ++i) {
-          net.tick(clock);
-          checker.end_of_cycle(clock, net.inflight_flits());
-          ++clock;
-        }
+        for (Cycle i = 0; i < 2000 && !net.quiescent(); ++i)
+          net.tick(clock++);
       });
 }
 

@@ -71,8 +71,9 @@ class InvariantChecker {
 
   void on_event(const TraceEvent& e);
 
-  /// Structural reconciliation: called once per simulated cycle with the
-  /// number of flits actually buffered in routers or in flight on links.
+  /// Structural reconciliation with the number of flits actually buffered
+  /// in routers or in flight on links. Network::tick calls it once per
+  /// cycle when its tracer carries this checker.
   void end_of_cycle(Cycle now, std::uint64_t structural_inflight);
 
   const InvariantSummary& summary() const { return summary_; }

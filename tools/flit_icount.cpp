@@ -1,10 +1,11 @@
 // Counts the host instructions a flit hop costs, exactly. Builds the plain
 // (Baseline) 8x8 mesh of perfbench's noc-8x8 workload with its seed-1
 // traffic (uniform random, 0.03 packets per node per cycle, 80%
-// compressible payloads), runs 3000 cycles, then single-steps the next 20
-// cycles under ptrace and attributes every retired instruction to a router
-// stage and to a function. The result is instructions per flit moved (per
-// link or ejection traversal, NocStats::link_flits).
+// compressible payloads) as a sim::NocRun, runs 3000 cycles, then
+// single-steps the next 20 cycles under ptrace and attributes every retired
+// instruction to a router stage and to a function. The result is
+// instructions per flit moved (per link or ejection traversal,
+// NocStats::link_flits).
 //
 //   ./build/tools/flit_icount [--disco]
 //
@@ -37,18 +38,13 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "cmp/scheme.h"
 #include "common/rng.h"
-#include "compress/registry.h"
-#include "disco/unit.h"
-#include "noc/network.h"
-#include "workload/synthetic.h"
+#include "sim/noc_run.h"
 
 namespace {
 
@@ -63,11 +59,6 @@ constexpr Cycle kWarmCycles = 3000;
 constexpr Cycle kWindowCycles = 20;
 constexpr std::size_t kTopRows = 25;  ///< rows each table prints
 
-class CountingSink final : public noc::PacketSink {
- public:
-  void deliver(noc::PacketPtr, Cycle) override {}
-};
-
 /// Child side: runs the warm cycles, stops, runs the window (single-stepped
 /// by the parent), stops again and reports the flits the window moved.
 [[noreturn]] void run_child(Scheme scheme, int report_fd) {
@@ -75,43 +66,18 @@ class CountingSink final : public noc::PacketSink {
   NocConfig cfg;
   cfg.mesh_cols = kSide;
   cfg.mesh_rows = kSide;
-  noc::NocStats stats;
-  const std::unique_ptr<compress::Algorithm> algo = compress::make_algorithm("delta");
-  const cmp::SchemeSetup setup = cmp::make_scheme_setup(scheme, *algo);
-  const DiscoConfig dcfg;
-  noc::Network::ExtensionFactory factory;
-  if (setup.use_disco_units)
-    factory = [&](noc::Router& r) -> std::unique_ptr<noc::RouterExtension> {
-      return std::make_unique<core::DiscoUnit>(r, dcfg, *algo, algo->latency(), stats);
-    };
-  noc::Network net(cfg, setup.ni, stats, factory);
-  std::vector<CountingSink> sinks(cfg.num_nodes());
-  for (NodeId n = 0; n < cfg.num_nodes(); ++n)
-    net.register_sink(n, UnitKind::Core, &sinks[n]);
-  Rng rng(splitmix64(kSeed, 1));
-  workload::TrafficChooser chooser(workload::TrafficPattern::UniformRandom, kSide,
-                                   splitmix64(kSeed, 2));
-  std::uint64_t injected = 0;
-  Cycle clock = 0;
-  auto step = [&] {
-    for (NodeId src = 0; src < cfg.num_nodes(); ++src) {
-      if (!rng.chance(kInjectionRate)) continue;
-      ++injected;
-      net.inject(src,
-                 workload::make_synthetic_packet(src, chooser.pick(src), injected,
-                                                 clock, kCompressible, rng),
-                 clock);
-    }
-    net.tick(clock++);
-  };
-  while (clock < kWarmCycles) step();
-  const std::uint64_t flits0 = stats.link_flits;
-  const std::uint64_t packets0 = stats.packets_ejected;
+  sim::NocRun run(cfg, scheme, TraceConfig{},
+                  {.rate = kInjectionRate, .compressible = kCompressible,
+                   .inject_seed = splitmix64(kSeed, 1),
+                   .dest_seed = splitmix64(kSeed, 2)});
+  while (run.cycle() < kWarmCycles) run.step();
+  const std::uint64_t flits0 = run.stats().link_flits;
+  const std::uint64_t packets0 = run.stats().packets_ejected;
   raise(SIGSTOP);
-  while (clock < kWarmCycles + kWindowCycles) step();
+  while (run.cycle() < kWarmCycles + kWindowCycles) run.step();
   raise(SIGSTOP);
-  const std::uint64_t moved[2] = {stats.link_flits - flits0,
-                                  stats.packets_ejected - packets0};
+  const std::uint64_t moved[2] = {run.stats().link_flits - flits0,
+                                  run.stats().packets_ejected - packets0};
   const bool ok = write(report_fd, moved, sizeof moved) == sizeof moved;
   _exit(ok ? 0 : 3);
 }
