@@ -1,8 +1,8 @@
 // Network-only runs (sim::NocRun): an injection phase followed by a drain
 // on plain and DISCO meshes under both flow-control modes, with the
 // invariant checker on. And the network's own per-tick flit-conservation
-// check: a tracer that carries a checker gets one end_of_cycle per tick
-// with no call from the driver.
+// check: a tracer that carries a checker gets one end_of_cycle per tick,
+// though the code that ticks the network never calls it.
 #include <gtest/gtest.h>
 
 #include <string>
