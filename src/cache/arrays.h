@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -50,6 +51,8 @@ class L1Array {
 
   std::uint32_t sets() const { return sets_; }
   std::uint32_t ways() const { return ways_; }
+  /// Every way of every set, set-major (valid or not).
+  std::span<const L1Line> lines() const { return lines_; }
   /// sets_ is a power of two (asserted at construction), so the modulo is
   /// a mask: a runtime `%` on a 64-bit value compiles to a divide.
   std::size_t set_of(Addr addr) const { return (addr / kBlockBytes) & (sets_ - 1); }
@@ -141,6 +144,16 @@ class SegmentedArray {
   std::uint64_t used_segments() const;
   /// Line planes allocated so far (at most ways * tag_factor).
   std::size_t planes_allocated() const;
+
+  /// Calls f(line) for every valid line, set by set, each set in slot order.
+  template <class F>
+  void for_each_line(F&& f) const {
+    for (std::size_t set = 0; set < sets_; ++set) {
+      const std::uint16_t* fps = fps_of(set);
+      for (std::size_t i = 0; i < slots_per_set_; ++i)
+        if (fps[i] != 0) f(static_cast<const L2Line&>(planes_[i][set]));
+    }
+  }
 
   static std::uint32_t segments_for(std::size_t bytes) {
     return static_cast<std::uint32_t>((bytes + kFlitBytes - 1) / kFlitBytes);

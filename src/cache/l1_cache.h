@@ -66,6 +66,7 @@ class L1Cache final : public noc::PacketSink {
 
   /// Test hook: peek at a cached line.
   const L1Line* peek(Addr addr) { return array_.lookup(addr); }
+  const L1Array& array() const { return array_; }
 
   // --- functional-warmup API (no timing, no messages; used only before
   // the timing phase to pre-populate cache and directory state) ---
