@@ -50,6 +50,16 @@ L1Line& L1Array::install(Addr addr, const BlockBytes& data, L1State state, Cycle
   throw std::logic_error("L1Array::install without a free way (evict first)");
 }
 
+L1Line& L1Array::fill_way(Addr addr) {
+  L1Line* const set = lines_.data() + set_of(addr) * ways_;
+  L1Line* lru = set;
+  for (std::uint32_t w = 0; w < ways_; ++w) {
+    if (!set[w].valid()) return set[w];
+    if (set[w].lru < lru->lru) lru = &set[w];
+  }
+  return *lru;
+}
+
 // ---------------------------------------------------------------------------
 // SegmentedArray
 

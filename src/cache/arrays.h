@@ -48,6 +48,10 @@ class L1Array {
   /// Install into a free way of addr's set (victim must be gone already);
   /// throws std::logic_error if the set is full.
   L1Line& install(Addr addr, const BlockBytes& data, L1State state, Cycle now);
+  /// The way victim_for + install would fill, found in one pass: the first
+  /// free way of addr's set, else its first least-recently-used way (still
+  /// valid: the caller evicts it).
+  L1Line& fill_way(Addr addr);
 
   std::uint32_t sets() const { return sets_; }
   std::uint32_t ways() const { return ways_; }

@@ -255,22 +255,22 @@ bool L1Cache::idle() const {
 // ---------------------------------------------------------------------------
 // Functional warmup
 
-std::optional<L1Cache::WarmVictim> L1Cache::warm_install(Addr blk,
+std::optional<L1Cache::WarmVictim> L1Cache::warm_install(Addr blk, L1Line* line,
                                                          const BlockBytes& data,
                                                          L1State state, Cycle now) {
   assert(mshrs_.empty() && "functional warmup must precede timing simulation");
-  if (L1Line* line = array_.lookup(blk)) {
-    line->data = data;
-    line->state = state;
-    line->lru = now;
-    return std::nullopt;
-  }
+  assert((line == nullptr || (line->valid() && line->addr == blk)) &&
+         "warm_install takes the caller's lookup");
   std::optional<WarmVictim> out;
-  if (L1Line* victim = array_.victim_for(blk)) {
-    out = WarmVictim{victim->addr, victim->data, victim->state == L1State::M};
-    victim->state = L1State::I;
+  if (line == nullptr) {
+    line = &array_.fill_way(blk);
+    if (line->valid())
+      out = WarmVictim{line->addr, line->data, line->state == L1State::M};
+    line->addr = blk;
   }
-  array_.install(blk, data, state, now);
+  line->data = data;
+  line->state = state;
+  line->lru = now;
   return out;
 }
 

@@ -75,9 +75,11 @@ class L1Cache final : public noc::PacketSink {
     BlockBytes data{};
     bool dirty = false;
   };
-  /// Install (or refresh) a line; returns the evicted line, if any.
-  std::optional<WarmVictim> warm_install(Addr blk, const BlockBytes& data,
-                                         L1State state, Cycle now);
+  /// Refresh `line`, the caller's warm_lookup(blk), or when it is null
+  /// install blk; returns the evicted line, if any.
+  std::optional<WarmVictim> warm_install(Addr blk, L1Line* line,
+                                         const BlockBytes& data, L1State state,
+                                         Cycle now);
   /// Drop a line; returns its data if it was dirty (M).
   std::optional<BlockBytes> warm_invalidate(Addr blk);
   L1Line* warm_lookup(Addr blk) { return array_.lookup(blk); }

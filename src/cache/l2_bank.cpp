@@ -471,12 +471,13 @@ void L2Bank::dump_transactions(std::FILE* out) const {
 // ---------------------------------------------------------------------------
 // Functional warmup
 
-L2Line& L2Bank::warm_store(Addr blk, const BlockBytes& data, bool dirty,
-                           Cycle now, const WarmEvictFn& on_evict) {
+L2Line& L2Bank::warm_store(Addr blk, L2Line* line, const BlockBytes& data,
+                           bool dirty, Cycle now, const WarmEvictFn& on_evict) {
   assert(txns_.empty() && "functional warmup must precede timing simulation");
+  assert((line == nullptr || (line->valid && line->addr == blk)) &&
+         "warm_store takes the caller's lookup");
   std::optional<compress::Encoded> image = encode_for_store(data, std::nullopt);
   const std::uint32_t segs = segments_of(image);
-  L2Line* line = array_.lookup(blk);
   while (!has_room(blk, line, segs)) {
     L2Line* victim = array_.lru_victim(blk, blk);
     assert(victim != nullptr && "functional store cannot find a victim");

@@ -82,10 +82,11 @@ class L2Bank final : public noc::PacketSink {
   using WarmEvictFn = std::function<void(Addr addr, const BlockBytes& data,
                                          bool dirty, const DirInfo& dir)>;
   L2Line* warm_lookup(Addr blk) { return array_.lookup(blk); }
-  /// Install `blk` with `data`, or refresh its resident line (re-encodes;
-  /// may evict neighbours through `on_evict`).
-  L2Line& warm_store(Addr blk, const BlockBytes& data, bool dirty, Cycle now,
-                     const WarmEvictFn& on_evict);
+  /// Refresh `line`, the caller's warm_lookup(blk), with `data`, or when it
+  /// is null install blk (re-encodes; may evict neighbours through
+  /// `on_evict`).
+  L2Line& warm_store(Addr blk, L2Line* line, const BlockBytes& data, bool dirty,
+                     Cycle now, const WarmEvictFn& on_evict);
 
  private:
   struct Txn {

@@ -13,11 +13,10 @@ MemCtrl::MemCtrl(NodeId node, const MemConfig& cfg, noc::NetworkInterface& ni,
   bank_free_at_.assign(cfg_.banks, 0);
 }
 
-const BlockBytes& MemCtrl::read_block(Addr addr) {
+BlockBytes MemCtrl::read_block(Addr addr) const {
   const Addr a = block_align(addr);
-  auto it = store_.find(a);
-  if (it == store_.end()) it = store_.emplace(a, synth_(a)).first;
-  return it->second;
+  if (const auto it = store_.find(a); it != store_.end()) return it->second;
+  return synth_(a);
 }
 
 void MemCtrl::write_block(Addr addr, const BlockBytes& data) {

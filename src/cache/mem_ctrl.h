@@ -1,7 +1,9 @@
 // Memory controller + backing store (Table 2: 1 channel, 8 banks). DRAM
-// holds uncompressed blocks; block content is materialized lazily on first
-// touch by a workload-supplied value synthesizer, so the data flowing
-// through the whole system has realistic, per-benchmark compressibility.
+// holds uncompressed blocks. The image keeps only blocks that were written;
+// a read of any other block returns what a workload-supplied value
+// synthesizer, deterministic in the address, makes for it, so the data
+// flowing through the whole system has realistic, per-benchmark
+// compressibility and reads never grow the image.
 #pragma once
 
 #include <functional>
@@ -35,9 +37,13 @@ class MemCtrl final : public noc::PacketSink {
   /// DRAM image, which the system consults to synthesize completions.
   void hard_fail(std::vector<noc::PacketPtr>& orphans) { out_.take_all(orphans); }
 
-  /// Direct backing-store access (tests, golden-model checks).
-  const BlockBytes& read_block(Addr addr);
+  /// Direct backing-store access (warmup, orphan resolution, tests). A
+  /// block never written reads as the synthesizer's block and is not
+  /// stored.
+  BlockBytes read_block(Addr addr) const;
   void write_block(Addr addr, const BlockBytes& data);
+  /// Blocks the image holds: those written at least once.
+  std::size_t stored_blocks() const { return store_.size(); }
 
  private:
   std::size_t bank_of(Addr addr) const {

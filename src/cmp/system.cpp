@@ -174,53 +174,59 @@ std::optional<BlockBytes> CmpSystem::warm_invalidate_copies(
 }
 
 void CmpSystem::warm_access(NodeId node, Addr addr, bool is_store,
-                            std::uint64_t value) {
+                            std::uint64_t value,
+                            const cache::L2Bank::WarmEvictFn& on_evict) {
+  using cache::L1State;
+  using Kind = cache::DirInfo::Kind;
   const Addr blk = cache::block_align(addr);
-  cache::L2Bank& bank = *l2s_[home_of(blk)];
-  const auto on_evict = warm_evict_fn();
+  cache::L1Cache& l1 = *l1s_[node];
 
+  // The L1 answers a load hit and a store hit on an E or M copy by itself:
+  // in warmup an L1 copy is E or M exactly when the home's entry names this
+  // node its Excl owner (Warmup.L1StatesAgreeWithDirectory), and any copy
+  // implies the home holds the line (inclusion).
+  cache::L1Line* ll = l1.warm_lookup(blk);
+  if (ll != nullptr && !is_store) {
+    ll->lru = cycle_;
+    return;
+  }
+  if (ll != nullptr && ll->state != L1State::S) {
+    ll->state = L1State::M;
+    cache::apply_store_to_block(ll->data, addr, value);
+    ll->lru = cycle_;
+    return;
+  }
+
+  cache::L2Bank& bank = *l2s_[home_of(blk)];
   cache::L2Line* line = bank.warm_lookup(blk);
   if (line == nullptr)
-    line = &bank.warm_store(blk, mem_for(blk).read_block(blk), false, cycle_, on_evict);
-  cache::L1Cache& l1 = *l1s_[node];
-  using Kind = cache::DirInfo::Kind;
+    line = &bank.warm_store(blk, nullptr, mem_for(blk).read_block(blk), false,
+                            cycle_, on_evict);
   const bool owner = line->dir.kind == Kind::Excl && line->dir.owner == node;
 
   std::optional<cache::L1Cache::WarmVictim> victim;
   if (is_store) {
-    if (cache::L1Line* ll = l1.warm_lookup(blk); owner && ll != nullptr) {
-      ll->state = cache::L1State::M;
-      cache::apply_store_to_block(ll->data, addr, value);
-      ll->lru = cycle_;
-      return;
-    }
     BlockBytes current = line->data;
     if (auto d = warm_invalidate_copies(blk, line->dir, node)) {
       current = *d;
-      bank.warm_store(blk, current, true, cycle_, on_evict);
+      bank.warm_store(blk, line, current, true, cycle_, on_evict);
     }
     line->dir = cache::DirInfo{Kind::Excl, 0, node};
     cache::apply_store_to_block(current, addr, value);
-    victim = l1.warm_install(blk, current, cache::L1State::M, cycle_);
+    victim = l1.warm_install(blk, ll, current, L1State::M, cycle_);
+  } else if (line->dir.kind == Kind::Excl && !owner) {
+    if (auto d = warm_invalidate_copies(blk, line->dir))
+      bank.warm_store(blk, line, *d, true, cycle_, on_evict);
+    cache::DirInfo dir{Kind::Shared, 0, kInvalidNode};
+    dir.add_sharer(node);
+    line->dir = dir;
+    victim = l1.warm_install(blk, nullptr, line->data, L1State::S, cycle_);
+  } else if (line->dir.kind == Kind::Uncached || owner) {
+    line->dir = cache::DirInfo{Kind::Excl, 0, node};
+    victim = l1.warm_install(blk, nullptr, line->data, L1State::E, cycle_);
   } else {
-    if (cache::L1Line* ll = l1.warm_lookup(blk)) {
-      ll->lru = cycle_;
-      return;
-    }
-    if (line->dir.kind == Kind::Excl && !owner) {
-      if (auto d = warm_invalidate_copies(blk, line->dir))
-        bank.warm_store(blk, *d, true, cycle_, on_evict);
-      cache::DirInfo dir{Kind::Shared, 0, kInvalidNode};
-      dir.add_sharer(node);
-      line->dir = dir;
-      victim = l1.warm_install(blk, line->data, cache::L1State::S, cycle_);
-    } else if (line->dir.kind == Kind::Uncached || owner) {
-      line->dir = cache::DirInfo{Kind::Excl, 0, node};
-      victim = l1.warm_install(blk, line->data, cache::L1State::E, cycle_);
-    } else {
-      line->dir.add_sharer(node);
-      victim = l1.warm_install(blk, line->data, cache::L1State::S, cycle_);
-    }
+    line->dir.add_sharer(node);
+    victim = l1.warm_install(blk, nullptr, line->data, L1State::S, cycle_);
   }
 
   if (victim.has_value()) {
@@ -228,7 +234,8 @@ void CmpSystem::warm_access(NodeId node, Addr addr, bool is_store,
     cache::L2Line* vline = vbank.warm_lookup(victim->addr);
     // Inclusive hierarchy: the L2 line must still exist for any L1 copy.
     assert(vline != nullptr);
-    if (victim->dirty) vbank.warm_store(victim->addr, victim->data, true, cycle_, on_evict);
+    if (victim->dirty)
+      vbank.warm_store(victim->addr, vline, victim->data, true, cycle_, on_evict);
     if (vline->dir.kind == Kind::Excl && vline->dir.owner == node) {
       vline->dir = cache::DirInfo{};
     } else if (vline->dir.kind == Kind::Shared) {
@@ -240,13 +247,14 @@ void CmpSystem::warm_access(NodeId node, Addr addr, bool is_store,
 
 void CmpSystem::functional_warmup(std::uint64_t ops_per_core) {
   const std::uint32_t n = cfg_.noc.num_nodes();
+  const cache::L2Bank::WarmEvictFn on_evict = warm_evict_fn();
   for (std::uint64_t i = 0; i < ops_per_core; ++i) {
     if ((i & 0x3FF) == 0) check_cancel();
     for (NodeId node = 0; node < n; ++node) {
       const workload::TraceOp op = cores_[node]->next_warm_op();
       const std::uint64_t value =
           op.is_store ? synth_.store_value(op.addr, i) : 0;
-      warm_access(node, op.addr, op.is_store, value);
+      warm_access(node, op.addr, op.is_store, value, on_evict);
     }
   }
 }
@@ -449,8 +457,9 @@ void CmpSystem::resolve_protocol_orphan(const noc::PacketPtr& pkt, Cycle at) {
       cache::L1Cache& l1 = *l1s_[pkt->src];
       const Msg gm = m == Msg::GetS ? Msg::DataE : Msg::DataM;
       if (!l1.expects(gm, a)) return;
+      const BlockBytes mem = mem_for(a).read_block(a);
       synthesize(gm, pkt->dst, UnitKind::L2Bank, pkt->src, UnitKind::Core,
-                 &mem_for(a).read_block(a), l1);
+                 &mem, l1);
       return;
     }
     case Msg::PutM:
@@ -468,8 +477,9 @@ void CmpSystem::resolve_protocol_orphan(const noc::PacketPtr& pkt, Cycle at) {
       if (!topo.unit_alive(pkt->src, UnitKind::L2Bank)) return;
       cache::L2Bank& bank = *l2s_[pkt->src];
       if (!bank.expects(Msg::MemData, a)) return;
+      const BlockBytes mem = mem_for(a).read_block(a);
       synthesize(Msg::MemData, pkt->dst, UnitKind::MemCtrl, pkt->src,
-                 UnitKind::L2Bank, &mem_for(a).read_block(a), bank);
+                 UnitKind::L2Bank, &mem, bank);
       return;
     }
     case Msg::MemWB:

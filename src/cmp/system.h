@@ -156,7 +156,8 @@ class CmpSystem {
   /// data comes from the DRAM image; the stale-data windows this opens are
   /// the documented degraded-by-design cost of losing a component.
   void resolve_protocol_orphan(const noc::PacketPtr& pkt, Cycle at);
-  void warm_access(NodeId node, Addr addr, bool is_store, std::uint64_t value);
+  void warm_access(NodeId node, Addr addr, bool is_store, std::uint64_t value,
+                   const cache::L2Bank::WarmEvictFn& on_evict);
   cache::MemCtrl& mem_for(Addr addr) {
     return *mems_[(addr / kBlockBytes) % mems_.size()];
   }

@@ -198,10 +198,10 @@ TEST(Coherence, StaleSharerRereadDuringWriterInvalidationDrains) {
   ASSERT_EQ((blk / kBlockBytes) % 4, 0u);
   const BlockBytes data = cmp.mem_->read_block(blk);
   L2Line& line = cmp.l2s_[0]->warm_store(
-      blk, data, false, 0, [](Addr, const BlockBytes&, bool, const DirInfo&) {});
+      blk, nullptr, data, false, 0, [](Addr, const BlockBytes&, bool, const DirInfo&) {});
   line.dir = DirInfo{DirInfo::Kind::Shared, 0, kInvalidNode};
   line.dir.add_sharer(reader);
-  cmp.l1s_[reader]->warm_install(blk, data, L1State::S, 0);
+  cmp.l1s_[reader]->warm_install(blk, nullptr, data, L1State::S, 0);
 
   // Four more blocks of the reader's L1 set evict the S copy silently.
   const Addr stride = 128 * kBlockBytes;

@@ -20,6 +20,29 @@ TEST(MemCtrl, BackingStoreLazyAndSticky) {
   EXPECT_EQ(cmp.mem_->read_block(0x1000), changed);
 }
 
+TEST(MemCtrl, ReadsDoNotGrowTheImage) {
+  MiniCmp cmp;
+  const auto synth = [](Addr a) {
+    BlockBytes b{};
+    for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<std::uint8_t>(a / kBlockBytes + i);
+    return b;
+  };
+  cmp.set_memory_pattern(synth);
+  const Addr a = 0x3000;
+  const BlockBytes synthesized = synth(a);
+  EXPECT_EQ(cmp.mem_->read_block(a), synthesized);
+  EXPECT_EQ(cmp.mem_->read_block(a + 8), synthesized) << "reads are per block";
+  EXPECT_EQ(cmp.mem_->stored_blocks(), 0u) << "a read of an unwritten block stores nothing";
+
+  BlockBytes changed = synthesized;
+  changed[5] ^= 0x5A;
+  cmp.mem_->write_block(a, changed);
+  EXPECT_EQ(cmp.mem_->stored_blocks(), 1u);
+  EXPECT_EQ(cmp.mem_->read_block(a), changed) << "a write sticks";
+  EXPECT_EQ(cmp.mem_->read_block(a + kBlockBytes), synth(a + kBlockBytes));
+  EXPECT_EQ(cmp.mem_->stored_blocks(), 1u);
+}
+
 TEST(MemCtrl, AccessLatencyRespected) {
   MiniCmp cmp;
   const Cycle start = cmp.clock_;

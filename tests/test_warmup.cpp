@@ -1,7 +1,8 @@
 // Functional-warmup state. WarmupPins.* digest every L1 and L2 line after
-// `CmpSystem::functional_warmup` on four cells, so a change to the warm
+// `CmpSystem::functional_warmup` on five cells, so a change to the warm
 // path cannot move the state the timed phase starts from unnoticed. Update
-// a digest only for an intended behaviour change.
+// a digest only for an intended behaviour change. Warmup.* check the facts
+// the warm path's L1 fast path relies on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -129,6 +130,33 @@ TEST(WarmupPins, StreamclusterSc2Disco) {
 TEST(WarmupPins, SmallBanksEvict) {
   const std::uint64_t d = pin_of(kSmallBanks);
   EXPECT_EQ(d, 0xf97aae9c9d363d1eULL) << std::hex << "0x" << d;
+}
+
+// `CmpSystem::warm_access` answers L1 hits without probing the home, which
+// is exact only if every L1 copy has its home line (inclusion) and the
+// copy's state agrees with the home's directory entry.
+TEST(Warmup, L1StatesAgreeWithDirectory) {
+  for (const WarmCell& c : {kCanneal, kX264, kSwaptions, kStreamcluster, kSmallBanks}) {
+    SCOPED_TRACE(std::string(c.workload) + "/" + c.algorithm);
+    auto sys = warmed(c);
+    std::size_t checked = 0;
+    for (NodeId node = 0; node < sys->config().noc.num_nodes(); ++node) {
+      for (const L1Line& l : sys->l1(node).array().lines()) {
+        if (!l.valid()) continue;
+        const L2Line* home = sys->l2(sys->home_of(l.addr)).array().lookup(l.addr);
+        ASSERT_NE(home, nullptr) << "L1 copy of 0x" << std::hex << l.addr
+                                 << " has no home line";
+        const bool owned = l.state == L1State::E || l.state == L1State::M;
+        EXPECT_EQ(owned, home->dir.kind == DirInfo::Kind::Excl && home->dir.owner == node)
+            << "node " << node << " block 0x" << std::hex << l.addr;
+        EXPECT_EQ(l.state == L1State::S,
+                  home->dir.kind == DirInfo::Kind::Shared && home->dir.is_sharer(node))
+            << "node " << node << " block 0x" << std::hex << l.addr;
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, 0u);
+  }
 }
 
 }  // namespace
