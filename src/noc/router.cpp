@@ -346,6 +346,9 @@ Router::Router(NodeId id, const MeshShape& mesh, const NocConfig& cfg, NocStats&
     ++stats_.link_flits;
     assert(credits_[ch.out_slot] > 0);
     --credits_[ch.out_slot];
+  } else if (tracer_ != nullptr) {
+    tracer_->emit(now, id_, trace::Event::FlitDrop, static_cast<std::uint8_t>(p),
+                  vc, f.pkt->id, f.seq);
   }
   ch.buffer.pop_front();
   // A dropped flit still frees its input buffer slot, so the upstream

@@ -88,6 +88,14 @@ void InvariantChecker::on_event(const TraceEvent& e) {
       break;
     }
 
+    case Event::FlitDrop:
+      // A fault-injected loss: the flit leaves the network without a link
+      // push or a downstream credit.
+      if (vc_state_[pool_index(e.node, e.port, e.vc)] != VcState::Active)
+        violation(summary_.vc_state_violations, e, "drop from a non-active VC");
+      ++killed_flits_;
+      break;
+
     case Event::CreditSend:
       break;
 

@@ -19,7 +19,8 @@
 //     packet, and L2 fills store a plausible byte count;
 //   - dead-component silence: once a TopoKill declares a tile dead no
 //     further pipeline/NI/cache event may fire there, and flits destroyed by
-//     hard-fault scrubs enter the conservation equation explicitly.
+//     hard-fault scrubs or dropped by soft-fault injection enter the
+//     conservation equation explicitly.
 //
 // The checker depends only on plain parameters (no noc/disco headers), so
 // the trace module stays at the bottom of the dependency graph.
@@ -107,7 +108,7 @@ class InvariantChecker {
 
   std::uint64_t injected_flits_ = 0;
   std::uint64_t ejected_flits_ = 0;
-  std::uint64_t killed_flits_ = 0;  ///< destroyed by hard-fault scrubs/filters
+  std::uint64_t killed_flits_ = 0;  ///< destroyed by hard-fault scrubs/filters and drops
   std::int64_t rebuild_delta_ = 0;
   double conf_comp_max_ = 0;
   double conf_decomp_min_ = 0;

@@ -14,6 +14,7 @@ Category category_of(Event e) {
     case Event::RouteCompute:
     case Event::VcAllocGrant:
     case Event::SwitchTraversal:
+    case Event::FlitDrop:
       return Category::Noc;
     case Event::CreditSend:
     case Event::CreditRecv:
@@ -56,6 +57,7 @@ const char* to_string(Event e) {
     case Event::RouteCompute: return "RC";
     case Event::VcAllocGrant: return "VA";
     case Event::SwitchTraversal: return "ST";
+    case Event::FlitDrop: return "DRP";
     case Event::CreditSend: return "CRS";
     case Event::CreditRecv: return "CRR";
     case Event::Rebuild: return "REB";

@@ -59,10 +59,12 @@ enum class Event : std::uint8_t {
   TopoReroute,      ///< degraded (non-XY) route chosen at RC; arg = out port
   TopoUnreachable,  ///< packet dropped at source NI, dst unreachable/dead
   TopoBypass,       ///< NI flipped to uncompressed-bypass (engine hard fault)
+  // Soft faults (category: noc). Last, so the events above keep their codes.
+  FlitDrop,         ///< body flit lost at ST by fault injection; arg = seq
 };
 
 inline constexpr std::size_t kNumEvents =
-    static_cast<std::size_t>(Event::TopoBypass) + 1;
+    static_cast<std::size_t>(Event::FlitDrop) + 1;
 
 enum class Category : std::uint8_t { Noc, Credit, Ni, Disco, Cache, Topo };
 
