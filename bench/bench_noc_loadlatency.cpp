@@ -5,6 +5,8 @@
 // in-network compressor buys headroom.
 #include <cstdio>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "sim/noc_run.h"
@@ -13,19 +15,28 @@ using namespace disco;
 
 namespace {
 
-/// Mean packet latency of one curve point; `inv_out` gets its checker's
-/// verdict.
-double run_point(FlowControl fc, bool with_disco, double rate,
-                 const TraceConfig& tc, trace::InvariantSummary* inv_out) {
+constexpr Cycle kDrainCycles = 100000;
+
+struct Point {
+  double latency = -1.0;  ///< mean over the ejected packets
+  bool drained = false;
+  std::uint64_t ejected = 0;
+  std::uint64_t injected = 0;
+};
+
+/// One curve point; `inv_out` gets its checker's verdict.
+Point run_point(FlowControl fc, bool with_disco, double rate,
+                const TraceConfig& tc, trace::InvariantSummary* inv_out) {
   NocConfig cfg;
   cfg.flow_control = fc;
   sim::NocRun run(cfg, with_disco ? Scheme::DISCO : Scheme::Baseline, tc,
                   {.rate = rate, .compressible = 0.8, .inject_seed = 77,
                    .dest_seed = 3});
   while (run.cycle() < 20000) run.step();
-  run.drain(100000);
+  const bool drained = run.drain(kDrainCycles);
   *inv_out = run.invariants();
-  return run.stats().avg_packet_latency();
+  return {run.stats().avg_packet_latency(), drained,
+          run.stats().packets_ejected, run.injected()};
 }
 
 }  // namespace
@@ -49,26 +60,39 @@ int main(int argc, char** argv) {
       {FlowControl::VirtualCutThrough, false},
       {FlowControl::VirtualCutThrough, true},
   };
-  std::vector<double> lat(rates.size() * variants.size(), -1.0);
-  std::vector<trace::InvariantSummary> inv(lat.size());
+  const char* const names[] = {"wormhole", "wormhole+DISCO", "VCT", "VCT+DISCO"};
+  std::vector<Point> pts(rates.size() * variants.size());
+  std::vector<trace::InvariantSummary> inv(pts.size());
   sim::run_indexed(
-      lat.size(),
+      pts.size(),
       [&](std::size_t i) {
         const Variant& v = variants[i % variants.size()];
-        lat[i] = run_point(v.fc, v.disco, rates[i / variants.size()],
+        pts[i] = run_point(v.fc, v.disco, rates[i / variants.size()],
                            sweep_opt.trace, &inv[i]);
       },
       sweep_opt);
 
-  TablePrinter t({"inject rate", "wormhole", "wormhole+DISCO", "VCT",
-                  "VCT+DISCO"});
+  TablePrinter t({"inject rate", names[0], names[1], names[2], names[3]});
+  std::string undrained;
   for (std::size_t r = 0; r < rates.size(); ++r) {
-    const double* row = &lat[r * variants.size()];
-    t.add_row({TablePrinter::fmt(rates[r], 3), TablePrinter::fmt(row[0], 1),
-               TablePrinter::fmt(row[1], 1), TablePrinter::fmt(row[2], 1),
-               TablePrinter::fmt(row[3], 1)});
+    std::vector<std::string> row = {TablePrinter::fmt(rates[r], 3)};
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      // A mean over an undrained run covers only its delivered packets.
+      const Point& p = pts[r * variants.size() + v];
+      row.push_back(TablePrinter::fmt(p.latency, 1) + (p.drained ? "" : "*"));
+      if (!p.drained)
+        undrained += "* " + std::string(names[v]) + " at rate " +
+                     TablePrinter::fmt(rates[r], 3) + ": " +
+                     std::to_string(p.ejected) + " of " +
+                     std::to_string(p.injected) + " packets ejected\n";
+    }
+    t.add_row(row);
   }
   t.print(std::cout);
+  if (!undrained.empty())
+    std::printf("\n* did not drain within %llu cycles; the mean covers the "
+                "ejected packets only:\n%s",
+                static_cast<unsigned long long>(kDrainCycles), undrained.c_str());
   std::printf("\nreading: DISCO's compression postpones saturation (its curve "
               "bends later); VCT trades a slightly earlier knee for whole-"
               "packet residency at every hop.\n");
