@@ -329,8 +329,12 @@ Router::Router(NodeId id, const MeshShape& mesh, const NocConfig& cfg, NocStats&
     // Only body non-tail flits may be lost: the head keeps routing/VA
     // state sane downstream and the tail keeps wormhole framing intact.
     if (f.seq > 0 && !tail && f.pkt->has_data &&
-        injector_->should_drop_flit())
+        injector_->should_drop_flit()) {
       dropped = true;
+      if (tracer_ != nullptr)
+        tracer_->emit(now, id_, trace::Event::FlitDrop,
+                      static_cast<std::uint8_t>(p), vc, f.pkt->id, f.seq);
+    }
   }
 
   ++stats_.buffer_reads;
@@ -346,9 +350,6 @@ Router::Router(NodeId id, const MeshShape& mesh, const NocConfig& cfg, NocStats&
     ++stats_.link_flits;
     assert(credits_[ch.out_slot] > 0);
     --credits_[ch.out_slot];
-  } else if (tracer_ != nullptr) {
-    tracer_->emit(now, id_, trace::Event::FlitDrop, static_cast<std::uint8_t>(p),
-                  vc, f.pkt->id, f.seq);
   }
   ch.buffer.pop_front();
   // A dropped flit still frees its input buffer slot, so the upstream
