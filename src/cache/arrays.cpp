@@ -25,14 +25,8 @@ L1Line* L1Array::lookup(Addr addr) {
 }
 
 L1Line* L1Array::victim_for(Addr addr) {
-  const std::size_t base = set_of(addr) * ways_;
-  L1Line* lru = nullptr;
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    L1Line& line = lines_[base + w];
-    if (!line.valid()) return nullptr;  // free way available
-    if (lru == nullptr || line.lru < lru->lru) lru = &line;
-  }
-  return lru;
+  L1Line& way = fill_way(addr);
+  return way.valid() ? &way : nullptr;  // an invalid way is free: no victim
 }
 
 L1Line& L1Array::install(Addr addr, const BlockBytes& data, L1State state, Cycle now) {

@@ -42,16 +42,15 @@ class L1Array {
   L1Array(std::uint32_t size_bytes, std::uint32_t ways);
 
   L1Line* lookup(Addr addr);
-  /// Least-recently-used valid line of addr's set (eviction candidate), or
-  /// nullptr if the set has a free way.
+  /// The replacement policy: the first free way of addr's set, else its
+  /// first least-recently-used way (still valid: the caller evicts it).
+  L1Line& fill_way(Addr addr);
+  /// fill_way's way if it is valid (the eviction candidate), or nullptr if
+  /// the set has a free way.
   L1Line* victim_for(Addr addr);
   /// Install into a free way of addr's set (victim must be gone already);
   /// throws std::logic_error if the set is full.
   L1Line& install(Addr addr, const BlockBytes& data, L1State state, Cycle now);
-  /// The way victim_for + install would fill, found in one pass: the first
-  /// free way of addr's set, else its first least-recently-used way (still
-  /// valid: the caller evicts it).
-  L1Line& fill_way(Addr addr);
 
   std::uint32_t sets() const { return sets_; }
   std::uint32_t ways() const { return ways_; }
