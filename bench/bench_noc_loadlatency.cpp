@@ -17,26 +17,19 @@ namespace {
 
 constexpr Cycle kDrainCycles = 100000;
 
-struct Point {
-  double latency = -1.0;  ///< mean over the ejected packets
-  bool drained = false;
-  std::uint64_t ejected = 0;
-  std::uint64_t injected = 0;
-};
-
 /// One curve point; `inv_out` gets its checker's verdict.
-Point run_point(FlowControl fc, bool with_disco, double rate,
-                const TraceConfig& tc, trace::InvariantSummary* inv_out) {
+sim::NocOutcome run_point(FlowControl fc, bool with_disco, double rate,
+                          const TraceConfig& tc,
+                          trace::InvariantSummary* inv_out) {
   NocConfig cfg;
   cfg.flow_control = fc;
   sim::NocRun run(cfg, with_disco ? Scheme::DISCO : Scheme::Baseline, tc,
                   {.rate = rate, .compressible = 0.8, .inject_seed = 77,
                    .dest_seed = 3});
   while (run.cycle() < 20000) run.step();
-  const bool drained = run.drain(kDrainCycles);
+  const sim::NocOutcome out = run.finish(kDrainCycles);
   *inv_out = run.invariants();
-  return {run.stats().avg_packet_latency(), drained,
-          run.stats().packets_ejected, run.injected()};
+  return out;
 }
 
 }  // namespace
@@ -53,15 +46,15 @@ int main(int argc, char** argv) {
   struct Variant {
     FlowControl fc;
     bool disco;
+    const char* name;
   };
   const std::vector<Variant> variants = {
-      {FlowControl::Wormhole, false},
-      {FlowControl::Wormhole, true},
-      {FlowControl::VirtualCutThrough, false},
-      {FlowControl::VirtualCutThrough, true},
+      {FlowControl::Wormhole, false, "wormhole"},
+      {FlowControl::Wormhole, true, "wormhole+DISCO"},
+      {FlowControl::VirtualCutThrough, false, "VCT"},
+      {FlowControl::VirtualCutThrough, true, "VCT+DISCO"},
   };
-  const char* const names[] = {"wormhole", "wormhole+DISCO", "VCT", "VCT+DISCO"};
-  std::vector<Point> pts(rates.size() * variants.size());
+  std::vector<sim::NocOutcome> pts(rates.size() * variants.size());
   std::vector<trace::InvariantSummary> inv(pts.size());
   sim::run_indexed(
       pts.size(),
@@ -72,27 +65,21 @@ int main(int argc, char** argv) {
       },
       sweep_opt);
 
-  TablePrinter t({"inject rate", names[0], names[1], names[2], names[3]});
-  std::string undrained;
+  std::vector<std::string> header = {"inject rate"};
+  for (const Variant& v : variants) header.push_back(v.name);
+  TablePrinter t(header);
+  sim::UndrainedNotes undrained(kDrainCycles);
   for (std::size_t r = 0; r < rates.size(); ++r) {
-    std::vector<std::string> row = {TablePrinter::fmt(rates[r], 3)};
-    for (std::size_t v = 0; v < variants.size(); ++v) {
-      // A mean over an undrained run covers only its delivered packets.
-      const Point& p = pts[r * variants.size() + v];
-      row.push_back(TablePrinter::fmt(p.latency, 1) + (p.drained ? "" : "*"));
-      if (!p.drained)
-        undrained += "* " + std::string(names[v]) + " at rate " +
-                     TablePrinter::fmt(rates[r], 3) + ": " +
-                     std::to_string(p.ejected) + " of " +
-                     std::to_string(p.injected) + " packets ejected\n";
-    }
+    const std::string rate = TablePrinter::fmt(rates[r], 3);
+    std::vector<std::string> row = {rate};
+    for (std::size_t v = 0; v < variants.size(); ++v)
+      row.push_back(undrained.latency_cell(pts[r * variants.size() + v],
+                                           std::string(variants[v].name) +
+                                               " at rate " + rate));
     t.add_row(row);
   }
   t.print(std::cout);
-  if (!undrained.empty())
-    std::printf("\n* did not drain within %llu cycles; the mean covers the "
-                "ejected packets only:\n%s",
-                static_cast<unsigned long long>(kDrainCycles), undrained.c_str());
+  std::printf("%s", undrained.footnote().c_str());
   std::printf("\nreading: DISCO's compression postpones saturation (its curve "
               "bends later); VCT trades a slightly earlier knee for whole-"
               "packet residency at every hop.\n");

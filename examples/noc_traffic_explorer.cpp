@@ -21,12 +21,9 @@ constexpr Cycle kInjectCycles = 30000;
 constexpr Cycle kDrainCycles = 50000;
 
 struct Result {
-  double avg_latency;
+  sim::NocOutcome outcome;
   std::uint64_t flits;
   std::uint64_t compressions;
-  bool drained;
-  std::uint64_t ejected;
-  std::uint64_t injected;
 };
 
 Result run(workload::TrafficPattern pattern, double rate, bool with_disco) {
@@ -35,16 +32,8 @@ Result run(workload::TrafficPattern pattern, double rate, bool with_disco) {
                   {.pattern = pattern, .rate = rate, .compressible = 0.85,
                    .inject_seed = 1234, .dest_seed = 99});
   while (run.cycle() < kInjectCycles) run.step();
-  const bool drained = run.drain(kDrainCycles);
-  const noc::NocStats& stats = run.stats();
-  return {stats.avg_packet_latency(), stats.link_flits,
-          stats.inflight_compressions, drained, stats.packets_ejected,
-          run.injected()};
-}
-
-/// A mean over an undrained run covers only its delivered packets: mark it.
-std::string latency_cell(const Result& r) {
-  return TablePrinter::fmt(r.avg_latency, 1) + (r.drained ? "" : "*");
+  const sim::NocOutcome outcome = run.finish(kDrainCycles);
+  return {outcome, run.stats().link_flits, run.stats().inflight_compressions};
 }
 
 }  // namespace
@@ -64,28 +53,21 @@ int main(int argc, char** argv) {
 
   TablePrinter t({"inject rate", "plain: avg lat", "DISCO: avg lat",
                   "plain flits", "DISCO flits", "in-net compressions"});
-  std::string undrained;
+  sim::UndrainedNotes undrained(kDrainCycles);
   for (const double rate : {0.005, 0.01, 0.02, 0.03, 0.05}) {
     const Result plain = run(pattern, rate, false);
     const Result dsc = run(pattern, rate, true);
-    t.add_row({TablePrinter::fmt(rate, 3), latency_cell(plain), latency_cell(dsc),
+    const std::string at = " at rate " + TablePrinter::fmt(rate, 3);
+    t.add_row({TablePrinter::fmt(rate, 3),
+               undrained.latency_cell(plain.outcome, "plain" + at),
+               undrained.latency_cell(dsc.outcome, "DISCO" + at),
                std::to_string(plain.flits), std::to_string(dsc.flits),
                std::to_string(dsc.compressions)});
-    for (const Result* r : {&plain, &dsc}) {
-      if (r->drained) continue;
-      undrained += "* " + std::string(r == &plain ? "plain" : "DISCO") +
-                   " at rate " + TablePrinter::fmt(rate, 3) + ": " +
-                   std::to_string(r->ejected) + " of " +
-                   std::to_string(r->injected) + " packets ejected\n";
-    }
     std::printf("  rate %.3f done\n", rate);
   }
   std::printf("\n");
   t.print(std::cout);
-  if (!undrained.empty())
-    std::printf("\n* did not drain within %llu cycles; the mean covers the "
-                "ejected packets only:\n%s",
-                static_cast<unsigned long long>(kDrainCycles), undrained.c_str());
+  std::printf("%s", undrained.footnote().c_str());
   std::printf("\nAt low load packets rarely idle, so DISCO compresses little;"
               " as contention rises, idle time funds compression and the "
               "flit count (and queueing) drops.\n");

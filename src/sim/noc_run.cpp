@@ -1,6 +1,7 @@
 #include "sim/noc_run.h"
 
 #include "cmp/scheme.h"
+#include "common/table.h"
 #include "compress/registry.h"
 #include "disco/unit.h"
 
@@ -59,8 +60,29 @@ bool NocRun::drain(Cycle max_cycles) {
   return net_->quiescent();
 }
 
+NocOutcome NocRun::finish(Cycle max_cycles) {
+  const bool drained = drain(max_cycles);
+  return {stats_.avg_packet_latency(), drained, stats_.packets_ejected,
+          injected_};
+}
+
 trace::InvariantSummary NocRun::invariants() const {
   return checker_ != nullptr ? checker_->summary() : trace::InvariantSummary{};
+}
+
+std::string UndrainedNotes::latency_cell(const NocOutcome& o,
+                                         const std::string& label) {
+  const std::string mean = TablePrinter::fmt(o.avg_latency, 1);
+  if (o.drained) return mean;
+  notes_ += "* " + label + ": " + std::to_string(o.ejected) + " of " +
+            std::to_string(o.injected) + " packets ejected\n";
+  return mean + "*";
+}
+
+std::string UndrainedNotes::footnote() const {
+  if (notes_.empty()) return {};
+  return "\n* did not drain within " + std::to_string(drain_cycles_) +
+         " cycles; the mean covers the ejected packets only:\n" + notes_;
 }
 
 }  // namespace disco::sim

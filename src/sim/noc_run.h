@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "common/config.h"
 #include "common/rng.h"
@@ -27,6 +28,14 @@ struct NocTraffic {
   std::uint64_t dest_seed = 0;    ///< the destination chooser
 };
 
+/// How a network-only run ended after its drain.
+struct NocOutcome {
+  double avg_latency = -1.0;  ///< mean over the ejected packets only
+  bool drained = false;       ///< quiescent within the drain bound
+  std::uint64_t ejected = 0;
+  std::uint64_t injected = 0;
+};
+
 class NocRun {
  public:
   /// Builds the `cfg` mesh with `scheme`'s NI policy, and DISCO routers
@@ -45,6 +54,8 @@ class NocRun {
   /// Ticks without injecting until the network is quiescent or `max_cycles`
   /// cycles passed. Returns whether it is quiescent.
   bool drain(Cycle max_cycles);
+  /// drain(max_cycles), then the run's mean latency and packet counts.
+  NocOutcome finish(Cycle max_cycles);
 
   /// The cycle the next step() or drain tick runs.
   Cycle cycle() const { return clock_; }
@@ -65,6 +76,24 @@ class NocRun {
   workload::TrafficChooser chooser_;
   std::uint64_t injected_ = 0;
   Cycle clock_ = 0;
+};
+
+/// Table cells and a footnote for a table of network-only runs. A mean over
+/// a run that did not drain covers only its delivered packets, so its cell
+/// is marked '*' and the footnote gives its ejected and injected counts.
+class UndrainedNotes {
+ public:
+  /// `drain_cycles`: the bound every run of the table was drained with.
+  explicit UndrainedNotes(Cycle drain_cycles) : drain_cycles_(drain_cycles) {}
+  /// `o`'s mean latency as a table cell; an undrained run is marked and
+  /// noted under `label`.
+  std::string latency_cell(const NocOutcome& o, const std::string& label);
+  /// Empty when every run drained, else the footnote, from a blank line on.
+  std::string footnote() const;
+
+ private:
+  Cycle drain_cycles_;
+  std::string notes_;
 };
 
 }  // namespace disco::sim

@@ -71,6 +71,30 @@ TEST(NocRun, UntracedRunHasNoVerdict) {
   EXPECT_FALSE(run.invariants().enabled);
 }
 
+TEST(NocRun, FinishReportsAnUndrainedRun) {
+  // 2000 cycles of saturating load cannot drain in 10 cycles.
+  sim::NocRun run(NocConfig{}, Scheme::Baseline, TraceConfig{},
+                  {.rate = 0.12, .inject_seed = 1, .dest_seed = 2});
+  while (run.cycle() < 2000) run.step();
+  const sim::NocOutcome cut = run.finish(10);
+  EXPECT_FALSE(cut.drained);
+  EXPECT_EQ(cut.injected, run.injected());
+  EXPECT_LT(cut.ejected, cut.injected);
+  EXPECT_GT(cut.avg_latency, 0.0);
+
+  sim::UndrainedNotes notes(10);
+  const sim::NocOutcome drained{.avg_latency = 12.0, .drained = true,
+                                .ejected = 5, .injected = 5};
+  EXPECT_EQ(notes.latency_cell(drained, "a"), "12.0");
+  EXPECT_EQ(notes.footnote(), "");
+  const sim::NocOutcome undrained{.avg_latency = 40.5, .drained = false,
+                                  .ejected = 3, .injected = 7};
+  EXPECT_EQ(notes.latency_cell(undrained, "b"), "40.5*");
+  EXPECT_EQ(notes.footnote(),
+            "\n* did not drain within 10 cycles; the mean covers the ejected "
+            "packets only:\n* b: 3 of 7 packets ejected\n");
+}
+
 TEST(NetworkChecker, OneEndOfCyclePerTickWithoutTheCaller) {
   NocConfig cfg;
   cfg.mesh_cols = 2;
