@@ -18,6 +18,7 @@
 
 #include "cmp/system.h"
 #include "common/interrupt.h"
+#include "field_recorder.h"
 #include "sim/json_export.h"
 #include "sim/supervisor.h"
 #include "sim/sweep.h"
@@ -151,56 +152,7 @@ TEST(WireFormat, RoundTripIsBitExact) {
   EXPECT_EQ(wire::encode_result(d), encoded);
 }
 
-/// Walks CellResult::visit recording every key, as its dotted path (the
-/// wire key), with a printable bit image of its value (a gate records
-/// "on"/"off", a plain object or labeled field list nothing).
-struct FieldRecorder {
-  std::vector<std::pair<std::string, std::string>> fields;
-  std::string prefix;
-
-  void record(std::string_view key, std::string value) {
-    fields.emplace_back(prefix + std::string(key), std::move(value));
-  }
-  template <class F>
-  void nest(std::string_view key, F&& f) {
-    const std::size_t outer = prefix.size();
-    prefix.append(key).push_back('.');
-    f();
-    prefix.resize(outer);
-  }
-  void operator()(std::string_view key, const std::string& v) { record(key, v); }
-  void operator()(std::string_view key, std::uint64_t v) {
-    record(key, std::to_string(v));
-  }
-  void operator()(std::string_view key, double v) {
-    record(key, std::to_string(std::bit_cast<std::uint64_t>(v)));
-  }
-  void operator()(std::string_view key, Scheme v) { record(key, to_string(v)); }
-  template <class T>
-    requires requires(T& t, FieldRecorder& r) { t.visit(r); }
-  void operator()(std::string_view key, T& v) {
-    object(key, [&] { v.visit(*this); });
-  }
-  template <class T, std::size_t N>
-  void operator()(std::string_view key, T (&a)[N]) {
-    record(key, "");
-    nest(key, [&] {
-      for (std::size_t i = 0; i < N; ++i) (*this)(std::to_string(i), a[i]);
-    });
-  }
-  template <class F>
-  void object(std::string_view key, F&& f) {
-    record(key, "");
-    nest(key, f);
-  }
-  template <class F>
-  void object(std::string_view key, bool gate, F&& f) {
-    record(key, gate ? "on" : "off");
-    nest(key, f);
-  }
-  void computed(std::string_view key, double v) { (*this)(key, v); }
-  void transport(std::string_view key, const std::string& v) { (*this)(key, v); }
-};
+using testutil::FieldRecorder;
 
 /// Gives every field of a result a distinct non-default value and sets
 /// every gate (fault, hard fault, invariants).
