@@ -179,7 +179,7 @@ void print_fig8(const sim::SweepResult& sweep, const bench::FigureGrid& g) {
 int main(int argc, char** argv) {
   const auto sweep_opt = bench::sweep_options(argc, argv, "figures");
   SystemConfig base;
-  bench::configure_faults(base, sweep_opt);
+  base.fault = sweep_opt.fault;
   bench::print_banner("Figures 5-8: NUCA latency, energy and scalability", base);
   std::printf("engines off: DISCO with CCth = CDth = +inf, so no router engine "
               "starts; NI source-queue compression stays on\n\n");

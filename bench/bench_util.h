@@ -59,12 +59,6 @@ inline int exit_code(const sim::SweepResult& r) {
 /// when a SIGINT/SIGTERM cut the run short, else 0.
 inline int exit_code_indexed() { return interrupt_requested() ? 130 : 0; }
 
-/// Copy the sweep's --fault-* knobs into a cell config. No-op (and
-/// byte-identical outputs) when no fault flag was given.
-inline void configure_faults(SystemConfig& cfg, const sim::SweepOptions& opt) {
-  cfg.fault = opt.fault;
-}
-
 inline void print_banner(const char* title, const SystemConfig& cfg) {
   std::printf("=== %s ===\n", title);
   std::printf("system: %s\n", cfg.summary().c_str());

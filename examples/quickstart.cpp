@@ -7,6 +7,7 @@
 // Build & run:  ./build/examples/quickstart [workload] [scheme] [--verbose]
 #include <cstdio>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "common/table.h"
@@ -16,24 +17,19 @@
 
 using namespace disco;
 
-namespace {
-
-Scheme parse_scheme(const std::string& s) {
-  if (s == "baseline") return Scheme::Baseline;
-  if (s == "cc") return Scheme::CC;
-  if (s == "cnc") return Scheme::CNC;
-  if (s == "ideal") return Scheme::Ideal;
-  return Scheme::DISCO;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const std::string workload = argc > 1 ? argv[1] : "canneal";
   const std::string scheme = argc > 2 ? argv[2] : "disco";
 
+  const std::optional<Scheme> parsed = scheme_from_name(scheme);
+  if (!parsed) {
+    std::fprintf(stderr,
+                 "error: unknown scheme '%s' (baseline, cc, cnc, disco, ideal)\n",
+                 scheme.c_str());
+    return 2;
+  }
   SystemConfig cfg;
-  cfg.scheme = parse_scheme(scheme);
+  cfg.scheme = *parsed;
   cfg.algorithm = "delta";
 
   const auto& profile = workload::profile_by_name(workload);

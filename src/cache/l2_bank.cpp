@@ -451,23 +451,6 @@ void L2Bank::hard_fail(std::vector<noc::PacketPtr>& orphans) {
   space_waiters_.clear();
 }
 
-void L2Bank::dump_transactions(std::FILE* out) const {
-  static const char* kind_names[] = {"Request", "PutAbsorb", "Eviction"};
-  static const char* phase_names[] = {"Start", "RecallWait", "InvWait",
-                                      "MemWait", "SpaceWait"};
-  for (const auto& [addr, t] : txns_) {
-    std::fprintf(out,
-                 "  bank %u txn addr=%llx kind=%s phase=%s acks=%u queue=%zu "
-                 "req=%s from=%u parent=%llx\n",
-                 node_, static_cast<unsigned long long>(addr),
-                 kind_names[static_cast<int>(t.kind)],
-                 phase_names[static_cast<int>(t.phase)], t.pending_acks,
-                 t.queue.size(), t.req ? to_string(msg_of(*t.req)) : "-",
-                 t.req ? t.req->src : 0,
-                 static_cast<unsigned long long>(t.parent));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Functional warmup
 

@@ -15,7 +15,6 @@
 //                         compressed form with no bank-side latency
 #pragma once
 
-#include <cstdio>
 #include <deque>
 #include <functional>
 #include <unordered_map>
@@ -72,9 +71,6 @@ class L2Bank final : public noc::PacketSink {
   /// refill from the DRAM image, so dirty lines silently revert (the
   /// documented degraded-by-design data-loss window of a bank kill).
   void hard_fail(std::vector<noc::PacketPtr>& orphans);
-
-  /// Diagnostic dump of in-flight transactions (one line each).
-  void dump_transactions(std::FILE* out) const;
 
   // --- functional-warmup API (no timing, no messages) ---
   /// Callback invoked for lines functionally evicted to make room; the

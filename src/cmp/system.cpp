@@ -541,10 +541,4 @@ std::uint64_t CmpSystem::total_core_ops() const {
   return n;
 }
 
-std::uint64_t CmpSystem::total_stall_cycles() const {
-  std::uint64_t n = 0;
-  for (const auto& core : cores_) n += core->stall_cycles();
-  return n;
-}
-
 }  // namespace disco::cmp

@@ -99,11 +99,6 @@ class CmpSystem {
   /// Hard faults actually applied so far (survives reset_stats, unlike the
   /// per-phase NocStats kill counters).
   std::uint64_t hard_faults_applied() const { return hard_faults_applied_; }
-  /// The materialized deterministic kill schedule (sorted; empty unless
-  /// cfg.fault.hard_enabled()).
-  const std::vector<HardFaultEvent>& hard_fault_schedule() const {
-    return hard_schedule_;
-  }
   const noc::NocStats& noc_stats() const { return noc_stats_; }
   const cache::CacheStats& cache_stats() const { return cache_stats_; }
   const compress::Algorithm& algorithm() const { return *algo_; }
@@ -124,7 +119,6 @@ class CmpSystem {
   Core& core(NodeId n) { return *cores_[n]; }
 
   std::uint64_t total_core_ops() const;
-  std::uint64_t total_stall_cycles() const;
 
   NodeId home_of(Addr addr) const {
     return static_cast<NodeId>((addr / kBlockBytes) % cfg_.noc.num_nodes());

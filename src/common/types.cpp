@@ -1,5 +1,8 @@
 #include "common/types.h"
 
+#include <algorithm>
+#include <cctype>
+
 namespace disco {
 
 const char* to_string(Scheme s) {
@@ -11,6 +14,20 @@ const char* to_string(Scheme s) {
     case Scheme::Ideal: return "Ideal";
   }
   return "?";
+}
+
+std::optional<Scheme> scheme_from_name(std::string_view name) {
+  for (const Scheme s : {Scheme::Baseline, Scheme::CC, Scheme::CNC,
+                         Scheme::DISCO, Scheme::Ideal}) {
+    const std::string_view known = to_string(s);
+    if (std::equal(name.begin(), name.end(), known.begin(), known.end(),
+                   [](char a, char b) {
+                     return std::tolower(static_cast<unsigned char>(a)) ==
+                            std::tolower(static_cast<unsigned char>(b));
+                   }))
+      return s;
+  }
+  return std::nullopt;
 }
 
 const char* to_string(UnitKind k) {

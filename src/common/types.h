@@ -4,6 +4,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 namespace disco {
 
@@ -49,6 +51,9 @@ enum class Scheme : std::uint8_t {
 };
 
 const char* to_string(Scheme s);
+/// The scheme whose to_string name is `name`, ignoring case; nullopt when
+/// none is.
+std::optional<Scheme> scheme_from_name(std::string_view name);
 const char* to_string(UnitKind k);
 const char* to_string(VNet v);
 

@@ -34,9 +34,4 @@ std::optional<BlockBytes> Algorithm::try_decompress(
   }
 }
 
-double ratio_of(const Algorithm& algo, const BlockBytes& block) {
-  const Encoded e = algo.compress(block);
-  return static_cast<double>(kBlockBytes) / static_cast<double>(e.size());
-}
-
 }  // namespace disco::compress

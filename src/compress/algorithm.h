@@ -67,7 +67,4 @@ Encoded encode_raw(const BlockBytes& block);
 bool is_raw(std::span<const std::uint8_t> enc);
 BlockBytes decode_raw(std::span<const std::uint8_t> enc);
 
-/// Compression ratio of one block under an algorithm: original / encoded.
-double ratio_of(const Algorithm& algo, const BlockBytes& block);
-
 }  // namespace disco::compress

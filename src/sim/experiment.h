@@ -60,9 +60,9 @@ struct CellResult : noc::NocStats, cache::CacheStats {
   /// Canonical trace text of the measurement phase (empty unless tracing).
   std::string trace_text;
 
-  /// The one CellResult field list. The wire codec (sim/wire.h), the JSON
-  /// writer (sim/json_export.h) and the export test all walk it. A visitor
-  /// `v` provides:
+  /// The one CellResult field list. The JSON writer (sim/json_export.h),
+  /// which is also the wire encoder, the wire decoder (sim/wire.h) and the
+  /// tests all walk it. A visitor `v` provides:
   ///   v(key, field)                a result field: a string, number or
   ///                                Scheme, a C array of fields, or a type
   ///                                with its own labeled `visit` list

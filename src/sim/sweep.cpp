@@ -1,11 +1,16 @@
 #include "sim/sweep.h"
 
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "common/interrupt.h"
@@ -159,7 +164,7 @@ namespace {
                "tracing / invariants:\n"
                "  --trace PREFIX       capture probe events; writes Chrome JSON\n"
                "                       to <PREFIX>-cell<i>.json (Perfetto)\n"
-               "  --trace-filter CATS  comma list: noc,credit,ni,disco,cache\n"
+               "  --trace-filter CATS  comma list: noc,credit,ni,disco,cache,topo\n"
                "  --check-invariants   stream every event through the runtime\n"
                "                       invariant checker (summary per cell)\n"
                "fault injection (any rate flag enables the injector):\n"
@@ -183,6 +188,34 @@ namespace {
                "                         exponential draw per component)\n",
                prog);
   std::exit(code);
+}
+
+/// The whole of `text` as a T; nullopt when it is empty, malformed, out of
+/// range or has anything left over. A double must also be finite and
+/// non-negative (every double flag is a rate).
+template <class T>
+std::optional<T> parse_whole(std::string_view text) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>)
+    if (!std::isfinite(v) || v < 0) return std::nullopt;
+  return v;
+}
+
+/// The value of the flag at argv[i] (advancing i) read whole as a T; usage
+/// and exit 2 when it is missing or does not parse.
+template <class T>
+T flag_value(int argc, char** argv, int& i) {
+  if (i + 1 >= argc) usage(argv[0], 2);
+  const char* flag = argv[i++];
+  const std::optional<T> v = parse_whole<T>(argv[i]);
+  if (!v) {
+    std::fprintf(stderr, "bad value for %s: %s\n", flag, argv[i]);
+    usage(argv[0], 2);
+  }
+  return *v;
 }
 
 }  // namespace
@@ -282,11 +315,11 @@ SweepOptions parse_sweep_flags(int argc, char** argv,
     if (arg == "--help" || arg == "-h") {
       usage(argv[0], 0);
     } else if (arg == "--threads") {
-      opt.threads = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+      opt.threads = flag_value<unsigned>(argc, argv, i);
     } else if (arg == "--seed") {
-      opt.base_seed = std::strtoull(value(), nullptr, 10);
+      opt.base_seed = flag_value<std::uint64_t>(argc, argv, i);
     } else if (arg == "--timeout-ms") {
-      opt.supervisor.cell_timeout_ms = std::strtoull(value(), nullptr, 10);
+      opt.supervisor.cell_timeout_ms = flag_value<std::uint64_t>(argc, argv, i);
     } else if (arg == "--no-progress") {
       opt.progress = false;
     } else if (arg == "--isolate") {
@@ -296,17 +329,17 @@ SweepOptions parse_sweep_flags(int argc, char** argv,
     } else if (arg == "--resume") {
       opt.supervisor.resume_manifest = value();
     } else if (arg == "--hang-grace-ms") {
-      opt.supervisor.hang_grace_ms = std::strtoull(value(), nullptr, 10);
+      opt.supervisor.hang_grace_ms = flag_value<std::uint64_t>(argc, argv, i);
     } else if (arg == "--max-rss-mb") {
-      opt.supervisor.max_rss_mb = std::strtoull(value(), nullptr, 10);
+      opt.supervisor.max_rss_mb = flag_value<std::uint64_t>(argc, argv, i);
     } else if (arg == "--progress-watchdog") {
-      opt.progress_watchdog_cycles = std::strtoull(value(), nullptr, 10);
+      opt.progress_watchdog_cycles = flag_value<std::uint64_t>(argc, argv, i);
     } else if (arg == "--debug-crash-cell") {
-      opt.supervisor.debug_crash_cell = std::atoi(value());
+      opt.supervisor.debug_crash_cell = flag_value<int>(argc, argv, i);
     } else if (arg == "--debug-hang-cell") {
-      opt.supervisor.debug_hang_cell = std::atoi(value());
+      opt.supervisor.debug_hang_cell = flag_value<int>(argc, argv, i);
     } else if (arg == "--debug-throw-cell") {
-      opt.supervisor.debug_throw_cell = std::atoi(value());
+      opt.supervisor.debug_throw_cell = flag_value<int>(argc, argv, i);
     } else if (arg == "--trace") {
       opt.trace.out_path = value();
       opt.trace.enabled = true;
@@ -322,27 +355,27 @@ SweepOptions parse_sweep_flags(int argc, char** argv,
     } else if (arg == "--check-invariants") {
       opt.trace.check_invariants = true;
     } else if (arg == "--fault-rate") {
-      const double r = std::strtod(value(), nullptr);
+      const double r = flag_value<double>(argc, argv, i);
       opt.fault.link_bit_flip_rate = r;
       opt.fault.llc_bit_flip_rate = r;
       opt.fault.enabled = true;
     } else if (arg == "--fault-link-rate") {
-      opt.fault.link_bit_flip_rate = std::strtod(value(), nullptr);
+      opt.fault.link_bit_flip_rate = flag_value<double>(argc, argv, i);
       opt.fault.enabled = true;
     } else if (arg == "--fault-llc-rate") {
-      opt.fault.llc_bit_flip_rate = std::strtod(value(), nullptr);
+      opt.fault.llc_bit_flip_rate = flag_value<double>(argc, argv, i);
       opt.fault.enabled = true;
     } else if (arg == "--fault-drop-rate") {
-      opt.fault.flit_drop_rate = std::strtod(value(), nullptr);
+      opt.fault.flit_drop_rate = flag_value<double>(argc, argv, i);
       opt.fault.enabled = true;
     } else if (arg == "--fault-dup-rate") {
-      opt.fault.flit_duplicate_rate = std::strtod(value(), nullptr);
+      opt.fault.flit_duplicate_rate = flag_value<double>(argc, argv, i);
       opt.fault.enabled = true;
     } else if (arg == "--fault-engine-rate") {
-      opt.fault.engine_fault_rate = std::strtod(value(), nullptr);
+      opt.fault.engine_fault_rate = flag_value<double>(argc, argv, i);
       opt.fault.enabled = true;
     } else if (arg == "--fault-stall-rate") {
-      opt.fault.engine_stall_rate = std::strtod(value(), nullptr);
+      opt.fault.engine_stall_rate = flag_value<double>(argc, argv, i);
       opt.fault.enabled = true;
     } else if (arg == "--fault-crc") {
       const std::string m = value();
@@ -363,22 +396,23 @@ SweepOptions parse_sweep_flags(int argc, char** argv,
       }
       opt.fault.enabled = true;
     } else if (arg == "--hard-fault-rate") {
-      opt.fault.hard_fault_rate = std::strtod(value(), nullptr);
+      opt.fault.hard_fault_rate = flag_value<double>(argc, argv, i);
       opt.fault.enabled = true;
     } else if (arg == "--fault-retries") {
-      opt.fault.max_retries =
-          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      opt.fault.max_retries = flag_value<std::uint32_t>(argc, argv, i);
     } else if (arg == "--fault-backoff") {
       opt.fault.retransmit_backoff_base =
-          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+          flag_value<std::uint32_t>(argc, argv, i);
     } else if (arg == "--shard") {
-      const char* v = value();
-      char* sep = nullptr;
-      opt.shard_index = static_cast<unsigned>(std::strtoul(v, &sep, 10));
-      if (!sep || (*sep != '/' && *sep != ':')) usage(argv[0], 2);
-      opt.shard_count = static_cast<unsigned>(std::strtoul(sep + 1, nullptr, 10));
-      if (opt.shard_count == 0 || opt.shard_index >= opt.shard_count)
+      const std::string_view v = value();
+      const std::size_t sep = v.find_first_of("/:");
+      if (sep == std::string_view::npos) usage(argv[0], 2);
+      const auto index = parse_whole<unsigned>(v.substr(0, sep));
+      const auto count = parse_whole<unsigned>(v.substr(sep + 1));
+      if (!index || !count || *count == 0 || *index >= *count)
         usage(argv[0], 2);
+      opt.shard_index = *index;
+      opt.shard_count = *count;
     } else if (arg.size() > 1 && arg[0] == '-') {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       usage(argv[0], 2);

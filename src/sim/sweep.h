@@ -84,7 +84,7 @@ struct SweepOptions {
   bool progress = true;
   std::string progress_label = "sweep";
   /// Fault-injection knobs (--fault-* flags); disabled unless any rate flag
-  /// is given. Benches apply this to their cells via configure_faults().
+  /// is given. Benches copy it into their cells' SystemConfig::fault.
   FaultConfig fault;
   /// Tracing / invariant-checking knobs (--trace, --trace-filter,
   /// --check-invariants). run_sweep applies them to every cell; out_path is

@@ -1,9 +1,13 @@
 #include "sim/wire.h"
 
-#include <bit>
+#include <charconv>
 #include <cstdio>
-#include <string>
 #include <stdexcept>
+#include <string>
+#include <system_error>
+#include <utility>
+
+#include "sim/json_export.h"
 
 namespace disco::sim::wire {
 namespace {
@@ -28,9 +32,13 @@ struct Scanner {
     return s[pos];
   }
   void expect(char c) {
-    if (pos >= s.size() || s[pos] != c)
+    if (!take(c))
       fail(std::string("expected '") + c + "' at offset " + std::to_string(pos));
+  }
+  bool take(char c) {
+    if (pos >= s.size() || s[pos] != c) return false;
     ++pos;
+    return true;
   }
 
   std::string parse_string() {
@@ -46,211 +54,166 @@ struct Scanner {
       }
       if (pos >= s.size()) fail("unterminated escape");
       const char e = s[pos++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos + 4 > s.size()) fail("truncated \\u escape");
-          unsigned v = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s[pos++];
-            v <<= 4;
-            if (h >= '0' && h <= '9') v |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') v |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') v |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape digit");
-          }
-          // The encoder only ever emits \u00XX (control bytes); tolerate the
-          // full BMP by truncating — nothing we wrote can hit that path.
-          out.push_back(static_cast<char>(v & 0xFF));
-          break;
-        }
-        default: fail(std::string("unknown escape \\") + e);
+      static constexpr std::string_view kEscapes = "\"\\/bfnrt";
+      static constexpr std::string_view kChars = "\"\\/\b\f\n\r\t";
+      if (const std::size_t k = kEscapes.find(e); k != std::string_view::npos) {
+        out.push_back(kChars[k]);
+        continue;
       }
+      unsigned v = 0;
+      const char* hex = s.data() + pos;
+      if (e != 'u' || pos + 4 > s.size() ||
+          std::from_chars(hex, hex + 4, v, 16).ptr != hex + 4)
+        fail(std::string("bad escape \\") + e);
+      pos += 4;
+      // The encoder only ever emits \u00XX (control bytes); tolerate the
+      // full BMP by truncating — nothing we wrote can hit that path.
+      out.push_back(static_cast<char>(v & 0xFF));
     }
   }
 
-  std::uint64_t parse_number() {
-    if (pos >= s.size() || s[pos] < '0' || s[pos] > '9')
-      fail("expected number at offset " + std::to_string(pos));
-    std::uint64_t v = 0;
-    while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') {
-      const std::uint64_t d = static_cast<std::uint64_t>(s[pos] - '0');
-      // A bit-flipped payload can splice digits into a number that no
-      // encoder ever produced; reject overflow instead of wrapping quietly.
-      if (v > (UINT64_MAX - d) / 10)
-        fail("number overflow at offset " + std::to_string(pos));
-      v = v * 10 + d;
-      ++pos;
+  // A JSON number, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, kept as
+  // its token: only the field it lands in knows its type.
+  std::string parse_number() {
+    const std::size_t start = pos;
+    auto digits = [&] {
+      const std::size_t from = pos;
+      while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') ++pos;
+      if (pos == from) fail("expected digit at offset " + std::to_string(pos));
+    };
+    take('-');
+    if (!take('0')) digits();
+    if (take('.')) digits();
+    if (take('e') || take('E')) {
+      if (!take('+')) take('-');
+      digits();
     }
-    return v;
+    return std::string(s.substr(start, pos - start));
+  }
+
+  /// The comma-separated items of an object or array, after its opening
+  /// bracket, through `close`.
+  template <class F>
+  void parse_items(char close, F&& item) {
+    skip_ws();
+    if (take(close)) return;
+    do {
+      item();
+      skip_ws();
+    } while (take(','));
+    expect(close);
   }
 
   Value parse_value(unsigned depth) {
     if (depth > 8) fail("nesting too deep");
     skip_ws();
     Value v;
-    const char c = peek();
-    if (c == '{') {
-      v = parse_obj(depth);
-    } else if (c == '"') {
+    if (take('{')) {
+      v.kind = Value::Kind::Obj;
+      parse_items('}', [&] {
+        skip_ws();
+        std::string key = parse_string();
+        skip_ws();
+        expect(':');
+        v.obj.emplace_back(std::move(key), parse_value(depth + 1));
+      });
+    } else if (take('[')) {
+      v.kind = Value::Kind::Arr;
+      parse_items(']', [&] { v.arr.push_back(parse_value(depth + 1)); });
+    } else if (peek() == '"') {
       v.kind = Value::Kind::Str;
       v.str = parse_string();
     } else {
-      v.kind = Value::Kind::Num;
-      v.num = parse_number();
+      v.str = parse_number();
     }
     return v;
   }
-
-  Value parse_obj(unsigned depth) {
-    Value v;
-    v.kind = Value::Kind::Obj;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      Value member = parse_value(depth + 1);
-      v.obj.emplace_back(std::move(key), std::move(member));
-      skip_ws();
-      const char t = peek();
-      if (t == ',') {
-        ++pos;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
 };
 
-// --- CellResult codec ---------------------------------------------------------
-//
-// Both walk CellResult::visit. Keys of nested objects, labeled field lists
-// and array elements are flattened to "object.key", "noc.packet_latency.1.
-// count"; a gate travels as "object.enabled"; every member travels whatever
-// its gate.
+/// A number token as a `T`. The whole token must parse: an integer field
+/// rejects 1.5, -1 and 1e3, a double field an out-of-range exponent.
+template <class T>
+T number(const Value& v, const std::string& field) {
+  if (v.kind != Value::Kind::Num) fail("wrong kind for field " + field);
+  T out{};
+  const char* end = v.str.data() + v.str.size();
+  const auto [ptr, ec] = std::from_chars(v.str.data(), end, out);
+  if (ec != std::errc{} || ptr != end)
+    fail("bad number " + v.str + " for field " + field);
+  return out;
+}
 
-/// The flattening both share: nested objects, labeled field lists and C
-/// arrays extend the key prefix.
-template <class Self>
-struct Flattener {
-  std::string prefix;
+/// Walks CellResult::visit over the nested objects json_export writes. An
+/// absent gated object decodes as gate off with default members.
+struct Decoder {
+  const Value* cur;
+  std::string path;  ///< dotted path of the member being read, for errors
 
+  const Value& as(const Value& v, Value::Kind kind) const {
+    if (v.kind != kind) fail("wrong kind for field " + path);
+    return v;
+  }
+  const Value& present(const Value* v) const {
+    if (v == nullptr) fail("missing field " + path);
+    return *v;
+  }
+  /// Runs `f` on member `name` of the current object (null when absent),
+  /// with `path` naming it.
   template <class F>
-  void nest(std::string_view name, F&& fields) {
-    const std::size_t outer = prefix.size();
-    prefix.append(name).push_back('.');
+  void member(std::string_view name, F&& f) {
+    const std::size_t outer = path.size();
+    path.append(outer > 0 ? "." : "").append(name);
+    f(cur->find(name));
+    path.resize(outer);
+  }
+  template <class F>
+  void within(const Value& v, F&& fields) {
+    const Value* outer = std::exchange(cur, &as(v, Value::Kind::Obj));
     fields();
-    prefix.resize(outer);
+    cur = outer;
+  }
+
+  void read(const Value& v, std::string& out) const {
+    out = as(v, Value::Kind::Str).str;
+  }
+  void read(const Value& v, std::uint64_t& out) const {
+    out = number<std::uint64_t>(v, path);
+  }
+  void read(const Value& v, double& out) const { out = number<double>(v, path); }
+  void read(const Value& v, Scheme& out) const {
+    const auto s = scheme_from_name(as(v, Value::Kind::Str).str);
+    if (!s) fail("unknown scheme in field " + path);
+    out = *s;
   }
   template <class T>
-    requires requires(T& t, Self& self) { t.visit(self); }
-  void operator()(std::string_view name, T& v) {
-    nest(name, [&] { v.visit(static_cast<Self&>(*this)); });
+    requires requires(T& t, Decoder& d) { t.visit(d); }
+  void read(const Value& v, T& out) {
+    within(v, [&] { out.visit(*this); });
   }
   template <class T, std::size_t N>
-  void operator()(std::string_view name, T (&a)[N]) {
-    nest(name, [&] {
-      for (std::size_t i = 0; i < N; ++i)
-        static_cast<Self&>(*this)(std::to_string(i), a[i]);
-    });
+  void read(const Value& v, T (&a)[N]) {
+    if (as(v, Value::Kind::Arr).arr.size() != N)
+      fail("wrong length for array " + path);
+    for (std::size_t i = 0; i < N; ++i) read(v.arr[i], a[i]);
+  }
+
+  template <class T>
+  void operator()(std::string_view name, T& v) {
+    member(name, [&](const Value* m) { read(present(m), v); });
   }
   template <class F>
   void object(std::string_view name, F&& fields) {
-    nest(name, fields);
-  }
-};
-
-struct Encoder : Flattener<Encoder> {
-  using Flattener::object;
-  using Flattener::operator();
-  std::string out;
-
-  void key(std::string_view name) {
-    out.push_back(out.empty() ? '{' : ',');
-    append_json_string(out, prefix + std::string(name));
-    out.push_back(':');
-  }
-  void num(std::string_view name, std::uint64_t v) {
-    key(name);
-    out += std::to_string(v);
-  }
-  void operator()(std::string_view name, const std::string& v) {
-    key(name);
-    append_json_string(out, v);
-  }
-  void operator()(std::string_view name, std::uint64_t v) { num(name, v); }
-  // Bit pattern, not decimal text: exact round trip by construction.
-  void operator()(std::string_view name, double v) {
-    num(name, std::bit_cast<std::uint64_t>(v));
-  }
-  void operator()(std::string_view name, Scheme v) {
-    num(name, static_cast<std::uint64_t>(v));
-  }
-  template <class F>
-  void object(std::string_view name, bool gate, F&& fields) {
-    nest(name, [&] {
-      num("enabled", gate ? 1 : 0);
-      fields();
-    });
-  }
-  void computed(std::string_view, double) {}
-  void transport(std::string_view name, const std::string& v) { (*this)(name, v); }
-};
-
-struct Decoder : Flattener<Decoder> {
-  using Flattener::object;
-  using Flattener::operator();
-  const Value& obj;
-
-  explicit Decoder(const Value& o) : obj(o) {}
-
-  const Value& get(std::string_view name, Value::Kind kind) const {
-    const std::string key = prefix + std::string(name);
-    const Value* v = obj.find(key);
-    if (v == nullptr) fail("missing field " + key);
-    if (v->kind != kind) fail("wrong kind for field " + key);
-    return *v;
-  }
-  std::uint64_t num(std::string_view name) const {
-    return get(name, Value::Kind::Num).num;
-  }
-  void operator()(std::string_view name, std::string& v) const {
-    v = get(name, Value::Kind::Str).str;
-  }
-  void operator()(std::string_view name, std::uint64_t& v) const { v = num(name); }
-  void operator()(std::string_view name, double& v) const {
-    v = std::bit_cast<double>(num(name));
-  }
-  void operator()(std::string_view name, Scheme& v) const {
-    const std::uint64_t n = num(name);
-    if (n > static_cast<std::uint64_t>(Scheme::Ideal))
-      fail("scheme value out of range");
-    v = static_cast<Scheme>(n);
+    member(name, [&](const Value* m) { within(present(m), fields); });
   }
   template <class F>
   void object(std::string_view name, bool& gate, F&& fields) {
-    nest(name, [&] {
-      gate = num("enabled") != 0;
-      fields();
+    member(name, [&](const Value* m) {
+      gate = m != nullptr;
+      if (gate) within(*m, fields);
     });
   }
   void computed(std::string_view, double) const {}
-  void transport(std::string_view name, std::string& v) const { (*this)(name, v); }
+  void transport(std::string_view name, std::string& v) { (*this)(name, v); }
 };
 
 }  // namespace
@@ -264,7 +227,9 @@ const Value* Value::find(std::string_view key) const {
 
 std::uint64_t Value::num_or(std::string_view key, std::uint64_t dflt) const {
   const Value* v = find(key);
-  return v != nullptr && v->kind == Kind::Num ? v->num : dflt;
+  return v != nullptr && v->kind == Kind::Num
+             ? number<std::uint64_t>(*v, std::string(key))
+             : dflt;
 }
 
 std::string Value::str_or(std::string_view key, std::string_view dflt) const {
@@ -275,7 +240,8 @@ std::string Value::str_or(std::string_view key, std::string_view dflt) const {
 Value parse_object(std::string_view text) {
   Scanner sc{text};
   sc.skip_ws();
-  Value v = sc.parse_obj(0);
+  if (sc.peek() != '{') fail("expected an object");
+  Value v = sc.parse_value(0);
   sc.skip_ws();
   if (sc.pos != text.size()) fail("trailing garbage after object");
   return v;
@@ -305,17 +271,15 @@ void append_json_string(std::string& out, std::string_view s) {
 }
 
 std::string encode_result(const CellResult& r) {
-  Encoder enc;
-  // The encoder only reads; the field list is non-const to serve decoding.
-  const_cast<CellResult&>(r).visit(enc);
-  enc.out.push_back('}');
-  return enc.out;
+  std::string out;
+  append_json(out, r, true);
+  return out;
 }
 
 CellResult decode_result(const Value& obj) {
   if (obj.kind != Value::Kind::Obj) fail("result is not an object");
   CellResult r;
-  Decoder dec(obj);
+  Decoder dec{&obj, {}};
   r.visit(dec);
   return r;
 }

@@ -37,8 +37,7 @@ class TraceGenerator {
 
   TraceOp next();
 
-  /// Region bases (tests and address-map sanity checks).
-  Addr private_base() const { return private_base_; }
+  /// Base of the shared region (tests and address-map sanity checks).
   static Addr shared_base() { return Addr{1} << 42; }
 
  private:

@@ -13,11 +13,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <sstream>
 
 #include "cmp/system.h"
 #include "common/interrupt.h"
+#include "fault/fault.h"
 #include "field_recorder.h"
 #include "sim/json_export.h"
 #include "sim/supervisor.h"
@@ -284,6 +286,56 @@ TEST(WireFormat, RejectsTruncatedAndMalformedPayloads) {
       << "missing fields must be an error, not silently defaulted";
 }
 
+TEST(WireFormat, RunCellResultRoundTripsBitExact) {
+  const auto& profile = workload::profile_by_name("canneal");
+  SystemConfig plain;
+  plain.scheme = Scheme::DISCO;
+  // Every gate on: soft and hard faults, and the invariant checker.
+  SystemConfig gated = plain;
+  gated.fault.enabled = true;
+  gated.fault.link_bit_flip_rate = 1e-3;
+  gated.fault.hard_faults = fault::parse_hard_fault_spec("engine@3000:5");
+  gated.trace.enabled = true;
+  gated.trace.check_invariants = true;
+  for (const bool gates : {false, true}) {
+    const CellResult r = run_cell(gates ? gated : plain, profile, tiny_run());
+    EXPECT_EQ(r.fault.enabled && r.fault.hard_enabled && r.invariants.enabled,
+              gates);
+    const std::string encoded = wire::encode_result(r);
+    const CellResult d = wire::decode_result(wire::parse_object(encoded));
+    EXPECT_EQ(testutil::field_image(d), testutil::field_image(r));
+    EXPECT_EQ(wire::encode_result(d), encoded);
+  }
+}
+
+TEST(WireFormat, NumbersMustParseWholeIntoTheirFieldType) {
+  const std::string good = wire::encode_result(CellResult{});
+  auto with = [&](const std::string& from, const std::string& to) {
+    std::string s = good;
+    const auto at = s.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return s.replace(at, from.size(), to);
+  };
+  const std::string cycles = "\"measured_cycles\":0,";
+  const std::string latency = "\"avg_nuca_latency\":0,";
+  EXPECT_NO_THROW(wire::decode_result(wire::parse_object(
+      with(latency, "\"avg_nuca_latency\":-1.5e-3,"))));
+  for (const std::string& bad :
+       {with(cycles, "\"measured_cycles\":1.5,"),
+        with(cycles, "\"measured_cycles\":-1,"),
+        with(cycles, "\"measured_cycles\":1e3,"),
+        with(cycles, "\"measured_cycles\":18446744073709551616,"),
+        with(latency, "\"avg_nuca_latency\":1e999,"),
+        with(latency, "\"avg_nuca_latency\":\"1\","),
+        with("\"scheme\":\"Baseline\"", "\"scheme\":0")})
+    EXPECT_THROW(wire::decode_result(wire::parse_object(bad)),
+                 std::runtime_error) << bad;
+  for (const char* bad : {"01", "1.", ".5", "+1", "-", "1e", "nan"})
+    EXPECT_THROW(wire::parse_object(with(cycles, "\"measured_cycles\":" +
+                                                    std::string(bad) + ",")),
+                 std::runtime_error) << bad;
+}
+
 // ---------------------------------------------------------------------------
 // Sweep flags
 // ---------------------------------------------------------------------------
@@ -309,6 +361,33 @@ TEST(SweepFlags, SupervisorFlagsParse) {
   EXPECT_TRUE(parse_flags({"--timeout-ms", "500"}).supervisor.active())
       << "a timeout needs a child to kill";
   EXPECT_FALSE(parse_flags({"--threads", "2"}).supervisor.active());
+}
+
+TEST(SweepFlags, NumbersAndRatesParse) {
+  const SweepOptions opt =
+      parse_flags({"--seed", "12", "--threads", "3", "--debug-hang-cell", "-1",
+                   "--fault-rate", "1e-3", "--hard-fault-rate", "0",
+                   "--shard", "1/2"});
+  EXPECT_EQ(opt.base_seed, 12u);
+  EXPECT_EQ(opt.threads, 3u);
+  EXPECT_EQ(opt.supervisor.debug_hang_cell, -1);
+  EXPECT_EQ(opt.fault.link_bit_flip_rate, 1e-3);
+  EXPECT_EQ(opt.shard_index, 1u);
+  EXPECT_EQ(opt.shard_count, 2u);
+}
+
+TEST(SweepFlagsDeathTest, MalformedNumbersExitWithUsage) {
+  // Every case exits inside parse_sweep_flags, before any sweep starts.
+  const std::vector<std::vector<std::string>> cases = {
+      {"--debug-hang-cell", "foo"}, {"--seed", "12abc"},
+      {"--threads", "x"},           {"--threads", "-1"},
+      {"--timeout-ms", ""},         {"--fault-retries", "99999999999"},
+      {"--fault-rate", "nan"},      {"--fault-drop-rate", "-1e-3"},
+      {"--hard-fault-rate", "inf"}, {"--fault-link-rate", "1e-3x"},
+      {"--shard", "1/2x"},          {"--shard", "a/2"}};
+  for (const auto& args : cases)
+    EXPECT_EXIT((void)parse_flags(args), ::testing::ExitedWithCode(2), "usage:")
+        << args[0] << " " << args[1];
 }
 
 // ---------------------------------------------------------------------------
@@ -720,12 +799,18 @@ TEST(ManifestHardening, CorruptedEntryIsDroppedNotFatal) {
 std::string to_json(const wire::Value& v) {
   std::string out;
   switch (v.kind) {
-    case wire::Value::Kind::Num: return std::to_string(v.num);
+    case wire::Value::Kind::Num: return v.str;
     case wire::Value::Kind::Str: wire::append_json_string(out, v.str); return out;
+    case wire::Value::Kind::Arr:
+      out = "[";
+      for (const wire::Value& e : v.arr)
+        out += (out.size() > 1 ? "," : "") + to_json(e);
+      return out + "]";
     case wire::Value::Kind::Obj: break;
   }
+  out = "{";
   for (const auto& [key, member] : v.obj) {
-    out += out.empty() ? "{" : ",";
+    if (out.size() > 1) out += ",";
     wire::append_json_string(out, key);
     out += ":" + to_json(member);
   }
@@ -733,8 +818,8 @@ std::string to_json(const wire::Value& v) {
 }
 
 /// Rewrite a journaled result in the layout of builds that copied counters
-/// into CellResult by name: 17 NoC/cache counters flat at the top level,
-/// 24 NoC counters under "fault." and "hard_fault.", the rest absent.
+/// into CellResult by name: 17 NoC/cache counters at the top level, 24 NoC
+/// counters in the "fault" and "hard_fault" objects, the rest absent.
 wire::Value flat_layout(const wire::Value& result) {
   static const std::set<std::string> top = {
       "l1_misses", "link_flits", "inflight_compressions",
@@ -752,24 +837,33 @@ wire::Value flat_layout(const wire::Value& result) {
       "links_killed", "routers_killed", "engines_hard_failed", "banks_killed",
       "unreachable_drops", "dead_component_drops", "flits_destroyed",
       "severed_packets", "reroutes", "bypass_retransmits", "synth_completions"};
-  wire::Value out;
-  out.kind = wire::Value::Kind::Obj;
+  wire::Value out, fault_obj, hard_obj;
+  out.kind = fault_obj.kind = hard_obj.kind = wire::Value::Kind::Obj;
   for (const auto& [key, v] : result.obj) {
-    const auto dot = key.find('.');
-    const std::string object = key.substr(0, dot);
-    const std::string name = dot == std::string::npos ? "" : key.substr(dot + 1);
-    if (object != "noc" && object != "cache") out.obj.emplace_back(key, v);
-    else if (top.count(name)) out.obj.emplace_back(name, v);
-    else if (fault.count(name)) out.obj.emplace_back("fault." + name, v);
-    else if (hard.count(name)) out.obj.emplace_back("hard_fault." + name, v);
+    if (key != "noc" && key != "cache") {
+      out.obj.emplace_back(key, v);
+      continue;
+    }
+    for (const auto& [name, member] : v.obj) {
+      if (top.count(name)) out.obj.emplace_back(name, member);
+      else if (fault.count(name)) fault_obj.obj.emplace_back(name, member);
+      else if (hard.count(name)) hard_obj.obj.emplace_back(name, member);
+    }
   }
+  out.obj.emplace_back("fault", std::move(fault_obj));
+  out.obj.emplace_back("hard_fault", std::move(hard_obj));
   return out;
 }
 
-TEST(ManifestHardening, FlatLayoutEntryFromOlderBuildIsRerun) {
+/// Journals the first two cells of small_grid(), replaces cell 0's entry
+/// line with `rewrite(line)`, and checks that the resume drops that entry,
+/// reruns cell 0 alone and reproduces the uninterrupted sweep.
+void expect_entry_rerun(
+    const std::string& tag,
+    const std::function<std::string(const std::string&)>& rewrite) {
   auto cells = small_grid();
   cells.resize(2);
-  ScratchDir dir("manflat");
+  ScratchDir dir(tag);
   SweepOptions opt = quiet(1);
   opt.supervisor.isolate = true;
   opt.supervisor.checkpoint_dir = dir.str();
@@ -782,11 +876,9 @@ TEST(ManifestHardening, FlatLayoutEntryFromOlderBuildIsRerun) {
   }
   bool rewrote = false;
   for (std::string& line : lines) {
-    wire::Value v = wire::parse_object(line);
+    const wire::Value v = wire::parse_object(line);
     if (v.find("result") == nullptr || v.num_or("cell", 99) != 0) continue;
-    for (auto& [key, member] : v.obj)
-      if (key == "result") member = flat_layout(member);
-    line = to_json(v);
+    line = rewrite(line);
     rewrote = true;
   }
   ASSERT_TRUE(rewrote);
@@ -797,7 +889,7 @@ TEST(ManifestHardening, FlatLayoutEntryFromOlderBuildIsRerun) {
 
   const Manifest m = load_manifest(dir.manifest());
   ASSERT_EQ(m.entries.size(), 1u)
-      << "the flat-layout entry is dropped; the current one survives";
+      << "the older entry is dropped; the current one survives";
   EXPECT_EQ(m.entries[0].cell, 1u);
 
   const std::string reference = as_json(run_sweep(cells, quiet(1)));
@@ -810,6 +902,26 @@ TEST(ManifestHardening, FlatLayoutEntryFromOlderBuildIsRerun) {
   EXPECT_EQ(as_json(done), reference);
   EXPECT_EQ(load_manifest(dir.manifest()).entries.size(), 2u)
       << "the rerun journals cell 0 again in the current layout";
+}
+
+TEST(ManifestHardening, FlatLayoutEntryFromOlderBuildIsRerun) {
+  expect_entry_rerun("manflat", [](const std::string& line) {
+    wire::Value v = wire::parse_object(line);
+    for (auto& [key, member] : v.obj)
+      if (key == "result") member = flat_layout(member);
+    return to_json(v);
+  });
+}
+
+TEST(ManifestHardening, BitPatternEntryFromOlderBuildIsRerun) {
+  // Cell 0 of this grid as journaled by builds whose wire format wrote
+  // flat dotted keys and doubles as IEEE-754 bit patterns.
+  std::ifstream f(std::string(DISCO_TEST_DATA_DIR) +
+                  "/golden/manifest_entry_bit_patterns.jsonl");
+  std::string legacy;
+  ASSERT_TRUE(std::getline(f, legacy));
+  ASSERT_NE(legacy.find("\"noc.buffer_writes\":"), std::string::npos);
+  expect_entry_rerun("manbits", [&](const std::string&) { return legacy; });
 }
 
 }  // namespace
